@@ -36,7 +36,7 @@ void record_window(const Window& w, const CpuClock& start, bool trace, Outcome& 
   out.record["step.samples"] = static_cast<double>(w.step_ms.size());
   out.record["mcell_steps_per_s.window_mean"] = w.mean_mcell_steps_per_s();
   out.record["host.steal_pct"] = steal_pct(start, read_cpu_clock());
-  out.record["window.dropped_subwindows"] = w.dropped;
+  out.record["window.dropped_blocks"] = w.dropped;
   out.record["window.dropped_s"] = w.dropped_wall;
   if (!trace) out.metrics["peak_rss_mb"] = rss_mib;
 }

@@ -1,9 +1,13 @@
 #include "harness.hpp"
 
+#include <pthread.h>
+#include <sched.h>
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -46,6 +50,85 @@ CpuClock read_cpu_clock() {
 
 double steal_pct(const CpuClock& from, const CpuClock& to) {
   return to.total > from.total ? 100.0 * (to.steal - from.steal) / (to.total - from.total) : 0.0;
+}
+
+int usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) return CPU_COUNT(&set);
+  return static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+}
+
+IdlePollers::IdlePollers(int n) {
+  try {
+    for (int i = 0; i < n; ++i)
+      threads_.emplace_back([this] {
+        const sched_param param{};
+        // Without SCHED_IDLE a poller would compete with the program.
+        if (pthread_setschedparam(pthread_self(), SCHED_IDLE, &param) != 0) return;
+        running_.fetch_add(1);
+        while (!stop_.load(std::memory_order_relaxed)) {
+#if defined(__x86_64__) || defined(__i386__)
+          __builtin_ia32_pause();
+#endif
+        }
+      });
+  } catch (...) {
+    stop();
+    throw;
+  }
+}
+
+IdlePollers::~IdlePollers() { stop(); }
+
+void IdlePollers::stop() {
+  stop_.store(true);
+  for (std::thread& t : threads_) t.join();
+  threads_.clear();
+}
+
+// ---- measurement windows ----------------------------------------------------
+
+void Window::merge(const Window& o) {
+  wall += o.wall;
+  cell_steps += o.cell_steps;
+  step_ms.insert(step_ms.end(), o.step_ms.begin(), o.step_ms.end());
+  rates.insert(rates.end(), o.rates.begin(), o.rates.end());
+  dropped += o.dropped;
+  dropped_wall += o.dropped_wall;
+  dropped_steps += o.dropped_steps;
+}
+
+std::vector<double> sub_window_rates(std::vector<double> step_ends, double start, double cells) {
+  std::sort(step_ends.begin(), step_ends.end());
+  std::vector<double> rates;
+  double steps = 0.0;
+  for (const double end : step_ends) {
+    ++steps;
+    if (const double sub = end - start; sub >= kSubWindowSeconds) {
+      rates.push_back(steps * cells / sub / 1e6);
+      start = end;
+      steps = 0.0;
+    }
+  }
+  return rates;
+}
+
+std::vector<std::size_t> pick_blocks(const std::vector<double>& walls,
+                                     const std::vector<double>& steals, double seconds) {
+  std::vector<std::size_t> order(walls.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return steals[a] < steals[b]; });
+  std::vector<std::size_t> kept;
+  double span = 0.0;
+  for (const std::size_t i : order) {
+    if (span >= seconds) break;
+    kept.push_back(i);
+    span += walls[i];
+  }
+  std::sort(kept.begin(), kept.end());
+  return kept;
 }
 
 // ---- spans ------------------------------------------------------------------

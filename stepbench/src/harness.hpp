@@ -13,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 namespace stepbench {
@@ -116,6 +117,37 @@ CpuClock read_cpu_clock();
 /// Share of the machine's CPU time the hypervisor stole between two reads.
 double steal_pct(const CpuClock& from, const CpuClock& to);
 
+/// CPUs this process may run on (its affinity mask, as nproc counts them).
+int usable_cpus();
+
+/// One SCHED_IDLE thread per CPU that spins while nothing else wants the
+/// CPU, for as long as the object lives. On a virtual machine an idle vCPU
+/// halts and the host deschedules it; waking a thread on it then waits for
+/// the host to run the vCPU again, which takes longer the busier the host's
+/// other tenants are. A program that parks threads many times per step
+/// (the dist rank pool) pays that wait on every wake. Pollers keep the
+/// vCPUs running, so the wake is a guest context switch and the figures
+/// follow the program rather than the host's load. A poller never delays a
+/// runnable thread of the program: the guest scheduler preempts a
+/// SCHED_IDLE thread at once. Stops and joins its threads on destruction.
+class IdlePollers {
+ public:
+  explicit IdlePollers(int n);
+  ~IdlePollers();
+  IdlePollers(const IdlePollers&) = delete;
+  IdlePollers& operator=(const IdlePollers&) = delete;
+
+  /// Pollers that got SCHED_IDLE (the others exited at once).
+  [[nodiscard]] int running() const { return running_.load(); }
+
+ private:
+  void stop();
+
+  std::atomic<bool> stop_{false};
+  std::atomic<int> running_{0};
+  std::vector<std::thread> threads_;
+};
+
 // ---- measurement windows ----------------------------------------------------
 
 /// Throughput is taken per sub-window of at least this many seconds and
@@ -123,13 +155,15 @@ double steal_pct(const CpuClock& from, const CpuClock& to);
 /// less than a window mean would.
 inline constexpr double kSubWindowSeconds = 0.1;
 
-/// Steps run in blocks of at least this many seconds. In an untraced window
-/// a block in which the hypervisor stole more than kMaxStealPct of the
-/// machine's CPU time is dropped and measured again: it times the host's
-/// other tenants rather than the program. The drops are bounded and
-/// recorded.
+/// Steps run in blocks of at least this many seconds. A block in which the
+/// hypervisor stole more than kMaxStealPct of the machine's CPU time times
+/// the host's other tenants rather than the program, so an untraced window
+/// measures blocks until the clean ones span its length, or until all of
+/// them span kMaxMeasuredFactor times its length, and keeps the
+/// least-stolen blocks (see pick_blocks). The drops are recorded.
 inline constexpr double kBlockSeconds = 0.5;
 inline constexpr double kMaxStealPct = 2.0;
+inline constexpr double kMaxMeasuredFactor = 2.0;
 
 /// One measured stretch of steps.
 struct Window {
@@ -145,53 +179,76 @@ struct Window {
   [[nodiscard]] double mcell_steps_per_s() const { return median(rates); }
   /// Throughput over the kept blocks together, stalls included.
   [[nodiscard]] double mean_mcell_steps_per_s() const { return cell_steps / wall / 1e6; }
+
+  /// Add another window's steps, rates and wall time to this one.
+  void merge(const Window& o);
 };
 
-/// Run blocks, each calling `advance(w)` until it spans kBlockSeconds, until
-/// the kept ones span `seconds`; every kSubWindowSeconds inside a block
-/// close a sub-window whose throughput joins `w.rates` (a call longer than
-/// that makes one sub-window). With `drop_stolen`, a block with more than
-/// kMaxStealPct steal is dropped (its steps and rates leave `w`) while the
-/// dropped time stays under `seconds`, so a window takes at most twice its
-/// length.
+/// Throughput of consecutive sub-windows of at least kSubWindowSeconds, in
+/// Mcell-steps/s, from the end times of steps (any order) that each advance
+/// `cells` cells, starting at `start`; a last sub-window shorter than
+/// kSubWindowSeconds is left out.
+std::vector<double> sub_window_rates(std::vector<double> step_ends, double start, double cells);
+
+/// The blocks to keep, given each block's wall seconds and steal share in
+/// measurement order: least steal first (earlier first among equals) until
+/// the kept ones span `seconds`, or every block when they span less.
+std::vector<std::size_t> pick_blocks(const std::vector<double>& walls,
+                                     const std::vector<double>& steals, double seconds);
+
+/// Run blocks, each calling `advance(b)` on a fresh window until it spans
+/// kBlockSeconds; every kSubWindowSeconds inside a block close a sub-window
+/// whose throughput joins the block's rates (a call longer than that makes
+/// one sub-window, unless the call adds its own sub-window rates to `b`). Without `drop_stolen`, blocks run until they span
+/// `seconds` and all join `w`. With it, blocks run until those with at most
+/// kMaxStealPct steal span `seconds` or all span kMaxMeasuredFactor x
+/// `seconds`, and the blocks pick_blocks keeps join `w`; the rest count as
+/// dropped.
 template <class Advance>
 void extend(Window& w, double seconds, Advance&& advance, bool drop_stolen = false) {
   using clock = std::chrono::steady_clock;
   const auto secs = [](clock::duration d) { return std::chrono::duration<double>(d).count(); };
-  double kept = 0.0;
-  double dropped = 0.0;
-  while (kept < seconds) {
-    const std::size_t samples0 = w.step_ms.size();
-    const std::size_t rates0 = w.rates.size();
-    const double cells0 = w.cell_steps;
+  std::vector<Window> blocks;
+  std::vector<double> walls, steals;
+  double measured = 0.0, clean = 0.0;
+  while (drop_stolen ? clean < seconds && measured < kMaxMeasuredFactor * seconds
+                     : measured < seconds) {
+    Window& b = blocks.emplace_back();
     const CpuClock cpu0 = read_cpu_clock();
     const auto t0 = clock::now();
     auto sub_t0 = t0;
-    double sub_cells0 = cells0;
-    double block = 0.0;
+    double sub_cells0 = 0.0;
     do {
-      advance(w);
+      const std::size_t rates0 = b.rates.size();
+      advance(b);
       const auto t = clock::now();
-      block = secs(t - t0);
-      if (const double sub = secs(t - sub_t0); sub >= kSubWindowSeconds) {
-        w.rates.push_back((w.cell_steps - sub_cells0) / sub / 1e6);
+      b.wall = secs(t - t0);
+      if (b.rates.size() > rates0) {
         sub_t0 = t;
-        sub_cells0 = w.cell_steps;
+        sub_cells0 = b.cell_steps;
+      } else if (const double sub = secs(t - sub_t0); sub >= kSubWindowSeconds) {
+        b.rates.push_back((b.cell_steps - sub_cells0) / sub / 1e6);
+        sub_t0 = t;
+        sub_cells0 = b.cell_steps;
       }
-    } while (block < kBlockSeconds);
-    if (drop_stolen && dropped < seconds && steal_pct(cpu0, read_cpu_clock()) > kMaxStealPct) {
-      w.dropped_steps += static_cast<std::int64_t>(w.step_ms.size() - samples0);
-      w.step_ms.resize(samples0);
-      w.rates.resize(rates0);
-      w.cell_steps = cells0;
-      dropped += block;
-      ++w.dropped;
-      continue;
-    }
-    kept += block;
+    } while (b.wall < kBlockSeconds);
+    const double steal = steal_pct(cpu0, read_cpu_clock());
+    measured += b.wall;
+    if (steal <= kMaxStealPct) clean += b.wall;
+    walls.push_back(b.wall);
+    steals.push_back(drop_stolen ? steal : 0.0);
   }
-  w.wall += kept;
-  w.dropped_wall += dropped;
+  std::vector<bool> keep(blocks.size(), false);
+  for (const std::size_t i : pick_blocks(walls, steals, seconds)) keep[i] = true;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    if (keep[i]) {
+      w.merge(blocks[i]);
+    } else {
+      ++w.dropped;
+      w.dropped_wall += blocks[i].wall;
+      w.dropped_steps += static_cast<std::int64_t>(blocks[i].step_ms.size());
+    }
+  }
 }
 
 /// The traced run's schedule: run segments of one block each,

@@ -1,9 +1,9 @@
-// hazard_sweep: ensemble serving. 12 Volna scenarios (float, Seq per
-// instance) share one 160x160 periodic triangle mesh (51,200 cells each);
-// 3 workers, batch_steps = 4. The HealthPolicy checks finiteness every 10
-// steps and checkpoints every 50 (plus the scheduler's baseline checkpoint
-// at the start of each run window); recovery is armed so checkpoints are
-// taken at all.
+// hazard_sweep: ensemble serving. 12 Volna scenarios (float) share one
+// 160x160 periodic triangle mesh (51,200 cells each); one worker steps them
+// in batches of 4, each step on the scalar OpenMP path with 3 threads. The
+// HealthPolicy checks finiteness every 10 steps and checkpoints every 50
+// (plus the scheduler's baseline checkpoint at the start of each run
+// window); recovery is armed so checkpoints are taken at all.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -22,12 +22,20 @@ using opv::volna::HazardInstance;
 
 constexpr opv::idx_t kMeshN = 160;
 constexpr int kInstances = 12;
-constexpr int kWorkers = 3;
+/// One worker whose instance steps run 3 OpenMP threads, rather than 3
+/// workers of one Seq thread each: on the reference VM a single thread's
+/// speed switches between two levels 1.45x apart for seconds to minutes at
+/// a time (the host's load on its core, not visible as steal), so the
+/// median of single-threaded steps spread 0.21-0.34 (interquartile range
+/// over median) across runs, against 0.03-0.17 for 3-thread steps.
+constexpr int kWorkers = 1;
+constexpr int kInstanceThreads = 3;
 constexpr int kBatch = 4;
-/// Steps per Ensemble::run window: long next to the 50-step checkpoint
-/// cadence, so the per-window baseline checkpoint adds one checkpoint per
-/// window rather than doubling the cadence.
-constexpr int kWindowSteps = 100;
+/// Steps per Ensemble::run window, one measured block (about 2 s): equal to
+/// the checkpoint cadence, so every window takes the scheduler's baseline
+/// checkpoint and one cadence checkpoint, and short enough that a run holds
+/// several blocks for the steal check to choose from.
+constexpr int kWindowSteps = 50;
 /// Relative volume drift an instance may show at the end of a run: float
 /// state, a few thousand steps.
 constexpr double kDriftBound = 1e-4;
@@ -45,6 +53,7 @@ class TimedInstance final : public opv::serve::Checkpointable {
     ScopedSpan sp(tracer_, "step", step_id());
     inner_->step();
     step_ms.push_back(1e3 * sp.stop());
+    step_end.push_back(tracer_.now());
     ++steps_;
   }
 
@@ -79,7 +88,8 @@ class TimedInstance final : public opv::serve::Checkpointable {
       ++calls;
     }
   };
-  std::vector<double> step_ms;  ///< drained by the driver thread between windows
+  std::vector<double> step_ms;   ///< drained by the driver thread between windows
+  std::vector<double> step_end;  ///< Tracer::now() at each step's end, drained likewise
   Tally health, checkpoints;
 
  private:
@@ -106,10 +116,10 @@ std::vector<opv::volna::Scenario> draw_scenarios(std::uint64_t seed) {
   return out;
 }
 
-opv::ExecConfig instance_config(bool stats) {
+opv::ExecConfig instance_config(opv::Backend backend, int threads, bool stats) {
   opv::ExecConfig cfg;
-  cfg.backend = opv::Backend::Seq;
-  cfg.nthreads = 1;  // parallelism comes from instances side by side
+  cfg.backend = backend;
+  cfg.nthreads = threads;
   cfg.collect_stats = stats;
   return cfg;
 }
@@ -134,7 +144,7 @@ System make_system(const opv::mesh::UnstructuredMesh& mesh,
   System s;
   s.cells = static_cast<double>(mesh.ncells);
   s.ensemble = std::make_unique<opv::serve::Ensemble>(opts);
-  const opv::ExecConfig cfg = instance_config(stats);
+  const opv::ExecConfig cfg = instance_config(opv::Backend::OpenMP, kInstanceThreads, stats);
   s.ensemble->add_instances(kInstances, [&](int id) -> std::unique_ptr<opv::serve::Instance> {
     auto inst = std::make_unique<TimedInstance>(
         std::make_unique<HazardInstance>(mesh, scenarios[static_cast<std::size_t>(id)], cfg),
@@ -151,15 +161,24 @@ struct ServeTally {
   std::int64_t steps = 0, failed = 0, retries = 0, checkpoints = 0;
 };
 
-/// One Ensemble::run window; its instance steps land in `w`.
+/// One Ensemble::run window; its instance steps land in `w`, and so do the
+/// throughputs of its 0.1 s sub-windows, taken from the steps' end times
+/// (the one worker runs the steps one after another, with the window's
+/// checkpoints and health checks between them).
 void run_window(System& s, int steps, Window& w, ServeTally& t, Tracer& tr) {
   ScopedSpan sp(tr, "ensemble.run");
+  const double start = tr.now();
   const opv::serve::EnsembleReport rep = s.ensemble->run(steps);
   sp.stop();
+  std::vector<double> ends;
   for (TimedInstance* inst : s.instances) {
     w.step_ms.insert(w.step_ms.end(), inst->step_ms.begin(), inst->step_ms.end());
+    ends.insert(ends.end(), inst->step_end.begin(), inst->step_end.end());
     inst->step_ms.clear();
+    inst->step_end.clear();
   }
+  const std::vector<double> rates = sub_window_rates(std::move(ends), start, s.cells);
+  w.rates.insert(w.rates.end(), rates.begin(), rates.end());
   w.cell_steps += static_cast<double>(rep.steps) * s.cells;
   t.wall += rep.seconds;
   t.busy += rep.busy_seconds;
@@ -211,10 +230,11 @@ void check_wrapper_bitwise(std::uint64_t seed, Tracer& tr, Outcome& out) {
   constexpr int kSteps = 6;
   const auto mesh = opv::mesh::make_tri_periodic(16, 16, 10.0, 10.0);
   const auto sc = draw_scenarios(seed).front();
-  HazardInstance plain(mesh, sc, instance_config(false));
+  const opv::ExecConfig seq = instance_config(opv::Backend::Seq, 1, false);
+  HazardInstance plain(mesh, sc, seq);
   for (int k = 0; k < kSteps; ++k) plain.step();
 
-  TimedInstance timed(std::make_unique<HazardInstance>(mesh, sc, instance_config(false)), 0, tr);
+  TimedInstance timed(std::make_unique<HazardInstance>(mesh, sc, seq), 0, tr);
   for (int k = 0; k < kSteps / 2; ++k) timed.step();
   const opv::Checkpoint mid = timed.checkpoint();
   for (int k = 0; k < kSteps / 2; ++k) timed.step();
@@ -271,8 +291,8 @@ Outcome run_hazard_sweep(const Options& o, Tracer& tr) {
   }
   record_window(plain, cpu0, o.trace, out);
 
-  // Loops run one per instance, so their rates compare with a 1-thread triad.
-  out.host = measure_host(1);
+  // One instance's loops run at a time, on kInstanceThreads threads.
+  out.host = measure_host(kInstanceThreads);
   if (o.trace) {
     double loops_s = loop_metrics(volna_loops(), sizeof(float), out.host.triad_gbs, out.metrics);
     step_metrics(plain, traced, out.host.triad_gbs, out.metrics);

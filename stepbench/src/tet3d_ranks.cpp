@@ -218,13 +218,18 @@ void dist_metrics(System& s, double steps, Metrics& m) {
 }  // namespace
 
 Outcome run_tet3d_ranks(const Options& o, Tracer& tr) {
-  return run_stepped(
+  // The rank pool parks its threads between the dozen parallel phases of a
+  // step; pollers keep their vCPUs from halting (see IdlePollers).
+  const IdlePollers pollers(usable_cpus());
+  Outcome out = run_stepped(
       o, tr, kRanks, tet3d_loops(), sizeof(double),
       [&](SetupTimes& t) { return build(o.seed, o.trace, tr, t); }, dist_metrics,
       [&](System& s, Outcome& out) {
         check_against_seq(s, out);
         check_wrapper_bitwise(o.seed, tr, out);
       });
+  out.record["host.idle_pollers"] = pollers.running();
+  return out;
 }
 
 }  // namespace stepbench

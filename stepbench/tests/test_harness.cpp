@@ -127,6 +127,52 @@ TEST(Extend, RunsWholeSubWindowsUntilTheKeptTimeSpansTheWindow) {
   for (const double r : w.rates) EXPECT_GT(r, 0.0);
 }
 
+TEST(SubWindowRates, ConsecutiveSubWindowsFromStepEnds) {
+  // Steps of 1e6 cells ending every 0.04 s from t = 10: sub-windows close at
+  // the first end at least 0.1 s after the previous close (3 steps in 0.12 s).
+  std::vector<double> ends;
+  for (int k = 7; k >= 1; --k) ends.push_back(10.0 + 0.04 * k);  // any order
+  const auto r = sub_window_rates(ends, 10.0, 1e6);
+  ASSERT_EQ(r.size(), 2u);  // the last step alone is left out
+  EXPECT_NEAR(r[0], 3.0 / 0.12, 1e-9);
+  EXPECT_NEAR(r[1], 3.0 / 0.12, 1e-9);
+  EXPECT_TRUE(sub_window_rates({}, 0.0, 1e6).empty());
+}
+
+TEST(PickBlocks, LeastStolenFirstUntilTheySpanTheWindow) {
+  using V = std::vector<std::size_t>;
+  EXPECT_EQ(pick_blocks({1, 1, 1, 1, 1}, {5, 0, 3, 0, 1}, 3.0), (V{1, 3, 4}));
+  EXPECT_EQ(pick_blocks({1, 1, 1}, {0, 0, 0}, 2.0), (V{0, 1}));  // earlier first among equals
+  EXPECT_EQ(pick_blocks({0.6, 0.6, 0.6}, {0, 0, 0}, 1.0), (V{0, 1}));  // the block crossing counts
+  EXPECT_EQ(pick_blocks({1, 1}, {9, 9}, 5.0), (V{0, 1}));  // too few: every block
+  EXPECT_TRUE(pick_blocks({}, {}, 1.0).empty());
+}
+
+TEST(Window, MergeAddsStepsRatesAndTime) {
+  Window a, b;
+  a.wall = 1.0;
+  a.cell_steps = 2.0;
+  a.step_ms = {1.0};
+  a.rates = {3.0};
+  b.wall = 0.5;
+  b.cell_steps = 1.0;
+  b.step_ms = {2.0, 4.0};
+  b.rates = {5.0};
+  b.dropped = 1;
+  a.merge(b);
+  EXPECT_DOUBLE_EQ(a.wall, 1.5);
+  EXPECT_DOUBLE_EQ(a.cell_steps, 3.0);
+  EXPECT_EQ(a.step_ms, (std::vector<double>{1.0, 2.0, 4.0}));
+  EXPECT_EQ(a.rates, (std::vector<double>{3.0, 5.0}));
+  EXPECT_EQ(a.dropped, 1);
+}
+
+TEST(IdlePollers, StartAndStop) {
+  EXPECT_GE(usable_cpus(), 1);
+  const IdlePollers p(2);
+  EXPECT_LE(p.running(), 2);
+}
+
 TEST(MetricNames, Grammar) {
   EXPECT_TRUE(valid_metric_name("loop.res_calc.stream_pct"));
   EXPECT_TRUE(valid_metric_name("step_ms_p50"));
