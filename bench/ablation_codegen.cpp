@@ -3,9 +3,8 @@
 // OP2 is a *code generator*: every parallel loop gets a specialized stub
 // with literal constants, fixed arities and no per-argument control flow
 // (paper section 5). opvec's engine reaches the same specialization via
-// templates; here the loops deliberately use RUNTIME-dim descriptors (the
-// compatibility spelling), so arity decisions ride along at run time —
-// the typed-Dim counterpart is measured by ablation_static_dim. This bench
+// templates: every descriptor carries its arity at compile time (here from
+// FixedDat arguments), just as the stubs carry literal arities. This bench
 // quantifies the remaining abstraction gap on the paper's hottest kernel
 // by comparing, single-threaded:
 //   1. a hand-written scalar loop   (what OP2's MPI stub compiles to)
@@ -102,8 +101,9 @@ int main(int argc, char** argv) {
   Set nodes("nodes", nn), cells("cells", nc), edges("edges", ne);
   Map pedge("pedge", edges, nodes, 2, m.edge_nodes);
   Map pecell("pecell", edges, cells, 2, m.edge_cells);
-  Dat<double> xd("x", nodes, 2, x), qd("q", cells, 4, q), ad("adt", cells, 1, adtv);
-  Dat<double> rd("res", cells, 4);
+  FixedDat<double, 2> xd("x", nodes, x);
+  FixedDat<double, 4> qd("q", cells, q), rd("res", cells);
+  FixedDat<double, 1> ad("adt", cells, adtv);
   auto engine = [&](Backend b) {
     const ExecConfig cfg{.backend = b, .simd_width = 4, .nthreads = 1, .collect_stats = false};
     // Reusable Loop handle: the engine's steady-state path (plan pinned,

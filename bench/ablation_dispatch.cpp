@@ -41,9 +41,9 @@ struct Fixture {
   Set cells{"cells", m.ncells};
   Set edges{"edges", m.nedges};
   Map e2c{"e2c", edges, cells, 2, m.edge_cells};
-  Dat<double> q{"q", cells, 1};
-  Dat<double> r{"r", cells, 1};
-  Dat<double> w{"w", edges, 1};
+  FixedDat<double, 1> q{"q", cells};
+  FixedDat<double, 1> r{"r", cells};
+  FixedDat<double, 1> w{"w", edges};
   Fixture() {
     for (idx_t c = 0; c < m.ncells; ++c) q.at(c) = 1.0 + (c % 13) * 0.01;
     w.fill(0.3);

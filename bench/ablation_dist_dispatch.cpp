@@ -38,7 +38,7 @@ struct Fixture {
   dist::DistCtx ctx;
   dist::DistCtx::SetHandle cells, edges;
   dist::DistCtx::MapHandle e2c;
-  dist::DistCtx::DatHandle<double> q, r, w;
+  dist::DistCtx::FixedDatHandle<double, 1> q, r, w;
 
   explicit Fixture(int nranks)
       : ctx(nranks, ExecConfig{.backend = Backend::OpenMP, .nthreads = 1,
@@ -50,9 +50,9 @@ struct Fixture {
     e2c = ctx.decl_map("e2c", edges, cells, 2, m.edge_cells);
     aligned_vector<double> qi(m.ncells);
     for (idx_t c = 0; c < m.ncells; ++c) qi[c] = 1.0 + (c % 13) * 0.01;
-    q = ctx.decl_dat<double>("q", cells, 1, qi);
-    r = ctx.decl_dat<double>("r", cells, 1);
-    w = ctx.decl_dat<double>("w", edges, 1, aligned_vector<double>(m.nedges, 0.3));
+    q = ctx.decl_dat<double, 1>("q", cells, qi);
+    r = ctx.decl_dat<double, 1>("r", cells);
+    w = ctx.decl_dat<double, 1>("w", edges, aligned_vector<double>(m.nedges, 0.3));
     ctx.finalize();
   }
 };

@@ -14,8 +14,7 @@
 //     in the same order regardless of physical layout);
 //   * every vector backend x non-AoS layout must match the Seq/AoS reference
 //     within 1e-12 of the field norm (coloring already reassociates sums,
-//     so bitwise is the wrong bar there) — including Simt with shared-
-//     scratch staging (ExecConfig::simt_staging).
+//     so bitwise is the wrong bar there).
 //
 // The bench exits non-zero on any divergence.
 //
@@ -114,7 +113,7 @@ double field_norm_divergence(const aligned_vector<double>& ref, const aligned_ve
 }
 
 /// Functional gate on small meshes: Seq bitwise across layouts; vector
-/// backends (incl. staged Simt) within 1e-12 of the field norm of Seq/AoS.
+/// backends within 1e-12 of the field norm of Seq/AoS.
 bool equivalence_ok() {
   const auto m2 = mesh::make_airfoil_omesh(96, 32);
   const auto m3 = mesh::make_tet_box(6, 6, 5);
@@ -146,7 +145,6 @@ bool equivalence_ok() {
       {"OpenMP", {.backend = Backend::OpenMP, .nthreads = 2}},
       {"Simd", {.backend = Backend::Simd}},
       {"Simt", {.backend = Backend::Simt}},
-      {"Simt+stage", {.backend = Backend::Simt, .simt_staging = true}},
   };
   for (const auto& vc : vec_cfgs) {
     for (Layout l : kLayouts) {
@@ -214,8 +212,6 @@ int main(int argc, char** argv) {
       {"OpenMP", false, {.backend = Backend::OpenMP, .nthreads = nthreads}},
       {"Simd", true, {.backend = Backend::Simd, .simd_width = 0, .nthreads = nthreads}},
       {"Simt", true, {.backend = Backend::Simt, .simd_width = 0, .nthreads = nthreads}},
-      {"Simt+stage", true,
-       {.backend = Backend::Simt, .simd_width = 0, .nthreads = nthreads, .simt_staging = true}},
   };
 
   const auto m2 = mesh::make_airfoil_omesh(sz.airfoil_ni, sz.airfoil_nj);

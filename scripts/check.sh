@@ -140,9 +140,9 @@ fi
 echo "== memory-layout smoke =="
 # Small meshes, few iterations: exercises the per-dat layout policy (AoS /
 # SoA / AoSoA, core/layout.hpp) end to end and exits non-zero if Seq is not
-# bitwise-identical across layouts or any vector backend (incl. Simt
-# shared-scratch staging) diverges beyond 1e-12 of the field norm. Speedups
-# at this size are noise; scripts/bench_report.sh does the measurement run.
+# bitwise-identical across layouts or any vector backend diverges beyond
+# 1e-12 of the field norm. Speedups at this size are noise;
+# scripts/bench_report.sh does the measurement run.
 if [ -x "$BUILD/ablation_layout" ]; then
   "$BUILD/ablation_layout" --small --iters=2
 else

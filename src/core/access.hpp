@@ -6,10 +6,11 @@
 // the mode as a non-type template parameter of the argument descriptor, so
 // every gather/scatter branch in the engine is an `if constexpr`.
 //
-// Two spellings build the same typed descriptor:
+// Two spellings build the same typed descriptor (`fixed` is a FixedDat,
+// which supplies the arity; see core/arg.hpp):
 //
-//   opv::arg<opv::READ>(dat, idx, map)        explicit template argument
-//   opv::arg(dat, idx, map, Access::READ)     tag argument (OP2-style shape)
+//   opv::arg<opv::READ>(fixed, idx, map)      explicit template argument
+//   opv::arg(fixed, idx, map, Access::READ)   tag argument (OP2-style shape)
 //
 // `Access::READ` is not an enum value but a constexpr tag object of type
 // `AccessTag<AccessMode::READ>`, so the second spelling is exactly as

@@ -7,26 +7,26 @@
 //
 //   arg<opv::READ, 4>(dat, idx, map)  dataset of arity 4 through map index idx
 //   arg<opv::INC, 4>(dat)             arity-4 dataset on the iteration set
-//   arg<opv::READ>(dat, idx, map)     arity carried at RUNTIME (kDynDim) —
-//                                     the compatibility spelling; gathers
-//                                     loop instead of unrolling
+//   arg<opv::READ>(fixed, idx, map)   arity deduced from a FixedDat<T, N>
 //   arg_gbl<opv::MIN>(ptr, dim)       global scalar/array (constant, reduction)
 //
-// A FixedDat<T, N> argument deduces Dim = N with no explicit spelling, and
-// an explicit Dim that contradicts the FixedDat's N fails to COMPILE. For
-// plain Dat arguments the explicit Dim is checked against dat.dim() when
-// the descriptor is constructed (opv::Error).
+// Every dataset descriptor carries a compile-time Dim. A FixedDat<T, N>
+// argument supplies it with no explicit spelling, and an explicit Dim that
+// contradicts the FixedDat's N fails to COMPILE. A plain Dat needs the
+// explicit Dim, which is checked against dat.dim() when the descriptor is
+// constructed (opv::Error).
 //
-// The OP2-era call shapes keep working via typed tags (see access.hpp):
+// The OP2-era call shapes keep working on FixedDat arguments via typed tags
+// (see access.hpp):
 //
-//   arg(dat, idx, map, Access::READ) / arg(dat, Access::INC)
+//   arg(fixed, idx, map, Access::READ) / arg(fixed, Access::INC)
 //   arg_gbl(ptr, dim, Access::MIN)
 //
 // Invalid combinations (MIN/MAX on a dataset, WRITE/RW on a global, Dim
-// outside [1,kMaxDim], Dim mismatching a FixedDat) are rejected at COMPILE
-// TIME via constraints — `requires { arg<opv::MIN>(d); }` is false — while
-// data-dependent errors (map index range, set mismatch, Dim vs a runtime
-// dat dim) remain runtime opv::Error throws.
+// outside [1,kMaxDim], Dim mismatching a FixedDat, no Dim on a plain Dat)
+// are rejected at COMPILE TIME via constraints — `requires { arg<opv::MIN>(d); }`
+// is false — while data-dependent errors (map index range, set mismatch,
+// Dim vs a runtime dat dim) remain runtime opv::Error throws.
 #pragma once
 
 #include <type_traits>
@@ -37,15 +37,8 @@
 
 namespace opv {
 
-/// Sentinel Dim: the descriptor's arity is a runtime value (read off the
-/// bound dat), not a compile-time constant. Gather/scatter code for such
-/// arguments loops over the arity instead of unrolling.
-inline constexpr int kDynDim = 0;
-
 /// Valid compile-time Dim for a dataset descriptor.
-constexpr bool arg_dim_ok(int dim) {
-  return dim == kDynDim || (dim >= 1 && dim <= kMaxDim);
-}
+constexpr bool arg_dim_ok(int dim) { return dim >= 1 && dim <= kMaxDim; }
 
 namespace detail {
 
@@ -53,37 +46,31 @@ namespace detail {
 template <class D>
 concept DatLike = std::is_base_of_v<Dat<typename D::value_type>, D>;
 
+/// A dat whose TYPE carries its arity (FixedDat): the only kind a Dim-less
+/// descriptor spelling accepts.
+template <class D>
+concept FixedDatLike = DatLike<D> && dat_static_dim_v<D> != 0;
+
 /// Explicit Dim must agree with a statically-dimensioned dat type; a plain
 /// Dat (static dim 0) accepts any valid Dim.
 template <int Dim, class D>
-inline constexpr bool dim_matches_dat_v =
-    Dim == kDynDim || dat_static_dim_v<D> == 0 || dat_static_dim_v<D> == Dim;
+inline constexpr bool dim_matches_dat_v = dat_static_dim_v<D> == 0 || dat_static_dim_v<D> == Dim;
 
-/// The Dim the built descriptor carries: an explicit Dim wins, else the dat
-/// type's static dim (FixedDat), else dynamic.
-template <int Dim, class D>
-inline constexpr int resolved_dim_v = Dim != kDynDim ? Dim : dat_static_dim_v<D>;
-
-/// Construction-time check that a compile-time descriptor Dim matches the
+/// Construction-time check that the descriptor Dim matches the
 /// (runtime-dimensioned) dat it binds — shared by both arg() overloads.
-template <int RDim, class D>
+template <int Dim, class D>
 inline void check_rdim(const D& dat) {
-  if constexpr (RDim != kDynDim)
-    OPV_REQUIRE(dat.dim() == RDim, "arg: descriptor Dim " << RDim << " != dat '" << dat.name()
-                                                          << "' dim " << dat.dim());
+  OPV_REQUIRE(dat.dim() == Dim, "arg: descriptor Dim " << Dim << " != dat '" << dat.name()
+                                                       << "' dim " << dat.dim());
 }
 
 }  // namespace detail
 
-/// Dataset argument. Indirect == false means direct access (OP_ID).
-/// Dim == kDynDim means the arity is a runtime property of the bound dat;
-/// otherwise Dim IS the arity and the engine unrolls per-component code at
-/// instantiation time.
+/// Dataset argument. Indirect == false means direct access (OP_ID). Dim IS
+/// the arity: the engine unrolls per-component code at instantiation time.
 template <class S, AccessMode A, int Dim, bool Indirect>
+  requires(arg_dim_ok(Dim))  // the engine's per-argument buffers hold kMaxDim
 struct Arg {
-  static_assert(arg_dim_ok(Dim),
-                "Arg: Dim must be kDynDim or in [1,kMaxDim] (the engine's "
-                "per-argument buffers are sized to kMaxDim)");
   using scalar_type = S;
   static constexpr AccessMode access = A;
   static constexpr int dim = Dim;
@@ -104,18 +91,16 @@ struct ArgGbl {
   static constexpr bool is_gbl = true;
 
   S* ptr = nullptr;
-  int dim = 1;  ///< globals keep a runtime arity (arg_traits reports kDynDim)
+  int dim = 1;  ///< globals keep a runtime arity
 };
 
 // ===== typed builders (explicit template argument spelling) =================
 
 /// Indirect dataset argument through map index `idx`. Pass Dim explicitly
-/// (`arg<opv::READ, 4>(...)`) or bind a FixedDat to get a compile-time
-/// arity; omit it on a plain Dat for the runtime-dim compatibility path.
-template <AccessMode A, int Dim = kDynDim, detail::DatLike D>
+/// (`arg<opv::READ, 4>(...)`), or bind a FixedDat and omit it.
+template <AccessMode A, int Dim, detail::DatLike D>
   requires(dat_access_ok(A) && arg_dim_ok(Dim) && detail::dim_matches_dat_v<Dim, D>)
-inline Arg<typename D::value_type, A, detail::resolved_dim_v<Dim, D>, true> arg(
-    D& dat, int idx, const Map& map) {
+inline Arg<typename D::value_type, A, Dim, true> arg(D& dat, int idx, const Map& map) {
   OPV_REQUIRE(idx >= 0 && idx < map.dim(),
               "arg: map index " << idx << " out of range for map '" << map.name() << "' (dim "
                                 << map.dim() << ")");
@@ -123,16 +108,28 @@ inline Arg<typename D::value_type, A, detail::resolved_dim_v<Dim, D>, true> arg(
                                                     << map.to().name() << "' but dat '"
                                                     << dat.name() << "' lives on '"
                                                     << dat.set().name() << "'");
-  detail::check_rdim<detail::resolved_dim_v<Dim, D>>(dat);
+  detail::check_rdim<Dim>(dat);
   return {&dat, &map, idx};
 }
 
 /// Direct dataset argument (defined on the iteration set).
-template <AccessMode A, int Dim = kDynDim, detail::DatLike D>
+template <AccessMode A, int Dim, detail::DatLike D>
   requires(dat_access_ok(A) && arg_dim_ok(Dim) && detail::dim_matches_dat_v<Dim, D>)
-inline Arg<typename D::value_type, A, detail::resolved_dim_v<Dim, D>, false> arg(D& dat) {
-  detail::check_rdim<detail::resolved_dim_v<Dim, D>>(dat);
+inline Arg<typename D::value_type, A, Dim, false> arg(D& dat) {
+  detail::check_rdim<Dim>(dat);
   return {&dat, nullptr, -1};
+}
+
+/// Dim-less spellings: the FixedDat's N is the descriptor Dim.
+template <AccessMode A, detail::FixedDatLike D>
+  requires(dat_access_ok(A))
+inline auto arg(D& dat, int idx, const Map& map) {
+  return arg<A, dat_static_dim_v<D>>(dat, idx, map);
+}
+template <AccessMode A, detail::FixedDatLike D>
+  requires(dat_access_ok(A))
+inline auto arg(D& dat) {
+  return arg<A, dat_static_dim_v<D>>(dat);
 }
 
 /// Global argument.
@@ -145,15 +142,15 @@ inline ArgGbl<S, A> arg_gbl(S* ptr, int dim) {
 }
 
 // ===== tag builders (the historical op_arg call shape) ======================
-// Runtime-dim unless the dat is a FixedDat (whose static arity is deduced).
+// FixedDat arguments only: the static arity is deduced, as above.
 
-template <detail::DatLike D, AccessMode A>
+template <detail::FixedDatLike D, AccessMode A>
   requires(dat_access_ok(A))
 inline auto arg(D& dat, int idx, const Map& map, AccessTag<A>) {
   return arg<A>(dat, idx, map);
 }
 
-template <detail::DatLike D, AccessMode A>
+template <detail::FixedDatLike D, AccessMode A>
   requires(dat_access_ok(A))
 inline auto arg(D& dat, AccessTag<A>) {
   return arg<A>(dat);
@@ -177,7 +174,7 @@ template <class S, AccessMode A, int Dim, bool Ind>
 struct arg_traits<Arg<S, A, Dim, Ind>> {
   using scalar = S;
   static constexpr AccessMode access = A;
-  static constexpr int dim = Dim;  ///< kDynDim = runtime arity
+  static constexpr int dim = Dim;
   static constexpr bool is_gbl = false;
   static constexpr bool is_indirect = Ind;
   /// Indirect modification: a data-driven race the plan must color away.
@@ -189,7 +186,6 @@ template <class S, AccessMode A>
 struct arg_traits<ArgGbl<S, A>> {
   using scalar = S;
   static constexpr AccessMode access = A;
-  static constexpr int dim = kDynDim;
   static constexpr bool is_gbl = true;
   static constexpr bool is_indirect = false;
   static constexpr bool conflicting = false;
@@ -203,12 +199,5 @@ inline constexpr bool has_conflicts_v = (arg_traits<Args>::conflicting || ...);
 /// True if any argument is a global reduction.
 template <class... Args>
 inline constexpr bool has_gbl_reduction_v = (arg_traits<Args>::gbl_reduction || ...);
-
-/// True if every dataset argument carries its arity at compile time (the
-/// fully-specialized state OP2's generator always reaches; the ablation
-/// bench measures the gap to runtime-dim descriptors).
-template <class... Args>
-inline constexpr bool all_static_dim_v =
-    ((arg_traits<Args>::is_gbl || arg_traits<Args>::dim != kDynDim) && ...);
 
 }  // namespace opv

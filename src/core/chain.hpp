@@ -172,9 +172,7 @@ class LoopChain {
 
     [[nodiscard]] const LoopFootprint& footprint() const override { return loop->footprint(); }
     [[nodiscard]] const std::string& loop_name() const override { return loop->name(); }
-    [[nodiscard]] idx_t iter_count() const override {
-      return L::has_inc ? loop->set().exec_size() : loop->set().size();
-    }
+    [[nodiscard]] idx_t iter_count() const override { return loop->exec_limit(); }
     void run_full(const ExecConfig& cfg) override { loop->run(cfg); }
     void set_tile_ranges(std::vector<std::pair<idx_t, idx_t>> r) override {
       ranges = std::move(r);

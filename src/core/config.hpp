@@ -88,14 +88,6 @@ struct ExecConfig {
   /// an explicit value (>= 1) pins the tiling at the first plan.
   int chain_tile_elems = kAuto;
 
-  /// Simt backend: stage gathered indirect dats into a block-shared scratch
-  /// buffer before the kernel body runs and flush after (the paper's
-  /// shared-memory staging on the GPU-like path, Fig. 3a's "shared memory"
-  /// arrays). Opt-in: staging reassociates indirect-increment sums at block
-  /// granularity, so staged Simt matches unstaged only to field-norm
-  /// tolerance (Seq stays bitwise regardless).
-  bool simt_staging = false;
-
   [[nodiscard]] std::string to_string() const {
     std::string s = backend_name(backend);
     s += "/";

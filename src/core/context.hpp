@@ -207,28 +207,36 @@ class LocalCtx {
     return out;
   }
 
-  // Typed argument builders: the access mode (and optionally the arity Dim)
-  // travel as template parameters, via explicit template argument or
-  // deduced from the tag. `ctx.arg<opv::READ, 4>(d, ...)` builds a
-  // compile-time-Dim descriptor (checked against the dat's declared dim);
-  // omitting Dim keeps the runtime-dim compatibility descriptor.
-  template <AccessMode A, int Dim = kDynDim, detail::DatLike D>
-  auto arg(D* d, int idx, MapHandle m) {
+  // Typed argument builders: the access mode and the arity Dim travel as
+  // template parameters, via explicit template argument or deduced from the
+  // tag. `ctx.arg<opv::READ, 4>(d, ...)` builds a Dim-4 descriptor (checked
+  // against the dat's declared dim); a FixedDat handle supplies Dim itself,
+  // so `ctx.arg<opv::READ>(fixed, ...)` needs no spelling.
+  template <AccessMode A, int Dim, detail::DatLike D>
+  auto arg(D* d, int idx, MapHandle m) -> decltype(opv::arg<A, Dim>(*d, idx, *m)) {
     return opv::arg<A, Dim>(*d, idx, *m);
   }
-  template <AccessMode A, int Dim = kDynDim, detail::DatLike D>
-  auto arg(D* d) {
+  template <AccessMode A, int Dim, detail::DatLike D>
+  auto arg(D* d) -> decltype(opv::arg<A, Dim>(*d)) {
     return opv::arg<A, Dim>(*d);
+  }
+  template <AccessMode A, detail::FixedDatLike D>
+  auto arg(D* d, int idx, MapHandle m) {
+    return opv::arg<A>(*d, idx, *m);
+  }
+  template <AccessMode A, detail::FixedDatLike D>
+  auto arg(D* d) {
+    return opv::arg<A>(*d);
   }
   template <AccessMode A, class T>
   auto arg_gbl(T* p, int dim) {
     return opv::arg_gbl<A>(p, dim);
   }
-  template <detail::DatLike D, AccessMode A>
+  template <detail::FixedDatLike D, AccessMode A>
   auto arg(D* d, int idx, MapHandle m, AccessTag<A> t) {
     return opv::arg(*d, idx, *m, t);
   }
-  template <detail::DatLike D, AccessMode A>
+  template <detail::FixedDatLike D, AccessMode A>
   auto arg(D* d, AccessTag<A> t) {
     return opv::arg(*d, t);
   }

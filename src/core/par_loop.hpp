@@ -8,8 +8,6 @@
 // gather/scatter below is an `if constexpr` and each per-component loop an
 // index-sequence expansion — per instantiation the compiler sees exactly
 // the branch-free straight-line code OP2's generator would have emitted.
-// Runtime-dim descriptors (the compatibility spelling) keep looped
-// gathers/scatters; bench/ablation_static_dim.cpp measures the gap.
 // The user kernel is a functor templated over its value type: instantiating
 // with T = double produces the scalar loops; with T = simd::Vec<double,W>
 // exactly the gather / vector-kernel / colored-scatter structure of Fig. 3b,
@@ -65,22 +63,15 @@ inline int resolve_threads(int requested) {
   return requested > 0 ? requested : omp_get_max_threads();
 }
 
-/// Per-component expansion. A compile-time Dim expands as an
-/// index-sequence fold — every f(c) is a distinct statement with a literal
-/// component index, so gathers/scatters fully unroll at instantiation time
-/// (the engine's analog of OP2's generator "substituting literal constants",
-/// paper section 5). Runtime-dim descriptors (Dim == kDynDim) keep a plain
-/// loop over the bound arity — the measured-slower compatibility path
-/// (bench/ablation_static_dim.cpp).
+/// Per-component expansion as an index-sequence fold — every f(c) is a
+/// distinct statement with a literal component index, so gathers/scatters
+/// fully unroll at instantiation time (the engine's analog of OP2's
+/// generator "substituting literal constants", paper section 5).
 template <int Dim, class F>
-inline void for_each_dim(int rdim, F&& f) {
-  if constexpr (Dim != kDynDim) {
-    [&]<int... Cs>(std::integer_sequence<int, Cs...>) {
-      (f(Cs), ...);
-    }(std::make_integer_sequence<int, Dim>{});
-  } else {
-    for (int c = 0; c < rdim; ++c) f(c);
-  }
+inline void for_each_dim(F&& f) {
+  [&]<int... Cs>(std::integer_sequence<int, Cs...>) {
+    (f(Cs), ...);
+  }(std::make_integer_sequence<int, Dim>{});
 }
 
 // ===== bound scalar arguments ==============================================
@@ -91,7 +82,6 @@ struct BoundDat {
   const idx_t* map = nullptr;
   int map_dim = 0;
   int map_idx = 0;
-  int dim = 0;  ///< == Dim when Dim != kDynDim (addressing then constant-folds)
   Layout layout = Layout::AoS;  ///< physical layout of the bound dat
   idx_t plane = 0;              ///< padded rows (SoA plane stride)
   idx_t stgt = 0;               ///< staged element target (non-AoS scalar path)
@@ -108,10 +98,10 @@ struct BoundGbl {
 template <class S, AccessMode A, int Dim, bool Ind>
 inline BoundDat<S, A, Dim, Ind> bind(const Arg<S, A, Dim, Ind>& a) {
   if constexpr (Ind) {
-    return {a.dat->data(), a.map->data(), a.map->dim(), a.map_idx, a.dat->dim(),
-            a.dat->layout(), a.dat->plane()};
+    return {a.dat->data(), a.map->data(), a.map->dim(), a.map_idx, a.dat->layout(),
+            a.dat->plane()};
   } else {
-    return {a.dat->data(), nullptr, 0, 0, a.dat->dim(), a.dat->layout(), a.dat->plane()};
+    return {a.dat->data(), nullptr, 0, 0, a.dat->layout(), a.dat->plane()};
   }
 }
 template <class S, AccessMode A>
@@ -153,8 +143,8 @@ inline void thread_merge_all(Tuple& t, std::index_sequence<Is...>) {
   (thread_merge(std::get<Is>(t)), ...);
 }
 
-/// Pointer handed to the scalar kernel for element e. With a compile-time
-/// Dim the element stride is a literal, so the multiply strength-reduces.
+/// Pointer handed to the scalar kernel for element e. The element stride is
+/// the literal Dim, so the multiply strength-reduces.
 /// Under a non-AoS layout the element's components are not contiguous, so
 /// the row is STAGED into the per-arg scratch (current values pre-loaded for
 /// every mode, so an INC/RW kernel sees the same load-add-store order the
@@ -162,7 +152,6 @@ inline void thread_merge_all(Tuple& t, std::index_sequence<Is...>) {
 /// writes it back after the kernel body.
 template <class S, AccessMode A, int Dim, bool Ind>
 inline S* kptr(BoundDat<S, A, Dim, Ind>& b, idx_t e) {
-  const int dim = Dim != kDynDim ? Dim : b.dim;
   idx_t tgt;
   if constexpr (Ind) {
     tgt = b.map[static_cast<std::size_t>(e) * b.map_dim + b.map_idx];
@@ -170,11 +159,10 @@ inline S* kptr(BoundDat<S, A, Dim, Ind>& b, idx_t e) {
     tgt = e;
   }
   if (b.layout == Layout::AoS) [[likely]]
-    return b.data + static_cast<std::size_t>(tgt) * dim;
+    return b.data + static_cast<std::size_t>(tgt) * Dim;
   b.stgt = tgt;
-  for_each_dim<Dim>(dim, [&](int c) {
-    b.scratch[c] = b.data[layout_offset(b.layout, tgt, c, dim, b.plane)];
-  });
+  for_each_dim<Dim>(
+      [&](int c) { b.scratch[c] = b.data[layout_offset(b.layout, tgt, c, Dim, b.plane)]; });
   return b.scratch;
 }
 template <class S, AccessMode A>
@@ -190,10 +178,8 @@ inline void kflush(BoundDat<S, A, Dim, Ind>& b) {
   if constexpr (A == AccessMode::READ) return;
   if (b.layout == Layout::AoS) [[likely]]
     return;
-  const int dim = Dim != kDynDim ? Dim : b.dim;
-  for_each_dim<Dim>(dim, [&](int c) {
-    b.data[layout_offset(b.layout, b.stgt, c, dim, b.plane)] = b.scratch[c];
-  });
+  for_each_dim<Dim>(
+      [&](int c) { b.data[layout_offset(b.layout, b.stgt, c, Dim, b.plane)] = b.scratch[c]; });
 }
 template <class S, AccessMode A>
 inline void kflush(BoundGbl<S, A>&) {}
@@ -208,8 +194,8 @@ inline void kflush_all(Tuple& t, std::index_sequence<Is...>) {
 // The Seq/OpenMP backends are the paper's NON-vectorized baselines. Modern
 // GCC auto-vectorizes simple kernels at -O3 -march=native, which would
 // silently turn the baseline into a vector backend — so the plain scalar
-// loop bodies explicitly opt out. The AutoVec backend uses the *_simd_hint
-// variants below, which leave the vectorizer on (that is the experiment).
+// loop bodies explicitly opt out. The AutoVec backend uses run_scalar_hint
+// below, which leaves the vectorizer on (that is the experiment).
 #if defined(__GNUC__) && !defined(__clang__)
 #define OPV_SCALAR_BASELINE \
   __attribute__((optimize("no-tree-vectorize", "no-tree-slp-vectorize")))
@@ -217,45 +203,57 @@ inline void kflush_all(Tuple& t, std::index_sequence<Is...>) {
 #define OPV_SCALAR_BASELINE
 #endif
 
+// The element-range bodies are the engine's stubs: each inlines everything
+// it calls — the kernel, the gathers/scatters and their per-component
+// lambdas — whatever inlining budget the translation unit has left. (Left
+// to the budget, a TU holding a whole application's loops runs out of it,
+// and the per-component gathers become calls inside the hot loop.) The
+// vector body stays out of line, so the schedule walkers share one copy
+// per backend and width.
+#if defined(__GNUC__)
+#define OPV_FLATTEN __attribute__((flatten))
+#define OPV_NOINLINE __attribute__((noinline))
+#else
+#define OPV_FLATTEN
+#define OPV_NOINLINE
+#endif
+
+/// Scalar kernel over positions [lo, hi): element ids[j], or j itself when
+/// ids is null (a contiguous range).
 template <class Kernel, class Tuple, std::size_t... Is>
-OPV_SCALAR_BASELINE inline void run_range(Kernel& k, Tuple& t, idx_t begin, idx_t end,
-                                          std::index_sequence<Is...> seq) {
-  for (idx_t e = begin; e < end; ++e) {
-    k(kptr(std::get<Is>(t), e)...);
-    kflush_all(t, seq);
+OPV_SCALAR_BASELINE OPV_FLATTEN inline void run_scalar(Kernel& k, Tuple& t, const idx_t* ids,
+                                                       idx_t lo, idx_t hi,
+                                                       std::index_sequence<Is...> seq) {
+  if (ids) {
+    for (idx_t j = lo; j < hi; ++j) {
+      k(kptr(std::get<Is>(t), ids[j])...);
+      kflush_all(t, seq);
+    }
+  } else {
+    for (idx_t e = lo; e < hi; ++e) {
+      k(kptr(std::get<Is>(t), e)...);
+      kflush_all(t, seq);
+    }
   }
 }
 
+/// The paper's auto-vectorization experiment: assert independence and let
+/// the compiler try. Gathers through kptr typically defeat it on CPUs.
 template <class Kernel, class Tuple, std::size_t... Is>
-inline void run_range_simd_hint(Kernel& k, Tuple& t, idx_t begin, idx_t end,
-                                std::index_sequence<Is...> seq) {
-  // The paper's auto-vectorization experiment: assert independence and let
-  // the compiler try. Gathers through kptr typically defeat it on CPUs.
+OPV_FLATTEN inline void run_scalar_hint(Kernel& k, Tuple& t, const idx_t* ids, idx_t lo,
+                                        idx_t hi, std::index_sequence<Is...> seq) {
+  if (ids) {
 #pragma omp simd
-  for (idx_t e = begin; e < end; ++e) {
-    k(kptr(std::get<Is>(t), e)...);
-    kflush_all(t, seq);
-  }
-}
-
-template <class Kernel, class Tuple, std::size_t... Is>
-OPV_SCALAR_BASELINE inline void run_perm(Kernel& k, Tuple& t, const idx_t* perm, idx_t begin,
-                                         idx_t end, std::index_sequence<Is...> seq) {
-  for (idx_t j = begin; j < end; ++j) {
-    const idx_t e = perm[j];
-    k(kptr(std::get<Is>(t), e)...);
-    kflush_all(t, seq);
-  }
-}
-
-template <class Kernel, class Tuple, std::size_t... Is>
-inline void run_perm_simd_hint(Kernel& k, Tuple& t, const idx_t* perm, idx_t begin, idx_t end,
-                               std::index_sequence<Is...> seq) {
+    for (idx_t j = lo; j < hi; ++j) {
+      k(kptr(std::get<Is>(t), ids[j])...);
+      kflush_all(t, seq);
+    }
+  } else {
 #pragma omp simd
-  for (idx_t j = begin; j < end; ++j) {
-    const idx_t e = perm[j];
-    k(kptr(std::get<Is>(t), e)...);
-    kflush_all(t, seq);
+    for (idx_t e = lo; e < hi; ++e) {
+      k(kptr(std::get<Is>(t), e)...);
+      kflush_all(t, seq);
+    }
   }
 }
 
@@ -269,7 +267,6 @@ struct VDat {
   const idx_t* map = nullptr;
   int map_dim = 0;
   int map_idx = 0;
-  int dim = 0;  ///< == Dim when Dim != kDynDim
   Layout layout = Layout::AoS;
   idx_t plane = 0;  ///< SoA component-plane stride (padded rows)
   V buf[kMaxDim];
@@ -289,16 +286,15 @@ struct VDat {
   /// Layout-scaled element index: comp(c)[lidx(e)] addresses element e's
   /// component c for every layout. AoS scales by dim, SoA is unit-stride,
   /// AoSoA adds a per-16-block skip over the other components' panels.
-  /// The lane strides are compile-time literals for static-Dim descriptors.
+  /// The lane strides are compile-time literals.
   IV lidx(IV tgt) const {
-    const int d = Dim != kDynDim ? Dim : dim;
     switch (layout) {
-      case Layout::AoS: return tgt * IV(d);
+      case Layout::AoS: return tgt * IV(Dim);
       case Layout::SoA: return tgt;
       case Layout::AoSoA:
-        return tgt + (tgt >> kAoSoAShift) * IV(static_cast<std::int32_t>(kAoSoALanes) * (d - 1));
+        return tgt + (tgt >> kAoSoAShift) * IV(static_cast<std::int32_t>(kAoSoALanes) * (Dim - 1));
     }
-    return tgt * IV(d);
+    return tgt * IV(Dim);
   }
 };
 
@@ -319,7 +315,6 @@ inline VDat<S, W, A, Dim, Ind> vbind(const Arg<S, A, Dim, Ind>& a) {
     v.map_dim = a.map->dim();
     v.map_idx = a.map_idx;
   }
-  v.dim = a.dat->dim();
   v.layout = a.dat->layout();
   v.plane = a.dat->plane();
   return v;
@@ -384,9 +379,8 @@ inline simd::Vec<S, W>* vkptr(VGbl<S, W, A>& a) {
 
 // ---- gather phase (Fig. 3b "gather data to registers") ---------------------
 // Every access-mode decision below is `if constexpr`, and every
-// per-component loop goes through for_each_dim<Dim>: descriptors with a
-// compile-time Dim get fully unrolled straight-line gathers/scatters with
-// literal strides; runtime-dim descriptors keep a looped compatibility path.
+// per-component loop goes through for_each_dim<Dim>: fully unrolled
+// straight-line gathers/scatters with literal strides.
 
 /// Load a contiguous chunk of W elements starting at n.
 template <class S, int W, AccessMode A, int Dim, bool Ind>
@@ -398,37 +392,35 @@ inline void vload(VDat<S, W, A, Dim, Ind>& a, idx_t n) {
                                a.map_dim);
     a.sidx = a.lidx(tgt);
     if constexpr (A == AccessMode::READ || A == AccessMode::RW) {
-      for_each_dim<Dim>(a.dim, [&](int c) { a.buf[c] = V::gather(a.comp(c), a.sidx); });
+      for_each_dim<Dim>([&](int c) { a.buf[c] = V::gather(a.comp(c), a.sidx); });
     } else {  // INC (indirect WRITE is also accumulated then scattered)
-      for_each_dim<Dim>(a.dim, [&](int c) { a.buf[c] = V(S(0)); });
+      for_each_dim<Dim>([&](int c) { a.buf[c] = V(S(0)); });
     }
   } else {
     if constexpr (A == AccessMode::INC) {
-      for_each_dim<Dim>(a.dim, [&](int c) { a.buf[c] = V(S(0)); });
+      for_each_dim<Dim>([&](int c) { a.buf[c] = V(S(0)); });
     } else if constexpr (A != AccessMode::WRITE) {
-      // d is a literal for static Dim, so the dim==1 test folds away.
-      const int d = Dim != kDynDim ? Dim : a.dim;
-      if (d == 1) {
+      if constexpr (Dim == 1) {
         a.buf[0] = V::loadu(a.data + n);
       } else if (a.layout == Layout::SoA) {
         // The SoA payoff: what AoS serves with W strided touches per
         // component is one unit-stride plane load here.
-        for_each_dim<Dim>(d, [&](int c) {
+        for_each_dim<Dim>([&](int c) {
           a.buf[c] = V::loadu(a.data + static_cast<std::size_t>(a.plane) * c + n);
         });
       } else if (a.layout == Layout::AoSoA) {
         if ((n & (kAoSoALanes - 1)) + W <= kAoSoALanes) {
           // Chunk lies inside one 16-lane panel: unit-stride per component.
-          for_each_dim<Dim>(d, [&](int c) {
-            a.buf[c] = V::loadu(a.data + layout_offset(Layout::AoSoA, n, c, d, a.plane));
+          for_each_dim<Dim>([&](int c) {
+            a.buf[c] = V::loadu(a.data + layout_offset(Layout::AoSoA, n, c, Dim, a.plane));
           });
         } else {
           const IV li = a.lidx(IV::iota(static_cast<std::int32_t>(n)));
-          for_each_dim<Dim>(d, [&](int c) { a.buf[c] = V::gather(a.comp(c), li); });
+          for_each_dim<Dim>([&](int c) { a.buf[c] = V::gather(a.comp(c), li); });
         }
       } else {
-        for_each_dim<Dim>(d, [&](int c) {
-          a.buf[c] = V::strided(a.data + static_cast<std::size_t>(n) * d + c, d);
+        for_each_dim<Dim>([&](int c) {
+          a.buf[c] = V::strided(a.data + static_cast<std::size_t>(n) * Dim + c, Dim);
         });
       }
     }
@@ -446,18 +438,18 @@ inline void vload_perm(VDat<S, W, A, Dim, Ind>& a, simd::Vec<std::int32_t, W> ei
     const IV tgt = IV::gather(a.map + a.map_idx, eidx * IV(a.map_dim));
     a.sidx = a.lidx(tgt);
     if constexpr (A == AccessMode::READ || A == AccessMode::RW) {
-      for_each_dim<Dim>(a.dim, [&](int c) { a.buf[c] = V::gather(a.comp(c), a.sidx); });
+      for_each_dim<Dim>([&](int c) { a.buf[c] = V::gather(a.comp(c), a.sidx); });
     } else {
-      for_each_dim<Dim>(a.dim, [&](int c) { a.buf[c] = V(S(0)); });
+      for_each_dim<Dim>([&](int c) { a.buf[c] = V(S(0)); });
     }
   } else {
     a.sidx = a.lidx(eidx);
     if constexpr (A == AccessMode::INC) {
-      for_each_dim<Dim>(a.dim, [&](int c) { a.buf[c] = V(S(0)); });
+      for_each_dim<Dim>([&](int c) { a.buf[c] = V(S(0)); });
     } else if constexpr (A != AccessMode::WRITE) {
       // Formerly-direct data must now be gathered (paper section 4: the
       // cost the permute colorings add).
-      for_each_dim<Dim>(a.dim, [&](int c) { a.buf[c] = V::gather(a.comp(c), a.sidx); });
+      for_each_dim<Dim>([&](int c) { a.buf[c] = V::gather(a.comp(c), a.sidx); });
     }
   }
 }
@@ -466,106 +458,94 @@ inline void vload_perm(VGbl<S, W, A>&, simd::Vec<std::int32_t, W>) {}
 
 // ---- scatter phase ----------------------------------------------------------
 
-/// Flush a contiguous chunk. `hw_scatter` selects the hardware scatter
-/// (legal only when lane targets are independent, i.e. permute colorings).
+/// Flush a contiguous chunk. Lanes of a contiguous chunk may share an
+/// indirect target, so indirect increments scatter serially per lane.
 template <class S, int W, AccessMode A, int Dim, bool Ind>
-inline void vflush(VDat<S, W, A, Dim, Ind>& a, idx_t n, bool hw_scatter) {
+inline void vflush(VDat<S, W, A, Dim, Ind>& a, idx_t n) {
   using V = simd::Vec<S, W>;
   using IV = simd::Vec<std::int32_t, W>;
   if constexpr (Ind) {
     if constexpr (A == AccessMode::INC) {
-      for_each_dim<Dim>(a.dim, [&](int c) {
-        if (hw_scatter) simd::scatter_add_hw(a.comp(c), a.sidx, a.buf[c]);
-        else simd::scatter_add_serial(a.comp(c), a.sidx, a.buf[c]);
-      });
+      for_each_dim<Dim>([&](int c) { simd::scatter_add_serial(a.comp(c), a.sidx, a.buf[c]); });
     } else if constexpr (A == AccessMode::WRITE || A == AccessMode::RW) {
-      for_each_dim<Dim>(a.dim,
-                        [&](int c) { simd::scatter_serial(a.comp(c), a.sidx, a.buf[c]); });
+      for_each_dim<Dim>([&](int c) { simd::scatter_serial(a.comp(c), a.sidx, a.buf[c]); });
     }
   } else {
-    // d is a literal for static Dim, so the dim==1 tests fold away
-    // (unused when a direct READ argument needs no flush at all).
-    [[maybe_unused]] const int d = Dim != kDynDim ? Dim : a.dim;
     if constexpr (A == AccessMode::WRITE || A == AccessMode::RW) {
-      if (d == 1) {
+      if constexpr (Dim == 1) {
         simd::storeu(a.data + n, a.buf[0]);
       } else if (a.layout == Layout::SoA) {
-        for_each_dim<Dim>(d, [&](int c) {
+        for_each_dim<Dim>([&](int c) {
           simd::storeu(a.data + static_cast<std::size_t>(a.plane) * c + n, a.buf[c]);
         });
       } else if (a.layout == Layout::AoSoA) {
         if ((n & (kAoSoALanes - 1)) + W <= kAoSoALanes) {
-          for_each_dim<Dim>(d, [&](int c) {
-            simd::storeu(a.data + layout_offset(Layout::AoSoA, n, c, d, a.plane), a.buf[c]);
+          for_each_dim<Dim>([&](int c) {
+            simd::storeu(a.data + layout_offset(Layout::AoSoA, n, c, Dim, a.plane), a.buf[c]);
           });
         } else {
           const IV li = a.lidx(IV::iota(static_cast<std::int32_t>(n)));
-          for_each_dim<Dim>(d, [&](int c) { simd::scatter_serial(a.comp(c), li, a.buf[c]); });
+          for_each_dim<Dim>([&](int c) { simd::scatter_serial(a.comp(c), li, a.buf[c]); });
         }
       } else {
-        for_each_dim<Dim>(d, [&](int c) {
-          simd::store_strided(a.data + static_cast<std::size_t>(n) * d + c, d, a.buf[c]);
+        for_each_dim<Dim>([&](int c) {
+          simd::store_strided(a.data + static_cast<std::size_t>(n) * Dim + c, Dim, a.buf[c]);
         });
       }
     } else if constexpr (A == AccessMode::INC) {
-      if (d == 1) {
+      if constexpr (Dim == 1) {
         const V cur = V::loadu(a.data + n);
         simd::storeu(a.data + n, cur + a.buf[0]);
       } else if (a.layout == Layout::SoA) {
-        for_each_dim<Dim>(d, [&](int c) {
+        for_each_dim<Dim>([&](int c) {
           S* p = a.data + static_cast<std::size_t>(a.plane) * c + n;
           simd::storeu(p, V::loadu(p) + a.buf[c]);
         });
       } else if (a.layout == Layout::AoSoA) {
         if ((n & (kAoSoALanes - 1)) + W <= kAoSoALanes) {
-          for_each_dim<Dim>(d, [&](int c) {
-            S* p = a.data + layout_offset(Layout::AoSoA, n, c, d, a.plane);
+          for_each_dim<Dim>([&](int c) {
+            S* p = a.data + layout_offset(Layout::AoSoA, n, c, Dim, a.plane);
             simd::storeu(p, V::loadu(p) + a.buf[c]);
           });
         } else {
           const IV li = a.lidx(IV::iota(static_cast<std::int32_t>(n)));
-          for_each_dim<Dim>(d,
-                            [&](int c) { simd::scatter_add_serial(a.comp(c), li, a.buf[c]); });
+          for_each_dim<Dim>([&](int c) { simd::scatter_add_serial(a.comp(c), li, a.buf[c]); });
         }
       } else {
-        for_each_dim<Dim>(d, [&](int c) {
-          S* p = a.data + static_cast<std::size_t>(n) * d + c;
-          const V cur = V::strided(p, d);
-          simd::store_strided(p, d, cur + a.buf[c]);
+        for_each_dim<Dim>([&](int c) {
+          S* p = a.data + static_cast<std::size_t>(n) * Dim + c;
+          const V cur = V::strided(p, Dim);
+          simd::store_strided(p, Dim, cur + a.buf[c]);
         });
       }
     }
   }
 }
 template <class S, int W, AccessMode A>
-inline void vflush(VGbl<S, W, A>&, idx_t, bool) {}
+inline void vflush(VGbl<S, W, A>&, idx_t) {}
 
 /// Flush a permuted chunk. Element ids are distinct, so direct writes may
-/// scatter; indirect increments use the hardware scatter iff requested.
+/// scatter; the lanes of a permuted chunk are one element color (or the loop
+/// has no indirect increment), so indirect increments use the hardware
+/// scatter.
 template <class S, int W, AccessMode A, int Dim, bool Ind>
-inline void vflush_perm(VDat<S, W, A, Dim, Ind>& a, bool hw_scatter) {
+inline void vflush_perm(VDat<S, W, A, Dim, Ind>& a) {
   if constexpr (Ind) {
     if constexpr (A == AccessMode::INC) {
-      for_each_dim<Dim>(a.dim, [&](int c) {
-        if (hw_scatter) simd::scatter_add_hw(a.comp(c), a.sidx, a.buf[c]);
-        else simd::scatter_add_serial(a.comp(c), a.sidx, a.buf[c]);
-      });
+      for_each_dim<Dim>([&](int c) { simd::scatter_add_hw(a.comp(c), a.sidx, a.buf[c]); });
     } else if constexpr (A == AccessMode::WRITE || A == AccessMode::RW) {
-      for_each_dim<Dim>(a.dim,
-                        [&](int c) { simd::scatter_serial(a.comp(c), a.sidx, a.buf[c]); });
+      for_each_dim<Dim>([&](int c) { simd::scatter_serial(a.comp(c), a.sidx, a.buf[c]); });
     }
   } else {
     if constexpr (A == AccessMode::WRITE || A == AccessMode::RW) {
-      for_each_dim<Dim>(a.dim,
-                        [&](int c) { simd::scatter_serial(a.comp(c), a.sidx, a.buf[c]); });
+      for_each_dim<Dim>([&](int c) { simd::scatter_serial(a.comp(c), a.sidx, a.buf[c]); });
     } else if constexpr (A == AccessMode::INC) {
-      for_each_dim<Dim>(a.dim,
-                        [&](int c) { simd::scatter_add_serial(a.comp(c), a.sidx, a.buf[c]); });
+      for_each_dim<Dim>([&](int c) { simd::scatter_add_serial(a.comp(c), a.sidx, a.buf[c]); });
     }
   }
 }
 template <class S, int W, AccessMode A>
-inline void vflush_perm(VGbl<S, W, A>&, bool) {}
+inline void vflush_perm(VGbl<S, W, A>&) {}
 
 /// SIMT colored increment (Fig. 3a): indirect increments are applied
 /// color-by-color with a lane mask, serializing conflicting work-items
@@ -581,12 +561,12 @@ inline void vflush_simt(VDat<S, W, A, Dim, Ind>& a, idx_t n, const std::int32_t*
       const auto imask = (cv == IV(col));
       const auto vmask = simd::MaskConvert<V>::from(imask);
       if (!simd::any(imask)) continue;
-      for_each_dim<Dim>(a.dim, [&](int c) {
+      for_each_dim<Dim>([&](int c) {
         simd::scatter_add_serial_masked(a.comp(c), a.sidx, a.buf[c], vmask);
       });
     }
   } else {
-    vflush(a, n, /*hw_scatter=*/false);
+    vflush(a, n);
   }
 }
 template <class S, int W, AccessMode A>
@@ -601,12 +581,12 @@ inline void vload_perm_all(Tuple& t, IV eidx, std::index_sequence<Is...>) {
   (vload_perm(std::get<Is>(t), eidx), ...);
 }
 template <class Tuple, std::size_t... Is>
-inline void vflush_all(Tuple& t, idx_t n, bool hw, std::index_sequence<Is...>) {
-  (vflush(std::get<Is>(t), n, hw), ...);
+inline void vflush_all(Tuple& t, idx_t n, std::index_sequence<Is...>) {
+  (vflush(std::get<Is>(t), n), ...);
 }
 template <class Tuple, std::size_t... Is>
-inline void vflush_perm_all(Tuple& t, bool hw, std::index_sequence<Is...>) {
-  (vflush_perm(std::get<Is>(t), hw), ...);
+inline void vflush_perm_all(Tuple& t, std::index_sequence<Is...>) {
+  (vflush_perm(std::get<Is>(t)), ...);
 }
 template <class Tuple, std::size_t... Is>
 inline void vflush_simt_all(Tuple& t, idx_t n, const std::int32_t* ec, int ncolors,
@@ -678,525 +658,148 @@ struct first_real<ArgGbl<S, A>, Rest...> {
 
 namespace detail {
 
-/// Scalar executors --------------------------------------------------------
-
+/// The serial reference executor: the scalar kernel over positions
+/// [lo, hi) (element ids[j], or j when ids is null) in ascending order.
 template <class Kernel, class Tuple>
-void exec_seq(Kernel& k, Tuple t, idx_t n) {
+void exec_seq(Kernel& k, Tuple t, const idx_t* ids, idx_t lo, idx_t hi) {
   constexpr auto seq = std::make_index_sequence<std::tuple_size_v<Tuple>>{};
   thread_init_all(t, seq);
-  run_range(k, t, 0, n, seq);
+  run_scalar(k, t, ids, lo, hi, seq);
   thread_merge_all(t, seq);
 }
 
-/// Direct (race-free) scalar execution over [begin, end) — the full
-/// iteration space from run(), or one contiguous sparse-tiling range from
-/// LoopChain's executor.
-template <class Kernel, class Tuple>
-void exec_omp_direct(Kernel& k, const Tuple& proto, idx_t begin, idx_t end, int nthreads,
-                     bool simd_hint) {
-  constexpr auto seq = std::make_index_sequence<std::tuple_size_v<Tuple>>{};
-  const idx_t n = end - begin;
-#pragma omp parallel num_threads(nthreads)
-  {
-    Tuple t = proto;
-    thread_init_all(t, seq);
-    const int tid = omp_get_thread_num();
-    const int nth = omp_get_num_threads();
-    const idx_t chunk = (n + nth - 1) / nth;
-    const idx_t lo = begin + std::min<idx_t>(n, tid * chunk);
-    const idx_t hi = std::min<idx_t>(end, lo + chunk);
-    if (simd_hint) run_range_simd_hint(k, t, lo, hi, seq);
-    else run_range(k, t, lo, hi, seq);
-#pragma omp critical(opv_reduction)
-    thread_merge_all(t, seq);
-  }
-}
+/// How the parallel skeleton runs an element range: the scalar kernel
+/// (OpenMP), the scalar kernel under the `omp simd` hint (AutoVec), or the
+/// W-wide vector kernel (Simd; Simt with its per-color masked increments).
+enum class Mode { Scalar, Hint, Simd, Simt };
 
-template <class Kernel, class Tuple>
-void exec_omp_colored(Kernel& k, const Tuple& proto, const Plan& plan, int nthreads) {
-  constexpr auto seq = std::make_index_sequence<std::tuple_size_v<Tuple>>{};
-#pragma omp parallel num_threads(nthreads)
-  {
-    Tuple t = proto;
-    thread_init_all(t, seq);
-    for (int col = 0; col < plan.nblock_colors; ++col) {
-      const auto& blocks = plan.color_blocks[col];
-      const idx_t nb = static_cast<idx_t>(blocks.size());
-#pragma omp for schedule(static)
-      for (idx_t bi = 0; bi < nb; ++bi) {
-        const idx_t b = blocks[bi];
-        run_range(k, t, plan.block_begin(b), plan.block_end(b), seq);
-      }  // implicit barrier between colors
-    }
-#pragma omp critical(opv_reduction)
-    thread_merge_all(t, seq);
-  }
-}
+/// What one execution walks: with no plan, positions [lo, hi) of the id
+/// list `ids` (null = the contiguous element range); with a plan, its
+/// colors — global colors for FullPermute, block colors otherwise.
+struct Schedule {
+  const idx_t* ids = nullptr;
+  idx_t lo = 0;
+  idx_t hi = 0;
+  const Plan* plan = nullptr;
+};
 
-/// Scalar execution over a FullPermute schedule. With `simd_hint` this is
-/// the paper's auto-vectorization experiment (iterate independent
-/// same-color elements and ask the compiler to vectorize); without it, the
-/// plain scalar permuted path used for subset (slice) execution.
-template <class Kernel, class Tuple>
-void exec_perm_fullperm(Kernel& k, const Tuple& proto, const Plan& plan, int nthreads,
-                        bool simd_hint) {
-  constexpr auto seq = std::make_index_sequence<std::tuple_size_v<Tuple>>{};
-#pragma omp parallel num_threads(nthreads)
-  {
-    Tuple t = proto;
-    thread_init_all(t, seq);
-    const int tid = omp_get_thread_num();
-    const int nth = omp_get_num_threads();
-    for (int col = 0; col < plan.nglobal_colors; ++col) {
-      const idx_t lo = plan.color_offsets[col], hi = plan.color_offsets[col + 1];
-      const idx_t span = hi - lo;
-      const idx_t chunk = (span + nth - 1) / nth;
-      const idx_t b = std::min<idx_t>(hi, lo + tid * chunk);
-      const idx_t e = std::min<idx_t>(hi, b + chunk);
-      if (simd_hint) run_perm_simd_hint(k, t, plan.permute.data(), b, e, seq);
-      else run_perm(k, t, plan.permute.data(), b, e, seq);
-#pragma omp barrier
-    }
-#pragma omp critical(opv_reduction)
-    thread_merge_all(t, seq);
-  }
-}
-
-/// Scalar execution over a BlockPermute schedule (see exec_perm_fullperm
-/// for the simd_hint semantics).
-template <class Kernel, class Tuple>
-void exec_perm_blockperm(Kernel& k, const Tuple& proto, const Plan& plan, int nthreads,
-                         bool simd_hint) {
-  constexpr auto seq = std::make_index_sequence<std::tuple_size_v<Tuple>>{};
-#pragma omp parallel num_threads(nthreads)
-  {
-    Tuple t = proto;
-    thread_init_all(t, seq);
-    for (int col = 0; col < plan.nblock_colors; ++col) {
-      const auto& blocks = plan.color_blocks[col];
-      const idx_t nb = static_cast<idx_t>(blocks.size());
-#pragma omp for schedule(static)
-      for (idx_t bi = 0; bi < nb; ++bi) {
-        const idx_t b = blocks[bi];
-        const idx_t* off = plan.bcol_off.data() + plan.bcol_base[b];
-        for (int c = 0; c < plan.block_nelem_colors[b]; ++c) {
-          if (simd_hint)
-            run_perm_simd_hint(k, t, plan.block_permute.data(), off[c], off[c + 1], seq);
-          else
-            run_perm(k, t, plan.block_permute.data(), off[c], off[c + 1], seq);
-        }
-      }
-    }
-#pragma omp critical(opv_reduction)
-    thread_merge_all(t, seq);
-  }
-}
-
-/// Race-free permuted scalar execution (subset of a loop with no indirect
-/// conflicts): threads sweep chunks of the element-id list directly.
-template <class Kernel, class Tuple>
-void exec_perm_direct(Kernel& k, const Tuple& proto, const idx_t* perm, idx_t n, int nthreads,
-                      bool simd_hint) {
-  constexpr auto seq = std::make_index_sequence<std::tuple_size_v<Tuple>>{};
-#pragma omp parallel num_threads(nthreads)
-  {
-    Tuple t = proto;
-    thread_init_all(t, seq);
-    const int tid = omp_get_thread_num();
-    const int nth = omp_get_num_threads();
-    const idx_t chunk = (n + nth - 1) / nth;
-    const idx_t lo = std::min<idx_t>(n, tid * chunk);
-    const idx_t hi = std::min<idx_t>(n, lo + chunk);
-    if (simd_hint) run_perm_simd_hint(k, t, perm, lo, hi, seq);
-    else run_perm(k, t, perm, lo, hi, seq);
-#pragma omp critical(opv_reduction)
-    thread_merge_all(t, seq);
-  }
-}
-
-/// Vector executors ---------------------------------------------------------
-
-/// Direct (race-free) loops over [begin, end): each thread sweeps a
-/// W-aligned chunk with the vector kernel and finishes the remainder with
-/// the scalar kernel (the pre/main/post structure of paper section 4.2).
-/// The full space from run() has begin == 0; LoopChain's executor passes
-/// one contiguous sparse-tiling range.
-template <int W, class Kernel, class STuple, class VTuple>
-void exec_simd_direct(Kernel& k, const STuple& sproto, const VTuple& vproto, idx_t begin,
-                      idx_t end, int nthreads) {
-  constexpr auto seq = std::make_index_sequence<std::tuple_size_v<STuple>>{};
-  const idx_t n = end - begin;
-#pragma omp parallel num_threads(nthreads)
-  {
-    STuple st = sproto;
-    VTuple vt = vproto;
-    thread_init_all(st, seq);
-    vthread_init_all(vt, seq);
-    const int tid = omp_get_thread_num();
-    const int nth = omp_get_num_threads();
-    const idx_t nvec = n / W;
-    const idx_t per = (nvec + nth - 1) / nth;
-    const idx_t lo = begin + std::min<idx_t>(nvec, tid * per) * W;
-    const idx_t hi = begin + std::min<idx_t>(nvec, (tid * per) + per) * W;
-    for (idx_t i = lo; i < hi; i += W) {
-      vload_all(vt, i, seq);
-      vcall(k, vt, seq);
-      vflush_all(vt, i, /*hw=*/false, seq);
-    }
-    if (tid == nth - 1) run_range(k, st, begin + nvec * W, end, seq);  // post-sweep
-#pragma omp critical(opv_reduction)
-    {
-      vthread_merge_all(vt, seq);
-      thread_merge_all(st, seq);
-    }
-  }
-}
-
-/// Race-free permuted vector execution (subset of a loop with no indirect
-/// conflicts): W-wide chunks of the element-id list are gathered, computed
-/// and scattered per lane (element ids are distinct, so direct writes are
-/// safe); the ragged tail runs scalar.
-template <int W, class Kernel, class STuple, class VTuple>
-void exec_simd_perm_direct(Kernel& k, const STuple& sproto, const VTuple& vproto,
-                           const idx_t* perm, idx_t n, int nthreads) {
-  constexpr auto seq = std::make_index_sequence<std::tuple_size_v<STuple>>{};
-  using IV = simd::Vec<std::int32_t, W>;
-#pragma omp parallel num_threads(nthreads)
-  {
-    STuple st = sproto;
-    VTuple vt = vproto;
-    thread_init_all(st, seq);
-    vthread_init_all(vt, seq);
-    const int tid = omp_get_thread_num();
-    const int nth = omp_get_num_threads();
-    const idx_t nvec = n / W;
-    const idx_t per = (nvec + nth - 1) / nth;
-    const idx_t lo = std::min<idx_t>(nvec, tid * per) * W;
-    const idx_t hi = std::min<idx_t>(nvec, (tid * per) + per) * W;
-    for (idx_t j = lo; j < hi; j += W) {
-      const IV eidx = IV::loadu(perm + j);
-      vload_perm_all(vt, eidx, seq);
-      vcall(k, vt, seq);
-      vflush_perm_all(vt, /*hw=*/false, seq);
-    }
-    if (tid == nth - 1) run_perm(k, st, perm, nvec * W, n, seq);  // post-sweep
-#pragma omp critical(opv_reduction)
-    {
-      vthread_merge_all(vt, seq);
-      thread_merge_all(st, seq);
-    }
-  }
-}
-
-/// TwoLevel coloring: blocks by color across threads; inside a block, the
-/// main vector sweep scatters increments serially per lane (always legal),
-/// the ragged tail runs scalar.
-template <int W, class Kernel, class STuple, class VTuple>
-void exec_simd_colored(Kernel& k, const STuple& sproto, const VTuple& vproto, const Plan& plan,
-                       int nthreads) {
-  constexpr auto seq = std::make_index_sequence<std::tuple_size_v<STuple>>{};
-#pragma omp parallel num_threads(nthreads)
-  {
-    STuple st = sproto;
-    VTuple vt = vproto;
-    thread_init_all(st, seq);
-    vthread_init_all(vt, seq);
-    for (int col = 0; col < plan.nblock_colors; ++col) {
-      const auto& blocks = plan.color_blocks[col];
-      const idx_t nb = static_cast<idx_t>(blocks.size());
-#pragma omp for schedule(static)
-      for (idx_t bi = 0; bi < nb; ++bi) {
-        const idx_t b = blocks[bi];
-        const idx_t bb = plan.block_begin(b), be = plan.block_end(b);
-        idx_t i = bb;
-        for (; i + W <= be; i += W) {
-          vload_all(vt, i, seq);
+/// The element-range body: positions [lo, hi) of `ids` (null = contiguous
+/// ids). Vector modes run W-wide chunks first — contiguous vload/vflush
+/// (vflush_simt on Simt, with the range's `ncol` element colors from
+/// `ecol`), or permuted vload_perm/vflush_perm — and every mode finishes
+/// with the scalar kernel: the pre/main/post structure of paper section 4.2.
+template <Mode M, int W, class Kernel, class ST, class VT, std::size_t... Is>
+OPV_NOINLINE OPV_FLATTEN void run_elems(Kernel& k, ST& st, VT& vt, const idx_t* ids, idx_t lo,
+                                        idx_t hi, const std::int32_t* ecol, int ncol,
+                                        std::index_sequence<Is...> seq) {
+  if constexpr (M == Mode::Simd || M == Mode::Simt) {
+    using IV = simd::Vec<std::int32_t, W>;
+    if (ids) {
+      if constexpr (M == Mode::Simd)  // Simt schedules contiguous blocks only
+        for (; lo + W <= hi; lo += W) {
+          vload_perm_all(vt, IV::loadu(ids + lo), seq);
           vcall(k, vt, seq);
-          vflush_all(vt, i, /*hw=*/false, seq);
+          vflush_perm_all(vt, seq);
         }
-        run_range(k, st, i, be, seq);
-      }
-    }
-#pragma omp critical(opv_reduction)
-    {
-      vthread_merge_all(vt, seq);
-      thread_merge_all(st, seq);
-    }
-  }
-}
-
-/// FullPermute: execute color-by-color over the global permutation; all
-/// lanes of a vector are independent, so the hardware scatter is legal.
-template <int W, class Kernel, class STuple, class VTuple>
-void exec_simd_fullperm(Kernel& k, const STuple& sproto, const VTuple& vproto, const Plan& plan,
-                        int nthreads) {
-  constexpr auto seq = std::make_index_sequence<std::tuple_size_v<STuple>>{};
-  using IV = simd::Vec<std::int32_t, W>;
-#pragma omp parallel num_threads(nthreads)
-  {
-    STuple st = sproto;
-    VTuple vt = vproto;
-    thread_init_all(st, seq);
-    vthread_init_all(vt, seq);
-    const int tid = omp_get_thread_num();
-    const int nth = omp_get_num_threads();
-    for (int col = 0; col < plan.nglobal_colors; ++col) {
-      const idx_t lo = plan.color_offsets[col], hi = plan.color_offsets[col + 1];
-      const idx_t nvec = (hi - lo) / W;
-      const idx_t per = (nvec + nth - 1) / nth;
-      const idx_t b = lo + std::min<idx_t>(nvec, tid * per) * W;
-      const idx_t e = lo + std::min<idx_t>(nvec, tid * per + per) * W;
-      for (idx_t j = b; j < e; j += W) {
-        const IV eidx = IV::loadu(plan.permute.data() + j);
-        vload_perm_all(vt, eidx, seq);
+    } else {
+      for (; lo + W <= hi; lo += W) {
+        vload_all(vt, lo, seq);
         vcall(k, vt, seq);
-        vflush_perm_all(vt, /*hw=*/true, seq);
+        if constexpr (M == Mode::Simt) vflush_simt_all(vt, lo, ecol, ncol, seq);
+        else vflush_all(vt, lo, seq);
       }
-      if (tid == nth - 1) run_perm(k, st, plan.permute.data(), lo + nvec * W, hi, seq);
+    }
+  }
+  if constexpr (M == Mode::Hint) run_scalar_hint(k, st, ids, lo, hi, seq);
+  else run_scalar(k, st, ids, lo, hi, seq);
+}
+
+// ---- schedule walkers (called inside the team, once per thread) -------------
+
+/// Direct walker: thread tid's W-aligned share of positions [lo, hi), with
+/// the ragged tail on the last thread (W == 1 is the scalar equal split).
+template <int W, class Body>
+inline void walk_direct(Body& body, const idx_t* ids, idx_t lo, idx_t hi, int tid, int nth) {
+  const idx_t nvec = (hi - lo) / W;
+  const idx_t per = (nvec + nth - 1) / nth;
+  // The last thread's chunks end at lo + nvec*W, so it also takes the
+  // ragged tail in the same call (the body's scalar post-sweep).
+  body(ids, lo + std::min<idx_t>(nvec, tid * per) * W,
+       tid == nth - 1 ? hi : lo + std::min<idx_t>(nvec, tid * per + per) * W);
+}
+
+/// FullPermute: the direct split of each global color of the permutation,
+/// a barrier between colors. All lanes of a chunk are independent.
+template <int W, class Body>
+inline void walk_global_colors(Body& body, const Plan& plan, int tid, int nth) {
+  for (int col = 0; col < plan.nglobal_colors; ++col) {
+    walk_direct<W>(body, plan.permute.data(), plan.color_offsets[col],
+                   plan.color_offsets[col + 1], tid, nth);
 #pragma omp barrier
-    }
-#pragma omp critical(opv_reduction)
-    {
-      vthread_merge_all(vt, seq);
-      thread_merge_all(st, seq);
-    }
   }
 }
 
-/// BlockPermute: blocks by color across threads; inside a block, iterate
-/// its element-color runs with vector chunks + hardware scatter.
-template <int W, class Kernel, class STuple, class VTuple>
-void exec_simd_blockperm(Kernel& k, const STuple& sproto, const VTuple& vproto, const Plan& plan,
-                         int nthreads) {
-  constexpr auto seq = std::make_index_sequence<std::tuple_size_v<STuple>>{};
-  using IV = simd::Vec<std::int32_t, W>;
-#pragma omp parallel num_threads(nthreads)
-  {
-    STuple st = sproto;
-    VTuple vt = vproto;
-    thread_init_all(st, seq);
-    vthread_init_all(vt, seq);
-    for (int col = 0; col < plan.nblock_colors; ++col) {
-      const auto& blocks = plan.color_blocks[col];
-      const idx_t nb = static_cast<idx_t>(blocks.size());
+/// TwoLevel / BlockPermute / Simt: each color's blocks spread across the
+/// threads (schedule(static), or — Simt's OpenCL model — work-groups pulled
+/// from the color's atomic `queue`). A TwoLevel block is one contiguous
+/// range; a BlockPermute block runs its element-color runs.
+template <class Body>
+inline void walk_block_colors(Body& body, const Plan& plan, std::atomic<idx_t>* queue) {
+  const auto run_block = [&](idx_t b) {
+    if (plan.strategy != ColoringStrategy::BlockPermute) {
+      body(nullptr, plan.block_begin(b), plan.block_end(b), plan.block_nelem_colors[b]);
+      return;
+    }
+    const idx_t* off = plan.bcol_off.data() + plan.bcol_base[b];
+    for (int c = 0; c < plan.block_nelem_colors[b]; ++c)
+      body(plan.block_permute.data(), off[c], off[c + 1]);
+  };
+  for (int col = 0; col < plan.nblock_colors; ++col) {
+    const auto& blocks = plan.color_blocks[col];
+    const idx_t nb = static_cast<idx_t>(blocks.size());
+    if (queue) {
+      for (idx_t bi; (bi = queue[col].fetch_add(1, std::memory_order_relaxed)) < nb;)
+        run_block(blocks[bi]);
+#pragma omp barrier
+    } else {
 #pragma omp for schedule(static)
-      for (idx_t bi = 0; bi < nb; ++bi) {
-        const idx_t b = blocks[bi];
-        const idx_t* off = plan.bcol_off.data() + plan.bcol_base[b];
-        for (int c = 0; c < plan.block_nelem_colors[b]; ++c) {
-          idx_t j = off[c];
-          for (; j + W <= off[c + 1]; j += W) {
-            const IV eidx = IV::loadu(plan.block_permute.data() + j);
-            vload_perm_all(vt, eidx, seq);
-            vcall(k, vt, seq);
-            vflush_perm_all(vt, /*hw=*/true, seq);
-          }
-          run_perm(k, st, plan.block_permute.data(), j, off[c + 1], seq);
-        }
-      }
-    }
-#pragma omp critical(opv_reduction)
-    {
-      vthread_merge_all(vt, seq);
-      thread_merge_all(st, seq);
+      for (idx_t bi = 0; bi < nb; ++bi) run_block(blocks[bi]);
+      // implicit barrier between colors
     }
   }
 }
 
-/// SIMT (OpenCL model): work-groups = blocks pulled from a per-color atomic
-/// queue (dynamic scheduling overhead); work-items execute in W-wide
-/// lock-step bundles; indirect increments are applied per element color with
-/// lane masks (Fig. 3a); the ragged tail runs as scalar work-items.
-template <int W, class Kernel, class STuple, class VTuple>
-void exec_simt(Kernel& k, const STuple& sproto, const VTuple& vproto, const Plan& plan,
-               int nthreads) {
-  constexpr auto seq = std::make_index_sequence<std::tuple_size_v<STuple>>{};
-  std::vector<std::atomic<idx_t>> counters(std::max(plan.nblock_colors, 1));
-  for (auto& c : counters) c.store(0, std::memory_order_relaxed);
+/// The parallel skeleton: open the team, copy the bound argument tuples per
+/// thread (scalar state, plus W-wide state on the vector modes; `VT` is
+/// empty otherwise), walk the schedule, and merge global reductions.
+template <Mode M, int W, class Kernel, class ST, class VT>
+void sweep(Kernel& k, const ST& sproto, const VT& vproto, const Schedule& s, int nthreads) {
+  constexpr auto seq = std::make_index_sequence<std::tuple_size_v<ST>>{};
+  constexpr bool vec = M == Mode::Simd || M == Mode::Simt;
+  const Plan* plan = s.plan;
+  const std::int32_t* ecol = plan ? plan->elem_color.data() : nullptr;
+  std::vector<std::atomic<idx_t>> queue(M == Mode::Simt && plan ? plan->nblock_colors : 0);
+  for (auto& q : queue) q.store(0, std::memory_order_relaxed);
 #pragma omp parallel num_threads(nthreads)
   {
-    STuple st = sproto;
-    VTuple vt = vproto;
+    ST st = sproto;
+    VT vt = vproto;
     thread_init_all(st, seq);
-    vthread_init_all(vt, seq);
-    for (int col = 0; col < plan.nblock_colors; ++col) {
-      const auto& blocks = plan.color_blocks[col];
-      const idx_t nb = static_cast<idx_t>(blocks.size());
-      std::atomic<idx_t>& ctr = counters[col];
-      for (;;) {
-        const idx_t bi = ctr.fetch_add(1, std::memory_order_relaxed);
-        if (bi >= nb) break;
-        const idx_t b = blocks[bi];
-        const idx_t bb = plan.block_begin(b), be = plan.block_end(b);
-        const int ncolors = plan.block_nelem_colors.empty() ? 1 : plan.block_nelem_colors[b];
-        idx_t i = bb;
-        for (; i + W <= be; i += W) {
-          vload_all(vt, i, seq);
-          vcall(k, vt, seq);
-          vflush_simt_all(vt, i, plan.elem_color.data(), ncolors, seq);
-        }
-        run_range(k, st, i, be, seq);
-      }
-#pragma omp barrier
-    }
+    if constexpr (vec) vthread_init_all(vt, seq);
+    auto body = [&](const idx_t* ids, idx_t lo, idx_t hi, int ncol = 1) {
+      run_elems<M, W>(k, st, vt, ids, lo, hi, ecol, ncol, seq);
+    };
+    const int tid = omp_get_thread_num();
+    const int nth = omp_get_num_threads();
+    if (!plan)
+      walk_direct<W>(body, s.ids, s.lo, s.hi, tid, nth);
+    else if (plan->strategy == ColoringStrategy::FullPermute)
+      walk_global_colors<W>(body, *plan, tid, nth);
+    else
+      walk_block_colors(body, *plan, queue.empty() ? nullptr : queue.data());
 #pragma omp critical(opv_reduction)
     {
-      vthread_merge_all(vt, seq);
-      thread_merge_all(st, seq);
-    }
-  }
-}
-
-// ---- Simt shared-scratch staging (ExecConfig::simt_staging) ----------------
-
-/// Collect the runtime stage-slot residue of one typed argument (input to
-/// build_simt_stage_plan).
-template <class S, AccessMode A, int Dim, bool Ind>
-inline StageSlotInfo stage_slot_of(const Arg<S, A, Dim, Ind>& a) {
-  StageSlotInfo si;
-  si.base = reinterpret_cast<std::byte*>(a.dat->data());
-  si.value_bytes = sizeof(S);
-  si.dim = a.dat->dim();
-  si.layout = a.dat->layout();
-  si.plane = a.dat->plane();
-  si.indirect = Ind;
-  si.writes = A != AccessMode::READ;
-  if constexpr (Ind) {
-    si.map = a.map->data();
-    si.map_dim = a.map->dim();
-    si.map_idx = a.map_idx;
-  }
-  return si;
-}
-template <class S, AccessMode A>
-inline StageSlotInfo stage_slot_of(const ArgGbl<S, A>&) {
-  return {};
-}
-
-/// Redirect a staged slot's bound state at the block-shared scratch: AoS
-/// rows indexed by the slot's flat local map (map_dim 1). The unmodified
-/// gather/scatter machinery then runs against scratch.
-template <class S, AccessMode A, int Dim, bool Ind>
-inline void stage_patch(BoundDat<S, A, Dim, Ind>& b, const SimtStagePlan& sp, int slot,
-                        std::byte* const* scratch) {
-  if constexpr (Ind) {
-    const int r = sp.slot_region[static_cast<std::size_t>(slot)];
-    if (r < 0) return;
-    b.data = reinterpret_cast<S*>(scratch[r]);
-    b.map = sp.slot_lmap[static_cast<std::size_t>(slot)].data();
-    b.map_dim = 1;
-    b.map_idx = 0;
-    b.layout = Layout::AoS;
-    b.plane = 0;
-  }
-}
-template <class S, int W, AccessMode A, int Dim, bool Ind>
-inline void stage_patch(VDat<S, W, A, Dim, Ind>& a, const SimtStagePlan& sp, int slot,
-                        std::byte* const* scratch) {
-  if constexpr (Ind) {
-    const int r = sp.slot_region[static_cast<std::size_t>(slot)];
-    if (r < 0) return;
-    a.data = reinterpret_cast<S*>(scratch[r]);
-    a.map = sp.slot_lmap[static_cast<std::size_t>(slot)].data();
-    a.map_dim = 1;
-    a.map_idx = 0;
-    a.layout = Layout::AoS;
-    a.plane = 0;
-  }
-}
-template <class S, AccessMode A>
-inline void stage_patch(BoundGbl<S, A>&, const SimtStagePlan&, int, std::byte* const*) {}
-template <class S, int W, AccessMode A>
-inline void stage_patch(VGbl<S, W, A>&, const SimtStagePlan&, int, std::byte* const*) {}
-
-template <class Tuple, std::size_t... Is>
-inline void stage_patch_all(Tuple& t, const SimtStagePlan& sp, std::byte* const* scratch,
-                            std::index_sequence<Is...>) {
-  (stage_patch(std::get<Is>(t), sp, static_cast<int>(Is), scratch), ...);
-}
-
-/// Fill scratch with block b's rows of the region's dat (layout-aware).
-inline void stage_preload(const SimtStagePlan::Region& rg, idx_t b, std::byte* scratch) {
-  const std::size_t vb = rg.value_bytes;
-  for (idx_t i = rg.row_off[static_cast<std::size_t>(b)];
-       i < rg.row_off[static_cast<std::size_t>(b) + 1]; ++i) {
-    const idx_t g = rg.rows[static_cast<std::size_t>(i)];
-    const idx_t l = i - rg.row_off[static_cast<std::size_t>(b)];
-    for (int c = 0; c < rg.dim; ++c)
-      std::memcpy(scratch + (static_cast<std::size_t>(l) * rg.dim + c) * vb,
-                  rg.base + layout_offset(rg.layout, g, c, rg.dim, rg.plane) * vb, vb);
-  }
-}
-
-/// Copy scratch back to the region's dat after the block finished. Legal
-/// because block colors separate blocks sharing written targets, so no other
-/// concurrently-running block touches these rows.
-inline void stage_writeback(const SimtStagePlan::Region& rg, idx_t b, const std::byte* scratch) {
-  const std::size_t vb = rg.value_bytes;
-  for (idx_t i = rg.row_off[static_cast<std::size_t>(b)];
-       i < rg.row_off[static_cast<std::size_t>(b) + 1]; ++i) {
-    const idx_t g = rg.rows[static_cast<std::size_t>(i)];
-    const idx_t l = i - rg.row_off[static_cast<std::size_t>(b)];
-    for (int c = 0; c < rg.dim; ++c)
-      std::memcpy(rg.base + layout_offset(rg.layout, g, c, rg.dim, rg.plane) * vb,
-                  scratch + (static_cast<std::size_t>(l) * rg.dim + c) * vb, vb);
-  }
-}
-
-/// exec_simt with per-block shared-scratch staging (Fig. 3a's shared-memory
-/// arrays): gathered indirect dats are preloaded into a block-local copy,
-/// the unmodified bundle machinery runs against it through patched slots,
-/// and writing regions are flushed back when the block completes.
-template <int W, class Kernel, class STuple, class VTuple>
-void exec_simt_staged(Kernel& k, const STuple& sproto, const VTuple& vproto, const Plan& plan,
-                      const SimtStagePlan& stage, int nthreads) {
-  constexpr auto seq = std::make_index_sequence<std::tuple_size_v<STuple>>{};
-  std::vector<std::atomic<idx_t>> counters(std::max(plan.nblock_colors, 1));
-  for (auto& c : counters) c.store(0, std::memory_order_relaxed);
-#pragma omp parallel num_threads(nthreads)
-  {
-    STuple st = sproto;
-    VTuple vt = vproto;
-    // One scratch buffer per region, sized for the widest block and reused
-    // across blocks; the slot patch therefore happens once per thread.
-    std::vector<aligned_vector<std::byte>> scratch(stage.regions.size());
-    std::vector<std::byte*> sptr(stage.regions.size());
-    for (std::size_t r = 0; r < stage.regions.size(); ++r) {
-      const auto& rg = stage.regions[r];
-      scratch[r].resize(static_cast<std::size_t>(rg.max_rows) * rg.dim * rg.value_bytes);
-      sptr[r] = scratch[r].data();
-    }
-    stage_patch_all(st, stage, sptr.data(), seq);
-    stage_patch_all(vt, stage, sptr.data(), seq);
-    thread_init_all(st, seq);
-    vthread_init_all(vt, seq);
-    for (int col = 0; col < plan.nblock_colors; ++col) {
-      const auto& blocks = plan.color_blocks[col];
-      const idx_t nb = static_cast<idx_t>(blocks.size());
-      std::atomic<idx_t>& ctr = counters[col];
-      for (;;) {
-        const idx_t bi = ctr.fetch_add(1, std::memory_order_relaxed);
-        if (bi >= nb) break;
-        const idx_t b = blocks[bi];
-        for (std::size_t r = 0; r < stage.regions.size(); ++r)
-          stage_preload(stage.regions[r], b, sptr[r]);
-        const idx_t bb = plan.block_begin(b), be = plan.block_end(b);
-        const int ncolors = plan.block_nelem_colors.empty() ? 1 : plan.block_nelem_colors[b];
-        idx_t i = bb;
-        for (; i + W <= be; i += W) {
-          vload_all(vt, i, seq);
-          vcall(k, vt, seq);
-          vflush_simt_all(vt, i, plan.elem_color.data(), ncolors, seq);
-        }
-        run_range(k, st, i, be, seq);
-        for (std::size_t r = 0; r < stage.regions.size(); ++r)
-          if (stage.regions[r].writeback) stage_writeback(stage.regions[r], b, sptr[r]);
-      }
-#pragma omp barrier
-    }
-#pragma omp critical(opv_reduction)
-    {
-      vthread_merge_all(vt, seq);
+      if constexpr (vec) vthread_merge_all(vt, seq);
       thread_merge_all(st, seq);
     }
   }
@@ -1222,11 +825,6 @@ class Loop {
  public:
   static constexpr bool has_inc = has_conflicts_v<Args...>;
   static constexpr bool has_gbl_reduction = has_gbl_reduction_v<Args...>;
-  /// True when every dataset argument carries a compile-time Dim — the
-  /// fully-specialized state where no gather/scatter loops over a runtime
-  /// arity (assert it on hot loops to guard against a spelling regressing
-  /// to the runtime-dim compatibility path).
-  static constexpr bool all_static_dim = all_static_dim_v<Args...>;
 
   Loop(Kernel kernel, std::string name, const Set& set, Args... args)
       : kernel_(std::move(kernel)), name_(std::move(name)), set_(&set), args_(args...) {
@@ -1238,58 +836,21 @@ class Loop {
 
   /// Execute the loop under the given configuration.
   void run(const ExecConfig& cfg) {
-    // Loops with indirect increments redundantly execute the import halo so
-    // owned data receives all contributions (OP2's owner-compute scheme).
-    const idx_t n = has_inc ? set_->exec_size() : set_->size();
     if constexpr (has_inc && has_gbl_reduction) {
       OPV_REQUIRE(set_->exec_size() == set_->size(),
                   "loop '" << name_
                            << "': global reductions combined with indirect increments are not "
                               "supported under halo execution");
     }
+    const idx_t n = exec_limit();
     if (n == 0) return;
 
     const int bs = resolve_block_size(cfg);
     WallTimer timer;
-    switch (cfg.backend) {
-      case Backend::Seq: {
-        auto t = std::apply([](const auto&... a) { return std::make_tuple(detail::bind(a)...); },
-                            args_);
-        detail::exec_seq(kernel_, t, n);
-        break;
-      }
-      case Backend::OpenMP:
-      case Backend::AutoVec: {
-        const bool hint = cfg.backend == Backend::AutoVec;
-        auto proto = std::apply(
-            [](const auto&... a) { return std::make_tuple(detail::bind(a)...); }, args_);
-        const int nth = detail::resolve_threads(cfg.nthreads);
-        const auto strat = strategy_for(cfg);
-        if (!strat) {
-          detail::exec_omp_direct(kernel_, proto, 0, n, nth, hint);
-        } else if (!hint) {
-          detail::exec_omp_colored(kernel_, proto, plan_for(*strat, bs, nth), nth);
-        } else {
-          const Plan& plan = plan_for(*strat, bs, nth);
-          if (*strat == ColoringStrategy::FullPermute)
-            detail::exec_perm_fullperm(kernel_, proto, plan, nth, /*simd_hint=*/true);
-          else
-            detail::exec_perm_blockperm(kernel_, proto, plan, nth, /*simd_hint=*/true);
-        }
-        break;
-      }
-      case Backend::Simd:
-      case Backend::Simt: {
-        if constexpr (detail::vector_callable<Kernel, Args...>) {
-          run_vectorized(cfg, bs, n);
-        } else {
-          OPV_REQUIRE(false, "loop '" << name_
-                                      << "': kernel has no vector instantiation (scalar-only "
-                                         "callable); use Seq/OpenMP/AutoVec");
-        }
-        break;
-      }
-    }
+    const auto strat = strategy_for(cfg);
+    execute(cfg, cfg.backend,
+            {nullptr, 0, n,
+             strat ? &plan_for(*strat, bs, detail::resolve_threads(cfg.nthreads)) : nullptr});
     const double secs = timer.seconds();
     if (tuner_ && cfg.block_size == ExecConfig::kAuto && !tuner_->settled())
       tuner_->observe(bs, secs);
@@ -1335,14 +896,9 @@ class Loop {
   };
 
   /// Pin a subset of this loop's iteration space for phased execution.
-  /// Element ids must lie inside the range run() would execute — except
-  /// that loops combining indirect increments with a global reduction are
-  /// capped at the owned range: halo elements would contribute to the
-  /// reduction on every executing rank (the slice analog of run()'s
-  /// exec_size==size guard, enforced per element instead of per loop).
+  /// Element ids must lie inside the executed range (exec_limit()).
   [[nodiscard]] Slice make_slice(aligned_vector<idx_t> elems) const {
-    const idx_t limit =
-        has_inc && !has_gbl_reduction ? set_->exec_size() : set_->size();
+    const idx_t limit = exec_limit();
     for (idx_t e : elems)
       OPV_REQUIRE(e >= 0 && e < limit, "loop '" << name_ << "': slice element " << e
                                                 << " outside the executed range [0," << limit
@@ -1363,100 +919,45 @@ class Loop {
   void run_slice(const ExecConfig& cfg, Slice& s) {
     const idx_t n = s.size();
     if (n == 0) return;
-    const idx_t* perm = s.elems_.data();
-    constexpr auto iseq = std::index_sequence_for<Args...>{};
-    const int nth = detail::resolve_threads(cfg.nthreads);
-    switch (cfg.backend) {
-      case Backend::Seq: {
-        auto t = std::apply([](const auto&... a) { return std::make_tuple(detail::bind(a)...); },
-                            args_);
-        detail::thread_init_all(t, iseq);
-        detail::run_perm(kernel_, t, perm, 0, n, iseq);
-        detail::thread_merge_all(t, iseq);
-        break;
-      }
-      case Backend::OpenMP:
-      case Backend::AutoVec: {
-        const bool hint = cfg.backend == Backend::AutoVec;
-        auto proto = std::apply(
-            [](const auto&... a) { return std::make_tuple(detail::bind(a)...); }, args_);
-        if constexpr (!has_inc) {
-          detail::exec_perm_direct(kernel_, proto, perm, n, nth, hint);
-        } else {
-          const Plan& plan = slice_plan(s, cfg);
-          if (plan.strategy == ColoringStrategy::FullPermute)
-            detail::exec_perm_fullperm(kernel_, proto, plan, nth, hint);
-          else
-            detail::exec_perm_blockperm(kernel_, proto, plan, nth, hint);
-        }
-        break;
-      }
-      case Backend::Simd:
-      case Backend::Simt: {
-        if constexpr (detail::vector_callable<Kernel, Args...>) {
-          run_slice_vectorized(cfg, s, n, nth);
-        } else {
-          OPV_REQUIRE(false, "loop '" << name_
-                                      << "': kernel has no vector instantiation (scalar-only "
-                                         "callable); use Seq/OpenMP/AutoVec");
-        }
-        break;
-      }
-    }
+    // Simt's queue model needs contiguous blocks: its slices run the Simd
+    // schedules (through the BlockPermute subset plan when conflicted).
+    const Backend be = cfg.backend == Backend::Simt ? Backend::Simd : cfg.backend;
+    const Plan* plan = has_inc && be != Backend::Seq ? &slice_plan(s, cfg) : nullptr;
+    execute(cfg, be, {s.elems_.data(), 0, n, plan});
   }
 
-  /// Execute only the contiguous element range [lo, hi) of the iteration
-  /// space, in place of run(). Seq preserves the exact ascending element
+  /// Execute only the contiguous element range [lo, hi) of the executed
+  /// range, in place of run(). Seq preserves the exact ascending element
   /// order (so a cover of ranges executed in order is bitwise-identical to
   /// one run(), increments included); the parallel backends take the same
   /// race-free direct path run() would — loops with indirect conflicts must
   /// go through a Slice there (the LoopChain executor routes them so).
   void run_range(const ExecConfig& cfg, idx_t lo, idx_t hi) {
     if (hi <= lo) return;
-    const idx_t limit = has_inc ? set_->exec_size() : set_->size();
+    const idx_t limit = exec_limit();
     OPV_REQUIRE(lo >= 0 && hi <= limit, "loop '" << name_ << "': range [" << lo << "," << hi
                                                  << ") outside the executed range [0," << limit
                                                  << ")");
-    constexpr auto iseq = std::index_sequence_for<Args...>{};
-    switch (cfg.backend) {
-      case Backend::Seq: {
-        auto t = std::apply([](const auto&... a) { return std::make_tuple(detail::bind(a)...); },
-                            args_);
-        detail::thread_init_all(t, iseq);
-        detail::run_range(kernel_, t, lo, hi, iseq);
-        detail::thread_merge_all(t, iseq);
-        break;
-      }
-      case Backend::OpenMP:
-      case Backend::AutoVec: {
-        OPV_REQUIRE(!has_inc, "loop '" << name_
-                                       << "': run_range on a parallel backend requires a "
-                                          "race-free loop; use run_slice (subset coloring)");
-        auto proto = std::apply(
-            [](const auto&... a) { return std::make_tuple(detail::bind(a)...); }, args_);
-        detail::exec_omp_direct(kernel_, proto, lo, hi, detail::resolve_threads(cfg.nthreads),
-                                cfg.backend == Backend::AutoVec);
-        break;
-      }
-      case Backend::Simd: {
-        OPV_REQUIRE(!has_inc, "loop '" << name_
-                                       << "': run_range on a parallel backend requires a "
-                                          "race-free loop; use run_slice (subset coloring)");
-        if constexpr (detail::vector_callable<Kernel, Args...>) {
-          run_range_vectorized(cfg, lo, hi);
-        } else {
-          OPV_REQUIRE(false, "loop '" << name_
-                                      << "': kernel has no vector instantiation (scalar-only "
-                                         "callable); use Seq/OpenMP/AutoVec");
-        }
-        break;
-      }
-      case Backend::Simt:
-        // The Simt queue model schedules through a plan; contiguous ranges
-        // execute via run_slice's BlockPermute subset schedule instead.
-        OPV_REQUIRE(false, "loop '" << name_ << "': run_range is not available on Simt");
-        break;
-    }
+    // The Simt queue model schedules through a plan; contiguous ranges
+    // execute via run_slice's BlockPermute subset schedule instead.
+    OPV_REQUIRE(cfg.backend != Backend::Simt,
+                "loop '" << name_ << "': run_range is not available on Simt");
+    OPV_REQUIRE(!has_inc || cfg.backend == Backend::Seq,
+                "loop '" << name_
+                         << "': run_range on a parallel backend requires a race-free loop; use "
+                            "run_slice (subset coloring)");
+    execute(cfg, cfg.backend, {nullptr, lo, hi, nullptr});
+  }
+
+  /// The executed range [0, exec_limit()) shared by run(), run_slice() and
+  /// run_range(). Loops with indirect increments redundantly execute the
+  /// import halo so owned data receives all contributions (OP2's owner-
+  /// compute scheme) — unless they also reduce into a global: halo elements
+  /// would then contribute to the reduction on every executing rank, so
+  /// such loops are capped at the owned range (run() requires it to be
+  /// the whole set).
+  [[nodiscard]] idx_t exec_limit() const {
+    return has_inc && !has_gbl_reduction ? set_->exec_size() : set_->size();
   }
 
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -1528,7 +1029,7 @@ class Loop {
   }
 
   /// The single source of truth for backend -> coloring-strategy selection
-  /// (used by run(), run_vectorized() and plan()). nullopt = no plan needed.
+  /// (used by run() and plan()). nullopt = no plan needed.
   [[nodiscard]] static std::optional<ColoringStrategy> strategy_for(const ExecConfig& cfg) {
     // Simt always schedules work-groups through a TwoLevel plan, conflicts
     // or not (the dynamic block queue lives in the plan).
@@ -1560,22 +1061,6 @@ class Loop {
     return *s.plan;
   }
 
-  /// Memoized Simt staging schedule, pinned per coloring plan (a block-size
-  /// change yields a new plan and hence a rebuild). Counted as plan time.
-  const SimtStagePlan& stage_plan_for(const Plan& plan) {
-    if (stage_plan_built_for_ != &plan) {
-      WallTimer t;
-      std::vector<StageSlotInfo> slots;
-      slots.reserve(sizeof...(Args));
-      std::apply([&](const auto&... a) { (slots.push_back(detail::stage_slot_of(a)), ...); },
-                 args_);
-      stage_ = build_simt_stage_plan(slots, plan);
-      plan_build_secs_ += t.seconds();
-      stage_plan_built_for_ = &plan;
-    }
-    return stage_;
-  }
-
   /// Subset plan for a Slice, built once and pinned (slices are per-handle
   /// state, so they bypass the process-wide PlanCache). Subsets have no
   /// contiguous blocks, so TwoLevel/Simt requests resolve to BlockPermute —
@@ -1604,102 +1089,56 @@ class Loop {
     return *s.plan_;
   }
 
-  /// Vector-width dispatch for contiguous-range execution (race-free loops
-  /// only; the callers guard).
-  void run_range_vectorized(const ExecConfig& cfg, idx_t lo, idx_t hi) {
-    using Real = typename detail::first_real<Args...>::type;
-    const int nth = detail::resolve_threads(cfg.nthreads);
-    auto dispatch = [&]<int W>() {
-      auto sproto = std::apply(
-          [](const auto&... a) { return std::make_tuple(detail::bind(a)...); }, args_);
-      auto vproto = std::apply(
-          [](const auto&... a) { return std::make_tuple(detail::vbind<W>(a)...); }, args_);
-      detail::exec_simd_direct<W>(kernel_, sproto, vproto, lo, hi, nth);
-    };
-    const int w = cfg.simd_width > 0 ? cfg.simd_width : simd::max_lanes<Real>;
-    switch (w) {
-      case 4: dispatch.template operator()<4>(); break;
-      case 8: dispatch.template operator()<8>(); break;
-      case 16: dispatch.template operator()<16>(); break;
-      default:
-        OPV_REQUIRE(false, "unsupported simd width " << w << " (use 4, 8 or 16)");
-    }
+  /// The bound argument tuple every thread copies: scalar state (W == 1)
+  /// or W-wide vector state.
+  template <int W>
+  auto bound() const {
+    return std::apply(
+        [](const auto&... a) {
+          if constexpr (W == 1) return std::make_tuple(detail::bind(a)...);
+          else return std::make_tuple(detail::vbind<W>(a)...);
+        },
+        args_);
   }
 
-  /// Vector-width dispatch for slice execution (mirrors run_vectorized).
-  void run_slice_vectorized(const ExecConfig& cfg, Slice& s, idx_t n, int nth) {
-    using Real = typename detail::first_real<Args...>::type;
-    auto dispatch = [&]<int W>() {
-      auto sproto = std::apply(
-          [](const auto&... a) { return std::make_tuple(detail::bind(a)...); }, args_);
-      auto vproto = std::apply(
-          [](const auto&... a) { return std::make_tuple(detail::vbind<W>(a)...); }, args_);
-      if constexpr (!has_inc) {
-        detail::exec_simd_perm_direct<W>(kernel_, sproto, vproto, s.elems_.data(), n, nth);
-      } else {
-        const Plan& plan = slice_plan(s, cfg);
-        if (plan.strategy == ColoringStrategy::FullPermute)
-          detail::exec_simd_fullperm<W>(kernel_, sproto, vproto, plan, nth);
-        else
-          detail::exec_simd_blockperm<W>(kernel_, sproto, vproto, plan, nth);
-      }
-    };
-    const int w = cfg.simd_width > 0 ? cfg.simd_width : simd::max_lanes<Real>;
-    switch (w) {
-      case 4: dispatch.template operator()<4>(); break;
-      case 8: dispatch.template operator()<8>(); break;
-      case 16: dispatch.template operator()<16>(); break;
-      default:
-        OPV_REQUIRE(false, "unsupported simd width " << w << " (use 4, 8 or 16)");
-    }
-  }
-
-  /// Vector-width dispatch: instantiate the engine for the requested W.
-  void run_vectorized(const ExecConfig& cfg, int block_size, idx_t n) {
-    using Real = typename detail::first_real<Args...>::type;
+  /// The one backend switch (and, for the vector backends, the one width
+  /// dispatch) behind run(), run_slice() and run_range().
+  void execute(const ExecConfig& cfg, Backend backend, const detail::Schedule& s) {
+    using detail::Mode;
     const int nth = detail::resolve_threads(cfg.nthreads);
-    auto dispatch = [&]<int W>() {
-      auto sproto = std::apply(
-          [](const auto&... a) { return std::make_tuple(detail::bind(a)...); }, args_);
-      auto vproto = std::apply(
-          [](const auto&... a) { return std::make_tuple(detail::vbind<W>(a)...); }, args_);
-      const auto strat = strategy_for(cfg);
-      if (cfg.backend == Backend::Simt) {
-        const Plan& plan = plan_for(*strat, block_size, nth);
-        if (cfg.simt_staging) {
-          const SimtStagePlan& sp = stage_plan_for(plan);
-          if (sp.viable) {
-            detail::exec_simt_staged<W>(kernel_, sproto, vproto, plan, sp, nth);
-            return;
+    switch (backend) {
+      case Backend::Seq: detail::exec_seq(kernel_, bound<1>(), s.ids, s.lo, s.hi); break;
+      case Backend::OpenMP:
+        detail::sweep<Mode::Scalar, 1>(kernel_, bound<1>(), std::tuple<>{}, s, nth);
+        break;
+      case Backend::AutoVec:
+        detail::sweep<Mode::Hint, 1>(kernel_, bound<1>(), std::tuple<>{}, s, nth);
+        break;
+      case Backend::Simd:
+      case Backend::Simt: {
+        if constexpr (detail::vector_callable<Kernel, Args...>) {
+          auto vsweep = [&]<int W>() {
+            if (backend == Backend::Simt)
+              detail::sweep<Mode::Simt, W>(kernel_, bound<1>(), bound<W>(), s, nth);
+            else
+              detail::sweep<Mode::Simd, W>(kernel_, bound<1>(), bound<W>(), s, nth);
+          };
+          using Real = typename detail::first_real<Args...>::type;
+          const int w = cfg.simd_width > 0 ? cfg.simd_width : simd::max_lanes<Real>;
+          switch (w) {
+            case 4: vsweep.template operator()<4>(); break;
+            case 8: vsweep.template operator()<8>(); break;
+            case 16: vsweep.template operator()<16>(); break;
+            default:
+              OPV_REQUIRE(false, "unsupported simd width " << w << " (use 4, 8 or 16)");
           }
+        } else {
+          OPV_REQUIRE(false, "loop '" << name_
+                                      << "': kernel has no vector instantiation (scalar-only "
+                                         "callable); use Seq/OpenMP/AutoVec");
         }
-        detail::exec_simt<W>(kernel_, sproto, vproto, plan, nth);
-        return;
+        break;
       }
-      if (!strat) {
-        detail::exec_simd_direct<W>(kernel_, sproto, vproto, 0, n, nth);
-        return;
-      }
-      const Plan& plan = plan_for(*strat, block_size, nth);
-      switch (*strat) {
-        case ColoringStrategy::TwoLevel:
-          detail::exec_simd_colored<W>(kernel_, sproto, vproto, plan, nth);
-          break;
-        case ColoringStrategy::FullPermute:
-          detail::exec_simd_fullperm<W>(kernel_, sproto, vproto, plan, nth);
-          break;
-        case ColoringStrategy::BlockPermute:
-          detail::exec_simd_blockperm<W>(kernel_, sproto, vproto, plan, nth);
-          break;
-      }
-    };
-    const int w = cfg.simd_width > 0 ? cfg.simd_width : simd::max_lanes<Real>;
-    switch (w) {
-      case 4: dispatch.template operator()<4>(); break;
-      case 8: dispatch.template operator()<8>(); break;
-      case 16: dispatch.template operator()<16>(); break;
-      default:
-        OPV_REQUIRE(false, "unsupported simd width " << w << " (use 4, 8 or 16)");
     }
   }
 
@@ -1716,16 +1155,14 @@ class Loop {
   std::vector<IncRef> conflicts_;
   LoopRecord* stats_ = nullptr;
   PlanSlot plans_[3];
-  SimtStagePlan stage_;                          ///< Simt staging schedule
-  const Plan* stage_plan_built_for_ = nullptr;   ///< plan stage_ was built for
   double plan_build_secs_ = 0.0;     ///< cumulative plan acquisition time
   double plan_secs_reported_ = 0.0;  ///< share already flushed to stats_
   /// Allocated on the first kAuto run. The tuned block size is pinned per
   /// Loop INSTANCE, never shared through any global registry: re-templating
-  /// a loop (e.g. migrating its args from runtime-dim to compile-time-Dim
-  /// descriptors changes the Loop type and the generated code) yields a
-  /// fresh handle that re-tunes from scratch rather than inheriting a pin
-  /// measured on different code (test: RetypedHandleReTunes).
+  /// a loop (e.g. a different kernel type or argument descriptors changes
+  /// the Loop type and the generated code) yields a fresh handle that
+  /// re-tunes from scratch rather than inheriting a pin measured on
+  /// different code (test: RetypedHandleReTunes).
   std::unique_ptr<perf::OnlineTuner> tuner_;
 };
 

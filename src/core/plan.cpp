@@ -399,82 +399,4 @@ void PlanCache::reset_counters() {
   impl_->counters = Counters{};
 }
 
-SimtStagePlan build_simt_stage_plan(const std::vector<StageSlotInfo>& slots, const Plan& plan) {
-  SimtStagePlan sp;
-  const int nslots = static_cast<int>(slots.size());
-  sp.slot_region.assign(nslots, -1);
-  sp.slot_lmap.resize(nslots);
-
-  // A dat also bound directly keeps its direct/indirect aliasing only if
-  // every access goes through the one global copy — exclude it.
-  std::vector<const std::byte*> direct_bases;
-  for (const auto& s : slots)
-    if (!s.indirect && s.base != nullptr) direct_bases.push_back(s.base);
-
-  // Group stageable indirect slots by dat storage: aliased slots (e.g. two
-  // INC args through different map indices of one dat) share one region, so
-  // preload/writeback happens once per dat per block.
-  for (int i = 0; i < nslots; ++i) {
-    const auto& s = slots[i];
-    if (!s.indirect || s.base == nullptr) continue;
-    if (std::find(direct_bases.begin(), direct_bases.end(), s.base) != direct_bases.end())
-      continue;
-    int r = -1;
-    for (std::size_t j = 0; j < sp.regions.size(); ++j)
-      if (sp.regions[j].base == s.base) r = static_cast<int>(j);
-    if (r < 0) {
-      r = static_cast<int>(sp.regions.size());
-      SimtStagePlan::Region rg;
-      rg.base = s.base;
-      rg.value_bytes = s.value_bytes;
-      rg.dim = s.dim;
-      rg.layout = s.layout;
-      rg.plane = s.plane;
-      sp.regions.push_back(std::move(rg));
-    }
-    sp.regions[static_cast<std::size_t>(r)].writeback |= s.writes;
-    sp.slot_region[i] = r;
-  }
-  if (sp.regions.empty()) return sp;
-
-  // Per-block sorted-unique target rows per region (CSR over blocks), then
-  // each staged slot's flat element -> block-local-row index array.
-  for (std::size_t r = 0; r < sp.regions.size(); ++r) {
-    auto& rg = sp.regions[r];
-    rg.row_off.assign(static_cast<std::size_t>(plan.nblocks) + 1, 0);
-    std::vector<idx_t> block_rows;
-    for (idx_t b = 0; b < plan.nblocks; ++b) {
-      block_rows.clear();
-      for (int i = 0; i < nslots; ++i) {
-        if (sp.slot_region[i] != static_cast<int>(r)) continue;
-        const auto& s = slots[i];
-        for (idx_t e = plan.block_begin(b); e < plan.block_end(b); ++e)
-          block_rows.push_back(s.map[static_cast<std::size_t>(e) * s.map_dim + s.map_idx]);
-      }
-      std::sort(block_rows.begin(), block_rows.end());
-      block_rows.erase(std::unique(block_rows.begin(), block_rows.end()), block_rows.end());
-      rg.rows.insert(rg.rows.end(), block_rows.begin(), block_rows.end());
-      rg.row_off[static_cast<std::size_t>(b) + 1] = static_cast<idx_t>(rg.rows.size());
-      rg.max_rows = std::max(rg.max_rows, static_cast<idx_t>(block_rows.size()));
-    }
-  }
-  for (int i = 0; i < nslots; ++i) {
-    if (sp.slot_region[i] < 0) continue;
-    const auto& rg = sp.regions[static_cast<std::size_t>(sp.slot_region[i])];
-    const auto& s = slots[i];
-    auto& lmap = sp.slot_lmap[i];
-    lmap.resize(static_cast<std::size_t>(plan.nelems));
-    for (idx_t b = 0; b < plan.nblocks; ++b) {
-      const idx_t* lo = rg.rows.data() + rg.row_off[static_cast<std::size_t>(b)];
-      const idx_t* hi = rg.rows.data() + rg.row_off[static_cast<std::size_t>(b) + 1];
-      for (idx_t e = plan.block_begin(b); e < plan.block_end(b); ++e) {
-        const idx_t tgt = s.map[static_cast<std::size_t>(e) * s.map_dim + s.map_idx];
-        lmap[static_cast<std::size_t>(e)] = static_cast<idx_t>(std::lower_bound(lo, hi, tgt) - lo);
-      }
-    }
-  }
-  sp.viable = true;
-  return sp;
-}
-
 }  // namespace opv

@@ -79,58 +79,6 @@ struct Plan {
   }
 };
 
-// ===== Simt shared-scratch staging (ExecConfig::simt_staging) ===============
-
-/// Runtime residue of one typed loop argument, collected by the engine for
-/// stage-plan construction: where the dat lives, how it is addressed and
-/// whether the slot writes. Globals and direct slots participate only as
-/// exclusion information (a dat also accessed directly is never staged).
-struct StageSlotInfo {
-  std::byte* base = nullptr;        ///< dat storage (nullptr for globals)
-  std::size_t value_bytes = 0;      ///< sizeof(scalar)
-  int dim = 0;
-  Layout layout = Layout::AoS;      ///< physical layout of the dat
-  idx_t plane = 0;                  ///< SoA/AoSoA plane stride
-  const idx_t* map = nullptr;       ///< indirect slots only
-  int map_dim = 0;
-  int map_idx = 0;
-  bool indirect = false;
-  bool writes = false;              ///< access mode != READ
-};
-
-/// The per-block staging schedule for the Simt backend (the paper's
-/// shared-memory staging, Fig. 3a): per staged DAT (arg slots sharing a dat
-/// share one region, so aliased increments stay correct) a CSR of the
-/// sorted-unique target rows each block touches, plus one flat local-index
-/// array per staged arg slot. The executor patches the slot's bound state to
-/// (scratch, local map, AoS) and runs the unmodified bundle machinery;
-/// preload fills scratch from the dat (layout-aware), writeback copies it
-/// back for writing regions — legal because block colors separate blocks
-/// that share written targets.
-struct SimtStagePlan {
-  struct Region {
-    std::byte* base = nullptr;
-    std::size_t value_bytes = 0;
-    int dim = 0;
-    Layout layout = Layout::AoS;
-    idx_t plane = 0;
-    bool writeback = false;
-    idx_t max_rows = 0;               ///< widest block's row count
-    std::vector<idx_t> row_off;       ///< nblocks+1 CSR offsets into rows
-    aligned_vector<idx_t> rows;       ///< global target ids, sorted per block
-  };
-  std::vector<Region> regions;
-  std::vector<int> slot_region;                   ///< per arg slot; -1 = unstaged
-  std::vector<aligned_vector<idx_t>> slot_lmap;   ///< per slot: element -> local row
-  bool viable = false;                            ///< at least one slot stages
-};
-
-/// Build the staging schedule for `plan` from the loop's argument slots.
-/// Not viable (viable == false) when nothing stages: no indirect slots, or
-/// every indirect dat is also accessed directly (staging a copy would break
-/// the direct/indirect aliasing the unstaged path preserves).
-SimtStagePlan build_simt_stage_plan(const std::vector<StageSlotInfo>& slots, const Plan& plan);
-
 /// Build a plan from scratch (exposed for tests; normal use goes through
 /// PlanCache). `conflicts` lists every (map, idx) the loop increments
 /// through; an empty list yields a trivially parallel plan (one color).

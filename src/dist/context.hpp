@@ -51,8 +51,9 @@ using opv::WorkerPool;
 
 /// Dataset argument by handle: resolved to a typed opv::Arg on each rank's
 /// replica when a dist::Loop is constructed. Access/arity/directness are
-/// compile-time, like opv::Arg (Dim == opv::kDynDim = runtime arity).
+/// compile-time, like opv::Arg.
 template <class T, AccessMode A, int Dim, bool Ind>
+  requires(arg_dim_ok(Dim))
 struct DistArgDat {
   using scalar_type = T;
   static constexpr AccessMode access = A;
@@ -269,7 +270,7 @@ class DistCtx {
 
   // ---- typed argument builders --------------------------------------------
 
-  template <AccessMode A, int Dim = kDynDim, class T>
+  template <AccessMode A, int Dim, class T>
     requires(dat_access_ok(A) && arg_dim_ok(Dim))
   DistArgDat<T, A, Dim, true> arg(DatHandle<T> d, int idx, MapHandle m) {
     OPV_REQUIRE(idx >= 0 && idx < spec_.maps[m].dim,
@@ -281,7 +282,7 @@ class DistCtx {
     check_dim<Dim>(d);
     return {d.id, m, idx};
   }
-  template <AccessMode A, int Dim = kDynDim, class T>
+  template <AccessMode A, int Dim, class T>
     requires(dat_access_ok(A) && arg_dim_ok(Dim))
   DistArgDat<T, A, Dim, false> arg(DatHandle<T> d) {
     check_dim<Dim>(d);
@@ -296,31 +297,32 @@ class DistCtx {
   }
 
   template <class T, AccessMode A>
-  auto arg(DatHandle<T> d, int idx, MapHandle m, AccessTag<A>) {
-    return arg<A>(d, idx, m);
-  }
-  template <class T, AccessMode A>
-  auto arg(DatHandle<T> d, AccessTag<A>) {
-    return arg<A>(d);
-  }
-  template <class T, AccessMode A>
   auto arg_gbl(T* p, int dim, AccessTag<A>) {
     return arg_gbl<A>(p, dim);
   }
 
-  // FixedDat handles: the handle's compile-time arity N resolves the
-  // descriptor Dim (an explicit Dim must agree — the static counterpart of
-  // check_dim), so loop sites spell no Dim at all.
-  template <AccessMode A, int Dim = kDynDim, class T, int N>
-    requires(dat_access_ok(A) && arg_dim_ok(Dim) && (Dim == kDynDim || Dim == N))
-  DistArgDat<T, A, (Dim == kDynDim ? N : Dim), true> arg(FixedDatHandleT<T, N> d, int idx,
-                                                         MapHandle m) {
-    return arg<A, (Dim == kDynDim ? N : Dim)>(DatHandle<T>{d.id}, idx, m);
+  // FixedDat handles: the handle's compile-time arity N is the descriptor
+  // Dim (an explicit Dim must agree — the static counterpart of check_dim),
+  // so loop sites spell no Dim at all. The tag spelling exists only here.
+  template <AccessMode A, int Dim, class T, int N>
+    requires(dat_access_ok(A) && Dim == N)
+  DistArgDat<T, A, N, true> arg(FixedDatHandleT<T, N> d, int idx, MapHandle m) {
+    return arg<A, N>(DatHandle<T>{d.id}, idx, m);
   }
-  template <AccessMode A, int Dim = kDynDim, class T, int N>
-    requires(dat_access_ok(A) && arg_dim_ok(Dim) && (Dim == kDynDim || Dim == N))
-  DistArgDat<T, A, (Dim == kDynDim ? N : Dim), false> arg(FixedDatHandleT<T, N> d) {
-    return arg<A, (Dim == kDynDim ? N : Dim)>(DatHandle<T>{d.id});
+  template <AccessMode A, int Dim, class T, int N>
+    requires(dat_access_ok(A) && Dim == N)
+  DistArgDat<T, A, N, false> arg(FixedDatHandleT<T, N> d) {
+    return arg<A, N>(DatHandle<T>{d.id});
+  }
+  template <AccessMode A, class T, int N>
+    requires(dat_access_ok(A))
+  DistArgDat<T, A, N, true> arg(FixedDatHandleT<T, N> d, int idx, MapHandle m) {
+    return arg<A, N>(DatHandle<T>{d.id}, idx, m);
+  }
+  template <AccessMode A, class T, int N>
+    requires(dat_access_ok(A))
+  DistArgDat<T, A, N, false> arg(FixedDatHandleT<T, N> d) {
+    return arg<A, N>(DatHandle<T>{d.id});
   }
   template <class T, int N, AccessMode A>
   auto arg(FixedDatHandleT<T, N> d, int idx, MapHandle m, AccessTag<A>) {
@@ -383,10 +385,9 @@ class DistCtx {
   /// declared dat (the dist analog of opv::arg's check against dat.dim()).
   template <int Dim, class T>
   void check_dim(DatHandle<T> d) const {
-    if constexpr (Dim != kDynDim)
-      OPV_REQUIRE(dats_[d.id]->dim == Dim, "arg: descriptor Dim "
-                                               << Dim << " != dat '" << dats_[d.id]->name
-                                               << "' dim " << dats_[d.id]->dim);
+    OPV_REQUIRE(dats_[d.id]->dim == Dim, "arg: descriptor Dim " << Dim << " != dat '"
+                                                               << dats_[d.id]->name << "' dim "
+                                                               << dats_[d.id]->dim);
   }
 
   // ---- dataset storage -----------------------------------------------------

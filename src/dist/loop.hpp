@@ -350,9 +350,9 @@ class Loop {
     interior_slices_.reserve(static_cast<std::size_t>(ctx.nranks_));
     boundary_slices_.reserve(static_cast<std::size_t>(ctx.nranks_));
     for (int r = 0; r < ctx.nranks_; ++r) {
-      const Set& iter = ctx.part_->set(r, set_);
-      const idx_t nowned = iter.size();
-      const idx_t nexec = has_inc ? iter.exec_size() : nowned;
+      RankLoop& rl = rank_loops_[static_cast<std::size_t>(r)];
+      const idx_t nowned = ctx.part_->set(r, set_).size();
+      const idx_t nexec = rl.exec_limit();
       RankPhases& ph = plan_.phases[static_cast<std::size_t>(r)];
       for (idx_t e = 0; e < nowned; ++e) {
         bool interior = true;
@@ -365,7 +365,6 @@ class Loop {
         (interior ? ph.interior : ph.boundary).push_back(e);
       }
       for (idx_t e = nowned; e < nexec; ++e) ph.boundary.push_back(e);
-      RankLoop& rl = rank_loops_[static_cast<std::size_t>(r)];
       interior_slices_.push_back(rl.make_slice(ph.interior));
       boundary_slices_.push_back(rl.make_slice(ph.boundary));
     }

@@ -33,8 +33,8 @@ TuneResult tune_block_size(const std::function<double(int)>& workload,
 /// Lifetime: each opv::Loop INSTANCE owns its tuner; the pinned winner is
 /// never shared across handles or stored under a kernel/set key. That is
 /// deliberate: the optimal block size depends on the generated code, and
-/// re-templating a loop — e.g. migrating its arguments from runtime-dim to
-/// compile-time-Dim descriptors (core/arg.hpp) — changes the instantiation.
+/// re-templating a loop — e.g. a different kernel type or different
+/// argument descriptors (core/arg.hpp) — changes the instantiation.
 /// A retyped handle therefore starts untuned and re-tunes from scratch
 /// instead of inheriting a pin measured on different code
 /// (test_loop_handle: RetypedHandleReTunes).

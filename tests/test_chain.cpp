@@ -143,17 +143,17 @@ struct Micro {
   mesh::UnstructuredMesh m;
   Set cells, edges;
   Map e2c;
-  Dat<double> count_c, count_e, a, b;
+  FixedDat<double, 1> count_c, count_e, a, b;
 
   Micro()
       : m(mesh::make_quad_box(40, 25)),
         cells("cells", m.ncells),
         edges("edges", m.nedges),
         e2c("e2c", edges, cells, 2, m.edge_cells),
-        count_c("count_c", cells, 1),
-        count_e("count_e", cells, 1),
-        a("a", cells, 1),
-        b("b", cells, 1) {
+        count_c("count_c", cells),
+        count_e("count_e", cells),
+        a("a", cells),
+        b("b", cells) {
     for (idx_t c = 0; c < cells.size(); ++c) a.at(c) = 0.25 * c;
   }
 };

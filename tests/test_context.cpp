@@ -74,7 +74,7 @@ TEST(DistCtx, FinalizeIsIdempotentAndImplicit) {
   dist::DistCtx ctx(3, ExecConfig{.backend = Backend::Seq, .nthreads = 1});
   auto cells = ctx.decl_set("cells", m.ncells);
   ctx.set_partition_coords(cells, cent.data());
-  auto q = ctx.decl_dat<double>("q", cells, 1);
+  auto q = ctx.decl_dat<double, 1>("q", cells);
   // First loop triggers finalize implicitly; a second explicit call is a
   // no-op.
   ctx.loop([](auto* x) { x[0] = std::decay_t<decltype(x[0])>(1.0); }, "init", cells,

@@ -234,13 +234,12 @@ std::tuple<aligned_vector<double>, double, double> pipeline(Ctx& ctx,
   ctx.set_partition_coords(cells, cent.data());
   auto e2n = ctx.decl_map("e2n", edges, nodes, 2, m.edge_nodes);
   auto e2c = ctx.decl_map("e2c", edges, cells, 2, m.edge_cells);
-  auto x = ctx.template decl_dat<double>("x", nodes, 2, m.node_xy);
-  auto w = ctx.template decl_dat<double>("w", edges, 1,
-                                         aligned_vector<double>(m.nedges, 0.7));
-  auto acc = ctx.template decl_dat<double>("acc", cells, 1);
+  auto x = ctx.template decl_dat<double, 2>("x", nodes, m.node_xy);
+  auto w = ctx.template decl_dat<double, 1>("w", edges, aligned_vector<double>(m.nedges, 0.7));
+  auto acc = ctx.template decl_dat<double, 1>("acc", cells);
   aligned_vector<double> qi(m.ncells);
   for (idx_t c = 0; c < m.ncells; ++c) qi[c] = 0.01 * (c % 29);
-  auto q = ctx.template decl_dat<double>("q", cells, 1, qi);
+  auto q = ctx.template decl_dat<double, 1>("q", cells, qi);
   ctx.finalize();
 
   double gsum = 0, gmin = 0;
@@ -311,8 +310,8 @@ TEST(DistCtx, DirtyBitsTriggerExchangesAndMatchLocal) {
     auto e2c = ctx.decl_map("e2c", edges, cells, 2, m.edge_cells);
     aligned_vector<double> qi(m.ncells);
     for (idx_t c = 0; c < m.ncells; ++c) qi[c] = 0.1 * (c % 7);
-    auto q = ctx.template decl_dat<double>("q", cells, 1, qi);
-    auto acc = ctx.template decl_dat<double>("acc", cells, 1);
+    auto q = ctx.template decl_dat<double, 1>("q", cells, qi);
+    auto acc = ctx.template decl_dat<double, 1>("acc", cells);
     ctx.finalize();
     for (int it = 0; it < 4; ++it) {
       ctx.loop(GatherQ{}, "h_edge", edges, ctx.arg(q, 0, e2c, Access::READ),

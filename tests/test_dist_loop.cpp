@@ -32,10 +32,10 @@ using namespace opv::dist;
 
 template <AccessMode A>
 concept DistDatDirectOk =
-    requires(DistCtx& c, DistCtx::DatHandle<double> d) { c.arg<A>(d); };
+    requires(DistCtx& c, DistCtx::FixedDatHandle<double, 1> d) { c.arg<A>(d); };
 template <AccessMode A>
 concept DistDatIndirectOk =
-    requires(DistCtx& c, DistCtx::DatHandle<double> d, DistCtx::MapHandle m) {
+    requires(DistCtx& c, DistCtx::FixedDatHandle<double, 1> d, DistCtx::MapHandle m) {
       c.arg<A>(d, 0, m);
     };
 template <AccessMode A>
@@ -52,19 +52,44 @@ static_assert(!DistGblOk<opv::WRITE>, "globals cannot be element-wise written");
 static_assert(!DistGblOk<opv::RW>, "globals cannot be read-modify-written");
 
 // Compile-time conflict classification carries over to dist descriptors.
-static_assert(dist::Loop<int, DistArgDat<double, opv::INC, kDynDim, true>>::has_inc);
-static_assert(!dist::Loop<int, DistArgDat<double, opv::READ, kDynDim, true>,
+static_assert(dist::Loop<int, DistArgDat<double, opv::INC, 1, true>>::has_inc);
+static_assert(!dist::Loop<int, DistArgDat<double, opv::READ, 1, true>,
                           DistArgGbl<double, opv::INC>>::has_inc);
 
 // Compile-time Dim carries through the dist descriptors into the per-rank
-// opv::Arg bindings, and an out-of-range Dim fails to compile.
+// opv::Arg bindings, and a Dim outside [1,kMaxDim] fails to compile.
 static_assert(std::is_same_v<dist::detail::rank_arg_t<DistArgDat<double, opv::INC, 4, true>>,
                              opv::Arg<double, opv::INC, 4, true>>);
 template <int Dim>
 concept DistDimOk =
     requires(DistCtx& c, DistCtx::DatHandle<double> d) { c.arg<opv::READ, Dim>(d); };
-static_assert(DistDimOk<kDynDim> && DistDimOk<1> && DistDimOk<kMaxDim>);
+static_assert(DistDimOk<1> && DistDimOk<kMaxDim>);
+static_assert(!DistDimOk<0>, "Dim 0 (no compile-time arity) must not compile");
 static_assert(!DistDimOk<-2> && !DistDimOk<kMaxDim + 1>, "Dim bounded by [1,kMaxDim]");
+template <int Dim>
+concept DistArgTypeOk = requires { typename DistArgDat<double, opv::READ, Dim, false>; };
+static_assert(DistArgTypeOk<1> && !DistArgTypeOk<0> && !DistArgTypeOk<kMaxDim + 1>);
+
+// A Dim-less spelling compiles only on a FixedDatHandle, which supplies the
+// arity; a plain DatHandle needs the explicit Dim (tag spelling included).
+template <class H>
+concept DistDimlessOk = requires(DistCtx& c, H d, DistCtx::MapHandle m) {
+  c.arg<opv::READ>(d);
+  c.arg<opv::READ>(d, 0, m);
+};
+template <class H>
+concept DistDimlessTagOk = requires(DistCtx& c, H d, DistCtx::MapHandle m) {
+  c.arg(d, Access::READ);
+  c.arg(d, 0, m, Access::READ);
+};
+static_assert(DistDimlessOk<DistCtx::FixedDatHandle<double, 3>> &&
+              DistDimlessTagOk<DistCtx::FixedDatHandle<double, 3>>);
+static_assert(!DistDimlessOk<DistCtx::DatHandle<double>>, "a plain handle needs a Dim");
+static_assert(!DistDimlessTagOk<DistCtx::DatHandle<double>>);
+static_assert(std::is_same_v<decltype(std::declval<DistCtx&>().arg<opv::INC>(
+                                 std::declval<DistCtx::FixedDatHandle<double, 3>>(), 0, 0)),
+                             decltype(std::declval<DistCtx&>().arg<opv::INC, 3>(
+                                 std::declval<DistCtx::DatHandle<double>>(), 0, 0))>);
 
 // ---- fixture: airfoil-style edge/cell pipeline ------------------------------
 
@@ -94,7 +119,8 @@ struct Universe {
   DistCtx ctx;
   DistCtx::SetHandle nodes, cells, edges;
   DistCtx::MapHandle e2n, e2c;
-  DistCtx::DatHandle<double> x, w, acc, q;
+  DistCtx::FixedDatHandle<double, 2> x;
+  DistCtx::FixedDatHandle<double, 1> w, acc, q;
 
   Universe(int nranks, ExecConfig cfg, idx_t ni = 21, idx_t nj = 17)
       : m(mesh::make_quad_box(ni, nj)), ctx(nranks, cfg) {
@@ -105,12 +131,12 @@ struct Universe {
     ctx.set_partition_coords(cells, cent.data());
     e2n = ctx.decl_map("e2n", edges, nodes, 2, m.edge_nodes);
     e2c = ctx.decl_map("e2c", edges, cells, 2, m.edge_cells);
-    x = ctx.decl_dat<double>("x", nodes, 2, m.node_xy);
-    w = ctx.decl_dat<double>("w", edges, 1, aligned_vector<double>(m.nedges, 0.7));
-    acc = ctx.decl_dat<double>("acc", cells, 1);
+    x = ctx.decl_dat<double, 2>("x", nodes, m.node_xy);
+    w = ctx.decl_dat<double, 1>("w", edges, aligned_vector<double>(m.nedges, 0.7));
+    acc = ctx.decl_dat<double, 1>("acc", cells);
     aligned_vector<double> qi(m.ncells);
     for (idx_t c = 0; c < m.ncells; ++c) qi[c] = 0.01 * (c % 29);
-    q = ctx.decl_dat<double>("q", cells, 1, qi);
+    q = ctx.decl_dat<double, 1>("q", cells, qi);
     ctx.finalize();
   }
 };
@@ -286,44 +312,16 @@ TEST(DistLoop, RecordsRankImbalance) {
 
 // ---- compile-time Dim through the dist layer --------------------------------
 
-/// A dist loop mixing typed-Dim and runtime-dim descriptors must match the
-/// all-runtime baseline bitwise: Dim only changes the generated code shape
-/// (unrolled vs looped per-component accesses), never arithmetic order.
-TEST(DistLoop, MixedDimSpellingsBitwiseMatchRuntimeBaseline) {
-  const ExecConfig cfg{.backend = Backend::Simd, .simd_width = 4, .nthreads = 2};
-
-  Universe a(3, cfg);
-  dist::Loop rt(a.ctx, EdgeK{}, "mixdim_rt", a.edges, a.ctx.arg<opv::READ>(a.x, 0, a.e2n),
-                a.ctx.arg<opv::READ>(a.x, 1, a.e2n), a.ctx.arg<opv::READ>(a.w),
-                a.ctx.arg<opv::INC>(a.acc, 0, a.e2c), a.ctx.arg<opv::INC>(a.acc, 1, a.e2c));
-
-  Universe b(3, cfg);
-  dist::Loop mix(b.ctx, EdgeK{}, "mixdim_mixed", b.edges,
-                 b.ctx.arg<opv::READ, 2>(b.x, 0, b.e2n), b.ctx.arg<opv::READ>(b.x, 1, b.e2n),
-                 b.ctx.arg<opv::READ, 1>(b.w), b.ctx.arg<opv::INC>(b.acc, 0, b.e2c),
-                 b.ctx.arg<opv::INC, 1>(b.acc, 1, b.e2c));
-  static_assert(!std::is_same_v<decltype(rt), decltype(mix)>,
-                "Dim is part of the dist::Loop type");
-
-  for (int it = 0; it < 3; ++it) {
-    rt.run();
-    mix.run();
-  }
-  aligned_vector<double> ra, rb;
-  a.ctx.fetch(a.acc, ra);
-  b.ctx.fetch(b.acc, rb);
-  ASSERT_EQ(ra.size(), rb.size());
-  for (std::size_t i = 0; i < ra.size(); ++i) ASSERT_EQ(ra[i], rb[i]) << "cell " << i;
-}
-
 /// A compile-time descriptor Dim contradicting the declared dat throws at
 /// descriptor construction (the dist analog of opv::arg's runtime check).
 TEST(DistLoop, DimMismatchThrowsAtConstruction) {
   Universe u(2, ExecConfig{.backend = Backend::Seq, .nthreads = 1});
-  EXPECT_THROW((u.ctx.arg<opv::READ, 3>(u.x, 0, u.e2n)), Error);  // x has dim 2
-  EXPECT_THROW((u.ctx.arg<opv::RW, 4>(u.q)), Error);              // q has dim 1
-  EXPECT_NO_THROW((u.ctx.arg<opv::READ, 2>(u.x, 0, u.e2n)));
-  EXPECT_NO_THROW((u.ctx.arg<opv::RW, 1>(u.q)));
+  // Plain handles to the same dats: the arity is a runtime property there.
+  const DistCtx::DatHandle<double> x{u.x.id}, q{u.q.id};
+  EXPECT_THROW((u.ctx.arg<opv::READ, 3>(x, 0, u.e2n)), Error);  // x has dim 2
+  EXPECT_THROW((u.ctx.arg<opv::RW, 4>(q)), Error);              // q has dim 1
+  EXPECT_NO_THROW((u.ctx.arg<opv::READ, 2>(x, 0, u.e2n)));
+  EXPECT_NO_THROW((u.ctx.arg<opv::RW, 1>(q)));
 }
 
 // ---- phased execution: interior/boundary classification ---------------------

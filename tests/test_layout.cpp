@@ -16,10 +16,7 @@
 //     execution) throw instead of silently never applying;
 //  5. 3D partitioning — partition_rcb with ndims == 3 bisects the true 3D
 //     bounding box (a z-elongated mesh splits into z bands, which an xy
-//     projection could never produce);
-//  6. Simt staging — ExecConfig::simt_staging stays within field-norm
-//     tolerance of the Seq reference (block-granular INC reassociation
-//     makes bitwise the wrong bar there).
+//     projection could never produce).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -356,46 +353,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(backend_name(std::get<0>(info.param))) +
              layout_name(std::get<1>(info.param));
     });
-
-// ===== Simt shared-scratch staging ==========================================
-
-class SimtStagingP : public ::testing::TestWithParam<Layout> {};
-
-TEST_P(SimtStagingP, AirfoilWithinFieldNormOfSeq) {
-  const auto m = airfoil_mesh();
-  LocalCtx ref_ctx(ExecConfig{.backend = Backend::Seq});
-  airfoil::Airfoil<double, LocalCtx> ref(ref_ctx, m);
-  ref.run(3, 0);
-
-  ExecConfig cfg{.backend = Backend::Simt};
-  cfg.simt_staging = true;
-  LocalCtx ctx(cfg);
-  ctx.set_default_layout(GetParam());
-  airfoil::Airfoil<double, LocalCtx> app(ctx, m);
-  app.run(3, 0);
-  // Staging reassociates indirect-increment sums at block granularity, so
-  // the contract is field-norm tolerance, not bitwise (config.hpp).
-  EXPECT_LT(field_norm_divergence(ref.fetch_q(), app.fetch_q()), 1e-12);
-}
-
-TEST_P(SimtStagingP, Tet3DWithinFieldNormOfSeq) {
-  const auto m = tet_mesh();
-  LocalCtx ref_ctx(ExecConfig{.backend = Backend::Seq});
-  tet3d::Tet3D<double, LocalCtx> ref(ref_ctx, m);
-  ref.run(3, 0);
-
-  ExecConfig cfg{.backend = Backend::Simt};
-  cfg.simt_staging = true;
-  LocalCtx ctx(cfg);
-  ctx.set_default_layout(GetParam());
-  tet3d::Tet3D<double, LocalCtx> app(ctx, m);
-  app.run(3, 0);
-  EXPECT_LT(field_norm_divergence(ref.fetch_u(), app.fetch_u()), 1e-12);
-}
-
-INSTANTIATE_TEST_SUITE_P(Layouts, SimtStagingP,
-                         ::testing::Values(Layout::AoS, Layout::SoA, Layout::AoSoA),
-                         [](const auto& info) { return layout_name(info.param); });
 
 // ===== 3D recursive coordinate bisection ====================================
 

@@ -1,10 +1,9 @@
 // Tests for the typed-argument API and the reusable Loop handle:
 // compile-time rejection of invalid access/argument combinations and of
 // Dim/dat mismatches, Loop::run() equivalence with one-shot par_loop across
-// backends (including loops mixing compile-time-Dim and runtime-dim
-// descriptors), plan pinning (pointer stability across runs), stats
-// accumulation through the pre-bound slot, and kAuto tuner lifetime across
-// re-templated handles.
+// backends, plan pinning (pointer stability across runs), stats
+// accumulation through the pre-bound slot, kAuto tuner lifetime across
+// re-templated handles, and subset (Slice) and range execution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,9 +25,11 @@ using namespace opv;
 // throw: the requires-expressions below are the negative-compile assertions.
 
 template <AccessMode A>
-concept DatDirectArgOk = requires(Dat<double>& d) { opv::arg<A>(d); };
+concept DatDirectArgOk = requires(FixedDat<double, 1>& d) { opv::arg<A>(d); };
 template <AccessMode A>
-concept DatIndirectArgOk = requires(Dat<double>& d, const Map& m) { opv::arg<A>(d, 0, m); };
+concept DatIndirectArgOk = requires(FixedDat<double, 1>& d, const Map& m) {
+  opv::arg<A>(d, 0, m);
+};
 template <AccessMode A>
 concept GblArgOk = requires(double* p) { opv::arg_gbl<A>(p, 1); };
 
@@ -44,7 +45,7 @@ static_assert(!GblArgOk<opv::RW>, "globals cannot be read-modify-written");
 
 // The tag spelling is the same typed API: it must be rejected identically.
 template <class Tag>
-concept DatTagArgOk = requires(Dat<double>& d, Tag t) { opv::arg(d, t); };
+concept DatTagArgOk = requires(FixedDat<double, 1>& d, Tag t) { opv::arg(d, t); };
 template <class Tag>
 concept GblTagArgOk = requires(double* p, Tag t) { opv::arg_gbl(p, 1, t); };
 static_assert(DatTagArgOk<decltype(Access::INC)>);
@@ -53,24 +54,50 @@ static_assert(GblTagArgOk<decltype(Access::MAX)>);
 static_assert(!GblTagArgOk<decltype(Access::WRITE)>);
 
 // ---- compile-time Dim validation -------------------------------------------
-// A descriptor Dim outside [1,kMaxDim] (other than the kDynDim sentinel) or
-// contradicting a statically-dimensioned dat must fail to COMPILE.
+// Every descriptor carries a compile-time Dim in [1,kMaxDim]. A Dim outside
+// it, a Dim contradicting a statically-dimensioned dat, and a Dim-less
+// spelling with no FixedDat to supply one must all fail to COMPILE.
 
 template <int Dim, class D = Dat<double>>
 concept DimArgOk = requires(D& d) { opv::arg<opv::READ, Dim>(d); };
-static_assert(DimArgOk<kDynDim> && DimArgOk<1> && DimArgOk<4> && DimArgOk<kMaxDim>);
+static_assert(DimArgOk<1> && DimArgOk<4> && DimArgOk<kMaxDim>);
+static_assert(!DimArgOk<0>, "Dim 0 (no compile-time arity) must not compile");
 static_assert(!DimArgOk<-1> && !DimArgOk<kMaxDim + 1>, "Dim bounded by [1,kMaxDim]");
 static_assert(DimArgOk<4, FixedDat<double, 4>>, "matching explicit Dim is fine");
 static_assert(!DimArgOk<3, FixedDat<double, 4>>,
               "Dim mismatching the dat's static arity must not compile");
 static_assert(!DimArgOk<1, FixedDat<double, 4>>);
 
-// A FixedDat deduces its Dim with no explicit spelling; a plain Dat stays
-// runtime-dimensioned under the same spelling.
+template <int Dim>
+concept ArgTypeOk = requires { typename Arg<double, opv::READ, Dim, false>; };
+static_assert(ArgTypeOk<1> && ArgTypeOk<kMaxDim>);
+static_assert(!ArgTypeOk<0> && !ArgTypeOk<kMaxDim + 1>, "Arg accepts only Dim in [1,kMaxDim]");
+
+// A Dim-less spelling compiles only where a FixedDat supplies the arity...
+template <class D>
+concept DimlessArgOk = requires(D& d, const Map& m) {
+  opv::arg<opv::READ>(d);
+  opv::arg<opv::READ>(d, 0, m);
+};
+template <class D>
+concept DimlessTagArgOk = requires(D& d, const Map& m) {
+  opv::arg(d, Access::READ);
+  opv::arg(d, 0, m, Access::READ);
+};
+static_assert(DimlessArgOk<FixedDat<double, 3>> && DimlessTagArgOk<FixedDat<double, 3>>);
+static_assert(!DimlessArgOk<Dat<double>>, "a plain Dat needs an explicit Dim");
+static_assert(!DimlessTagArgOk<Dat<double>>, "the tag spelling follows the same rule");
+
+// ...and a FixedDat deduces exactly the explicit-Dim descriptor type.
+static_assert(std::is_same_v<decltype(opv::arg<opv::READ>(std::declval<FixedDat<double, 4>&>())),
+                             decltype(opv::arg<opv::READ, 4>(std::declval<Dat<double>&>()))>);
+static_assert(
+    std::is_same_v<decltype(opv::arg<opv::INC>(std::declval<FixedDat<double, 2>&>(), 0,
+                                               std::declval<const Map&>())),
+                   decltype(opv::arg<opv::INC, 2>(std::declval<Dat<double>&>(), 0,
+                                                  std::declval<const Map&>()))>);
 static_assert(std::is_same_v<decltype(opv::arg<opv::READ>(std::declval<FixedDat<double, 4>&>())),
                              Arg<double, opv::READ, 4, false>>);
-static_assert(std::is_same_v<decltype(opv::arg<opv::READ>(std::declval<Dat<double>&>())),
-                             Arg<double, opv::READ, kDynDim, false>>);
 // ...including through the tag spelling.
 static_assert(
     std::is_same_v<decltype(opv::arg(std::declval<FixedDat<double, 2>&>(), Access::WRITE)),
@@ -78,17 +105,15 @@ static_assert(
 
 // ---- compile-time conflict classification ----------------------------------
 
-using DirectRead = Arg<double, opv::READ, kDynDim, false>;
-using IndirectInc = Arg<double, opv::INC, kDynDim, true>;
-using IndirectRead = Arg<double, opv::READ, kDynDim, true>;
-using StaticInc = Arg<double, opv::INC, 4, true>;
+using DirectRead = Arg<double, opv::READ, 1, false>;
+using IndirectInc = Arg<double, opv::INC, 1, true>;
+using IndirectRead = Arg<double, opv::READ, 1, true>;
+using WideInc = Arg<double, opv::INC, 4, true>;
 using GblSum = ArgGbl<double, opv::INC>;
 using GblCoef = ArgGbl<double, opv::READ>;
 
-static_assert(arg_traits<StaticInc>::dim == 4 && arg_traits<IndirectInc>::dim == kDynDim);
-static_assert(arg_traits<StaticInc>::conflicting, "Dim does not change conflict class");
-static_assert(all_static_dim_v<StaticInc, GblSum>);
-static_assert(!all_static_dim_v<StaticInc, IndirectRead>);
+static_assert(arg_traits<WideInc>::dim == 4 && arg_traits<IndirectInc>::dim == 1);
+static_assert(arg_traits<WideInc>::conflicting, "Dim does not change conflict class");
 
 static_assert(!arg_traits<DirectRead>::conflicting);
 static_assert(arg_traits<IndirectInc>::conflicting);
@@ -117,9 +142,9 @@ struct Fixture {
   Set cells{"cells", m.ncells};
   Set edges{"edges", m.nedges};
   Map e2c{"e2c", edges, cells, 2, m.edge_cells};
-  Dat<double> q{"q", cells, 1};
-  Dat<double> r{"r", cells, 1};
-  Dat<double> w{"w", edges, 1};
+  FixedDat<double, 1> q{"q", cells};
+  FixedDat<double, 1> r{"r", cells};
+  FixedDat<double, 1> w{"w", edges};
   double gsum = 0.0;
 
   Fixture() {
@@ -309,12 +334,13 @@ TEST(LoopHandle, RuntimeValidationStillThrows) {
   EXPECT_THROW(arg_gbl<opv::INC>(&f.gsum, 0), Error);   // dim < 1
   EXPECT_THROW(arg_gbl<opv::INC>(&f.gsum, 9), Error);   // dim > 8
   // Descriptor Dim vs a runtime-dimensioned dat is checked at construction.
-  EXPECT_THROW((arg<opv::READ, 2>(f.q)), Error);           // q has dim 1
-  EXPECT_THROW((arg<opv::READ, 3>(f.q, 0, f.e2c)), Error);
-  EXPECT_NO_THROW((arg<opv::READ, 1>(f.q)));
+  Dat<double> q("q", f.cells, 1);
+  EXPECT_THROW((arg<opv::READ, 2>(q)), Error);  // q has dim 1
+  EXPECT_THROW((arg<opv::READ, 3>(q, 0, f.e2c)), Error);
+  EXPECT_NO_THROW((arg<opv::READ, 1>(q)));
 }
 
-// ---- compile-time Dim: mixed spellings ---------------------------------------
+// ---- kAuto tuning is pinned per handle, not per kernel/set -------------------
 
 /// Multi-component kernel (dim-2 endpoint coords, dim-1 weight/result) so
 /// the per-component unrolling actually has components to unroll.
@@ -335,9 +361,9 @@ struct MixFixture {
   Set edges{"edges", m.nedges};
   Map e2n{"e2n", edges, nodes, 2, m.edge_nodes};
   Map e2c{"e2c", edges, cells, 2, m.edge_cells};
-  Dat<double> x{"x", nodes, 2, m.node_xy};
-  Dat<double> r{"r", cells, 1};
-  Dat<double> w{"w", edges, 1};
+  FixedDat<double, 2> x{"x", nodes, m.node_xy};
+  FixedDat<double, 1> r{"r", cells};
+  FixedDat<double, 1> w{"w", edges};
 
   MixFixture() {
     Rng rng(7);
@@ -345,58 +371,13 @@ struct MixFixture {
   }
 };
 
-/// One loop mixing typed-Dim and runtime-dim descriptors must produce
-/// results bitwise identical to the all-runtime baseline: Dim changes code
-/// shape (unrolled vs looped), never arithmetic order.
-TEST(LoopHandle, MixedDimSpellingsBitwiseMatchRuntimeBaseline) {
-  const std::vector<ExecConfig> cfgs = {
-      {.backend = Backend::Seq},
-      {.backend = Backend::OpenMP, .nthreads = 2},
-      {.backend = Backend::Simd, .simd_width = 4},
-      {.backend = Backend::Simd, .coloring = ColoringStrategy::BlockPermute, .simd_width = 4},
-      {.backend = Backend::Simt, .simd_width = 4},
-  };
-  for (const auto& cfg : cfgs) {
-    SCOPED_TRACE(cfg.to_string());
-    MixFixture a, b, c;
+/// The same arithmetic under a second kernel type.
+struct MixKernelRetyped : MixKernel {};
 
-    // Baseline: every descriptor runtime-dim.
-    Loop rt(MixKernel{}, std::string("mix_rt"), a.edges, arg<opv::READ>(a.x, 0, a.e2n),
-            arg<opv::READ>(a.x, 1, a.e2n), arg<opv::READ>(a.w), arg<opv::INC>(a.r, 0, a.e2c),
-            arg<opv::INC>(a.r, 1, a.e2c));
-
-    // Mixed: typed Dim on some args, runtime on the rest.
-    Loop mix(MixKernel{}, std::string("mix_mixed"), b.edges, arg<opv::READ, 2>(b.x, 0, b.e2n),
-             arg<opv::READ>(b.x, 1, b.e2n), arg<opv::READ, 1>(b.w),
-             arg<opv::INC>(b.r, 0, b.e2c), arg<opv::INC, 1>(b.r, 1, b.e2c));
-
-    // Fully typed: every descriptor compile-time-Dim.
-    Loop st(MixKernel{}, std::string("mix_static"), c.edges, arg<opv::READ, 2>(c.x, 0, c.e2n),
-            arg<opv::READ, 2>(c.x, 1, c.e2n), arg<opv::READ, 1>(c.w),
-            arg<opv::INC, 1>(c.r, 0, c.e2c), arg<opv::INC, 1>(c.r, 1, c.e2c));
-
-    static_assert(!std::is_same_v<decltype(rt), decltype(mix)> &&
-                      !std::is_same_v<decltype(mix), decltype(st)>,
-                  "Dim is part of the Loop type");
-
-    for (int it = 0; it < 3; ++it) {
-      rt.run(cfg);
-      mix.run(cfg);
-      st.run(cfg);
-    }
-    for (idx_t i = 0; i < a.cells.size(); ++i) {
-      ASSERT_EQ(a.r.at(i), b.r.at(i)) << "mixed vs runtime, cell " << i;
-      ASSERT_EQ(a.r.at(i), c.r.at(i)) << "static vs runtime, cell " << i;
-    }
-  }
-}
-
-// ---- kAuto tuning is pinned per handle, not per kernel/set -------------------
-
-/// Re-templating a loop (here: migrating its args to typed Dim, which
-/// changes the Loop type and the generated code) must yield a handle that
-/// re-tunes from scratch — a stale block-size pin measured on the old
-/// instantiation must not be inherited.
+/// Re-templating a loop (here: a second kernel type over the same
+/// arguments, which changes the Loop type and the generated code) must
+/// yield a handle that re-tunes from scratch — a stale block-size pin
+/// measured on the old instantiation must not be inherited.
 TEST(LoopHandle, RetypedHandleReTunes) {
   MixFixture a, b;
   const ExecConfig autob{.backend = Backend::OpenMP, .block_size = ExecConfig::kAuto,
@@ -410,9 +391,9 @@ TEST(LoopHandle, RetypedHandleReTunes) {
   ASSERT_NE(rt.tuned_block_size(), 0) << "baseline handle should have settled";
 
   // The retyped handle starts untuned: no pin carries over.
-  Loop st(MixKernel{}, std::string("retune_st"), b.edges, arg<opv::READ, 2>(b.x, 0, b.e2n),
-          arg<opv::READ, 2>(b.x, 1, b.e2n), arg<opv::READ, 1>(b.w),
-          arg<opv::INC, 1>(b.r, 0, b.e2c), arg<opv::INC, 1>(b.r, 1, b.e2c));
+  Loop st(MixKernelRetyped{}, std::string("retune_st"), b.edges, arg<opv::READ>(b.x, 0, b.e2n),
+          arg<opv::READ>(b.x, 1, b.e2n), arg<opv::READ>(b.w), arg<opv::INC>(b.r, 0, b.e2c),
+          arg<opv::INC>(b.r, 1, b.e2c));
   static_assert(!std::is_same_v<decltype(rt), decltype(st)>);
   EXPECT_EQ(st.tuned_block_size(), 0) << "fresh (retyped) handle must not inherit a pin";
   st.run(autob);
@@ -479,7 +460,9 @@ TEST(LoopSlice, ConflictedSlicesExecuteEachElementExactlyOnce) {
   };
   for (const Case c : {Case{Backend::Seq, ColoringStrategy::TwoLevel},
                        Case{Backend::OpenMP, ColoringStrategy::TwoLevel},
+                       Case{Backend::OpenMP, ColoringStrategy::FullPermute},
                        Case{Backend::AutoVec, ColoringStrategy::BlockPermute},
+                       Case{Backend::AutoVec, ColoringStrategy::FullPermute},
                        Case{Backend::Simd, ColoringStrategy::TwoLevel},
                        Case{Backend::Simd, ColoringStrategy::FullPermute},
                        Case{Backend::Simd, ColoringStrategy::BlockPermute},
@@ -561,9 +544,10 @@ TEST(LoopSlice, GlobalReductionsAccumulateAcrossSlices) {
 }
 
 /// Indirect increments + a global reduction: run() refuses halo execution
-/// wholesale (exec_size must equal size); make_slice enforces the same rule
-/// per element — owned slices stay legal, halo elements are rejected (they
-/// would contribute to the reduction on every executing rank).
+/// wholesale (exec_size must equal size); make_slice and run_range enforce
+/// the same rule per element — owned elements stay legal, halo elements are
+/// rejected (they would contribute to the reduction on every executing
+/// rank).
 struct DegreeCountKernel {
   template <class T>
   void operator()(T* c1, T* c2, T* g) const {
@@ -579,7 +563,7 @@ TEST(LoopSlice, HaloElementsRejectedForGlobalReductionLoops) {
   aligned_vector<idx_t> md(12);
   for (std::size_t i = 0; i < md.size(); ++i) md[i] = static_cast<idx_t>(i % 6);
   Map e2c{"e2c", edges, cells, 2, std::move(md)};
-  Dat<double> r{"r", cells, 1};
+  FixedDat<double, 1> r{"r", cells};
   double g = 0.0;
 
   Loop with_gbl(DegreeCountKernel{}, "slice_gblhalo", edges, opv::arg<opv::INC>(r, 0, e2c),
@@ -587,9 +571,17 @@ TEST(LoopSlice, HaloElementsRejectedForGlobalReductionLoops) {
   EXPECT_NO_THROW(with_gbl.make_slice({0, 3}));
   EXPECT_THROW(with_gbl.make_slice({4}), Error) << "halo element must be rejected";
 
+  const ExecConfig seq{.backend = Backend::Seq};
+  EXPECT_THROW(with_gbl.run_range(seq, 0, edges.exec_size()), Error)
+      << "halo range must be rejected";
+  EXPECT_EQ(g, 0.0) << "a rejected range must not touch the reduction";
+  EXPECT_NO_THROW(with_gbl.run_range(seq, 0, edges.size()));
+  EXPECT_EQ(g, 4.0) << "the owned range counts each owned edge once";
+
   Loop no_gbl(DegreeKernel{}, "slice_halo", edges, opv::arg<opv::INC>(r, 0, e2c),
               opv::arg<opv::INC>(r, 1, e2c));
   EXPECT_NO_THROW(no_gbl.make_slice({4, 5})) << "without a reduction the exec halo is legal";
+  EXPECT_NO_THROW(no_gbl.run_range(seq, 0, edges.exec_size()));
 }
 
 TEST(LoopSlice, OutOfRangeSliceElementThrows) {
@@ -609,8 +601,8 @@ TEST(LoopHandle, LocalCtxMakeLoopFollowsContextConfig) {
   LocalCtx ctx(ExecConfig{.backend = Backend::Seq, .nthreads = 1});
   auto cells = ctx.decl_set("cells", m.ncells);
   aligned_vector<double> qi(m.ncells, 2.0);
-  auto q = ctx.decl_dat<double>("q", cells, 1, qi);
-  auto r = ctx.decl_dat<double>("r", cells, 1);
+  auto q = ctx.decl_dat<double, 1>("q", cells, qi);
+  auto r = ctx.decl_dat<double, 1>("r", cells);
   auto loop = ctx.make_loop(ScaleKernel{}, "mk_local", cells, ctx.arg<opv::READ>(q),
                             ctx.arg<opv::WRITE>(r));
   loop.run();

@@ -72,8 +72,9 @@ struct Fixture {
   mesh::UnstructuredMesh m;
   Set nodes, cells, edges;
   Map e2n, e2c, c2n;
-  Dat<double> x, w, acc, direct_a, direct_b, direct_c, adt;
-  Dat<std::int32_t> flag;
+  FixedDat<double, 2> x, acc, direct_a, direct_b;
+  FixedDat<double, 1> w, direct_c, adt;
+  FixedDat<std::int32_t, 1> flag;
 
   explicit Fixture(idx_t ni = 19, idx_t nj = 13)
       : m(mesh::make_quad_box(ni, nj)),
@@ -83,18 +84,18 @@ struct Fixture {
         e2n("e2n", edges, nodes, 2, m.edge_nodes),
         e2c("e2c", edges, cells, 2, m.edge_cells),
         c2n("c2n", cells, nodes, 4, m.cell_nodes),
-        x("x", nodes, 2, [this] {
+        x("x", nodes, [this] {
           aligned_vector<double> v(std::size_t(m.nnodes) * 2);
           for (std::size_t i = 0; i < v.size(); ++i) v[i] = m.node_xy[i];
           return v;
         }()),
-        w("w", edges, 1),
-        acc("acc", cells, 2),
-        direct_a("da", cells, 2),
-        direct_b("db", cells, 2),
-        direct_c("dc", cells, 1),
-        adt("adt", cells, 1),
-        flag("flag", cells, 1) {
+        acc("acc", cells),
+        direct_a("da", cells),
+        direct_b("db", cells),
+        w("w", edges),
+        direct_c("dc", cells),
+        adt("adt", cells),
+        flag("flag", cells) {
     Rng rng(5);
     for (idx_t e = 0; e < edges.size(); ++e) w.at(e) = rng.uniform(0.1, 1.0);
     for (idx_t c = 0; c < cells.size(); ++c) {
@@ -243,7 +244,7 @@ TEST(FloatLoops, VectorizedMatchesSeq) {
   auto m = mesh::make_quad_box(17, 9);
   Set cells("cells", m.ncells), edges("edges", m.nedges);
   Map e2c("e2c", edges, cells, 2, m.edge_cells);
-  Dat<float> q("q", cells, 1), r("r", cells, 1), w("w", edges, 1);
+  FixedDat<float, 1> q("q", cells), r("r", cells), w("w", edges);
   Rng rng(8);
   for (idx_t c = 0; c < cells.size(); ++c) q.at(c) = float(rng.uniform(0.5, 2.0));
   w.fill(0.5f);
@@ -311,7 +312,7 @@ TEST(ArgValidation, MapRejectsOutOfRangeEntries) {
 
 TEST(EmptySet, LoopIsNoop) {
   Set empty("empty", 0);
-  Dat<double> d("d", empty, 1);
+  FixedDat<double, 1> d("d", empty);
   double g = 0;
   EXPECT_NO_THROW(par_loop([](const auto* x, auto* gg) { gg[0] += x[0]; }, "empty_loop", empty,
                            ExecConfig{.backend = Backend::Simd}, arg(d, Access::READ),

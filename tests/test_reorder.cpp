@@ -112,21 +112,21 @@ class ManualRelayoutCtx {
 
   void finalize() { inner_->finalize(); }
 
-  template <AccessMode A, int Dim = kDynDim, class T>
+  template <AccessMode A, int Dim, class T>
   auto arg(DatHandle<T> d, int idx, MapHandle m) {
     return inner_->template arg<A, Dim>(d.inner, idx, m);
   }
-  template <AccessMode A, int Dim = kDynDim, class T>
+  template <AccessMode A, int Dim, class T>
   auto arg(DatHandle<T> d) {
     return inner_->template arg<A, Dim>(d.inner);
   }
-  template <AccessMode A, int Dim = kDynDim, class T, int N>
+  template <AccessMode A, class T, int N>
   auto arg(FixedDatHandle<T, N> d, int idx, MapHandle m) {
-    return inner_->template arg<A, Dim>(d.inner, idx, m);
+    return inner_->template arg<A, N>(d.inner, idx, m);
   }
-  template <AccessMode A, int Dim = kDynDim, class T, int N>
+  template <AccessMode A, class T, int N>
   auto arg(FixedDatHandle<T, N> d) {
-    return inner_->template arg<A, Dim>(d.inner);
+    return inner_->template arg<A, N>(d.inner);
   }
   template <AccessMode A, class T>
   auto arg_gbl(T* p, int dim) {

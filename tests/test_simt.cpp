@@ -36,7 +36,7 @@ TEST(SimtBackend, ColoredIncrementWithHeavyConflicts) {
   for (idx_t e = 0; e < n; ++e)
     mdata[e] = static_cast<idx_t>(rng.next_below(2) ? e % nhubs : 0);  // hub 0 is hot
   Map m("m", elems, hubs, 1, std::move(mdata));
-  Dat<double> w("w", elems, 1), hub("hub", hubs, 1);
+  FixedDat<double, 1> w("w", elems), hub("hub", hubs);
   for (idx_t e = 0; e < n; ++e) w.at(e) = 0.5 + (e % 9) * 0.125;
 
   auto run = [&](ExecConfig cfg) {
@@ -67,7 +67,7 @@ TEST(SimtBackend, DeterministicAcrossRepeatedRuns) {
   auto msh = mesh::make_quad_box(31, 17);
   Set cells("cells", msh.ncells), edges("edges", msh.nedges);
   Map e2c("e2c", edges, cells, 2, msh.edge_cells);
-  Dat<double> q("q", cells, 1), r("r", cells, 1);
+  FixedDat<double, 1> q("q", cells), r("r", cells);
   for (idx_t c = 0; c < cells.size(); ++c) q.at(c) = std::sin(0.1 * c);
 
   auto edge_k = [](const auto* ql, const auto* qr, auto* rl, auto* rr) {
@@ -98,7 +98,7 @@ TEST(SimtBackend, BlockSizeNotMultipleOfWidth) {
   auto msh = mesh::make_quad_box(13, 11);
   Set cells("cells", msh.ncells), edges("edges", msh.nedges);
   Map e2c("e2c", edges, cells, 2, msh.edge_cells);
-  Dat<double> q("q", cells, 1), r("r", cells, 1);
+  FixedDat<double, 1> q("q", cells), r("r", cells);
   q.fill(1.5);
 
   auto edge_k = [](const auto* ql, const auto* qr, auto* rl, auto* rr) {
@@ -121,7 +121,7 @@ TEST(SimtBackend, DirectLoopUsesWorkQueue) {
   // No conflicts: every block has one color; results must match and all
   // elements must be processed exactly once.
   Set s("s", 10007);  // prime: ragged blocks
-  Dat<double> a("a", s, 1), b("b", s, 1);
+  FixedDat<double, 1> a("a", s), b("b", s);
   for (idx_t i = 0; i < s.size(); ++i) a.at(i) = i * 0.25;
   par_loop([](const auto* x, auto* y) { y[0] = x[0] + std::decay_t<decltype(y[0])>(1.0); }, "dq",
            s,
@@ -155,7 +155,7 @@ TEST(Tuner, TunesARealLoop) {
   auto msh = mesh::make_quad_box(64, 64);
   Set cells("cells", msh.ncells), edges("edges", msh.nedges);
   Map e2c("e2c", edges, cells, 2, msh.edge_cells);
-  Dat<double> q("q", cells, 1), r("r", cells, 1);
+  FixedDat<double, 1> q("q", cells), r("r", cells);
   q.fill(2.0);
   auto edge_k = [](const auto* ql, const auto* qr, auto* rl, auto* rr) {
     rl[0] += qr[0] - ql[0];
