@@ -59,9 +59,9 @@ void BM_dispatch_inlined(benchmark::State& state) {
   auto& f = fixture();
   const ExecConfig cfg{.backend = Backend::OpenMP, .collect_stats = false};
   for (auto _ : state) {
-    par_loop(EdgeKernel{}, "inlined", f.edges, cfg, arg(f.q, 0, f.e2c, Access::READ),
-             arg(f.q, 1, f.e2c, Access::READ), arg(f.w, Access::READ),
-             arg(f.r, 0, f.e2c, Access::INC), arg(f.r, 1, f.e2c, Access::INC));
+    par_loop(EdgeKernel{}, "inlined", f.edges, cfg, arg<opv::READ>(f.q, 0, f.e2c),
+             arg<opv::READ>(f.q, 1, f.e2c), arg<opv::READ>(f.w),
+             arg<opv::INC>(f.r, 0, f.e2c), arg<opv::INC>(f.r, 1, f.e2c));
   }
   state.SetItemsProcessed(state.iterations() * f.m.nedges);
 }
@@ -71,9 +71,9 @@ void BM_dispatch_fnptr(benchmark::State& state) {
   const ExecConfig cfg{.backend = Backend::OpenMP, .collect_stats = false};
   ErasedKernel k{EdgeKernel{}};
   for (auto _ : state) {
-    par_loop(k, "fnptr", f.edges, cfg, arg(f.q, 0, f.e2c, Access::READ),
-             arg(f.q, 1, f.e2c, Access::READ), arg(f.w, Access::READ),
-             arg(f.r, 0, f.e2c, Access::INC), arg(f.r, 1, f.e2c, Access::INC));
+    par_loop(k, "fnptr", f.edges, cfg, arg<opv::READ>(f.q, 0, f.e2c),
+             arg<opv::READ>(f.q, 1, f.e2c), arg<opv::READ>(f.w),
+             arg<opv::INC>(f.r, 0, f.e2c), arg<opv::INC>(f.r, 1, f.e2c));
   }
   state.SetItemsProcessed(state.iterations() * f.m.nedges);
 }
@@ -82,9 +82,9 @@ void BM_dispatch_inlined_simd(benchmark::State& state) {
   auto& f = fixture();
   const ExecConfig cfg{.backend = Backend::Simd, .collect_stats = false};
   for (auto _ : state) {
-    par_loop(EdgeKernel{}, "inlined_simd", f.edges, cfg, arg(f.q, 0, f.e2c, Access::READ),
-             arg(f.q, 1, f.e2c, Access::READ), arg(f.w, Access::READ),
-             arg(f.r, 0, f.e2c, Access::INC), arg(f.r, 1, f.e2c, Access::INC));
+    par_loop(EdgeKernel{}, "inlined_simd", f.edges, cfg, arg<opv::READ>(f.q, 0, f.e2c),
+             arg<opv::READ>(f.q, 1, f.e2c), arg<opv::READ>(f.w),
+             arg<opv::INC>(f.r, 0, f.e2c), arg<opv::INC>(f.r, 1, f.e2c));
   }
   state.SetItemsProcessed(state.iterations() * f.m.nedges);
 }

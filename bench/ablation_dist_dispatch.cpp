@@ -69,9 +69,9 @@ Fixture& fixture(int nranks) {
 void BM_dist_oneshot(benchmark::State& state) {
   auto& f = fixture(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    f.ctx.loop(EdgeKernel{}, "dist_oneshot", f.edges, f.ctx.arg(f.q, 0, f.e2c, Access::READ),
-               f.ctx.arg(f.q, 1, f.e2c, Access::READ), f.ctx.arg(f.w, Access::READ),
-               f.ctx.arg(f.r, 0, f.e2c, Access::INC), f.ctx.arg(f.r, 1, f.e2c, Access::INC));
+    f.ctx.loop(EdgeKernel{}, "dist_oneshot", f.edges, f.ctx.arg<opv::READ>(f.q, 0, f.e2c),
+               f.ctx.arg<opv::READ>(f.q, 1, f.e2c), f.ctx.arg<opv::READ>(f.w),
+               f.ctx.arg<opv::INC>(f.r, 0, f.e2c), f.ctx.arg<opv::INC>(f.r, 1, f.e2c));
   }
   state.SetItemsProcessed(state.iterations() * f.m.nedges);
 }

@@ -65,7 +65,7 @@ struct Result {
 Result run_mode(const mesh::UnstructuredMesh& m, const aligned_vector<double>& cent, int ranks,
                 dist::ExchangeMode mode, int iters) {
   dist::DistCtx ctx(ranks, ExecConfig{.backend = Backend::Simd, .nthreads = 1});
-  auto staged = std::make_unique<dist::StagedExchanger>(/*async=*/true);
+  auto staged = std::make_unique<dist::StagedExchanger>();
   dist::StagedExchanger* transport = staged.get();
   ctx.set_exchanger(std::move(staged));
   ctx.set_exchange_mode(mode);

@@ -133,15 +133,11 @@ class WorkerPool {
 /// in the urgent lane, drained ahead of the normal FIFO — the resilience
 /// scheduler uses it so a retried instance re-enters ahead of fresh work and
 /// its recovery latency stays bounded. An aging rule prevents starvation:
-/// after `priority_burst` consecutive urgent grabs, one normal-lane id is
-/// served even if urgent work is still pending.
+/// after kBurst consecutive urgent grabs, one normal-lane id is served even
+/// if urgent work is still pending.
 class WorkQueue {
  public:
-  /// priority_burst: consecutive urgent-lane grabs allowed before one
-  /// normal-lane id is served (anti-starvation aging; must be >= 1).
-  explicit WorkQueue(int priority_burst = 4) : burst_(priority_burst) {
-    OPV_REQUIRE(burst_ >= 1, "WorkQueue: priority_burst must be >= 1");
-  }
+  static constexpr int kBurst = 4;
 
   /// Enqueue an id (FIFO). Safe from any thread, including an owner
   /// re-submitting a different id.
@@ -170,7 +166,7 @@ class WorkQueue {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [&] { return closed_ || !pri_.empty() || !q_.empty() || inflight_ == 0; });
     if (pri_.empty() && q_.empty()) return std::nullopt;  // closed or fully drained
-    const bool take_pri = !pri_.empty() && (q_.empty() || pri_streak_ < burst_);
+    const bool take_pri = !pri_.empty() && (q_.empty() || pri_streak_ < kBurst);
     std::deque<int>& lane = take_pri ? pri_ : q_;
     pri_streak_ = take_pri ? pri_streak_ + 1 : 0;
     const int id = lane.front();
@@ -216,7 +212,6 @@ class WorkQueue {
   std::deque<int> q_;    ///< normal lane (fresh work)
   std::deque<int> pri_;  ///< urgent lane (retries / deadline-ish work)
   int inflight_ = 0;
-  int burst_ = 4;
   int pri_streak_ = 0;  ///< consecutive urgent grabs since a normal one
   bool closed_ = false;
 };

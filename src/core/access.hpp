@@ -6,17 +6,11 @@
 // the mode as a non-type template parameter of the argument descriptor, so
 // every gather/scatter branch in the engine is an `if constexpr`.
 //
-// Two spellings build the same typed descriptor (`fixed` is a FixedDat,
-// which supplies the arity; see core/arg.hpp):
-//
-//   opv::arg<opv::READ>(fixed, idx, map)      explicit template argument
-//   opv::arg(fixed, idx, map, Access::READ)   tag argument (OP2-style shape)
-//
-// `Access::READ` is not an enum value but a constexpr tag object of type
-// `AccessTag<AccessMode::READ>`, so the second spelling is exactly as
-// compile-time as the first — the historical op_arg_dat call shape keeps
-// compiling, but the mode now travels in the type system.
+// The mode is spelled as an explicit template argument,
+// `opv::arg<opv::READ>(dat, idx, map)` (see core/arg.hpp).
 #pragma once
+
+#include <limits>
 
 namespace opv {
 
@@ -39,26 +33,6 @@ inline constexpr AccessMode RW = AccessMode::RW;
 inline constexpr AccessMode INC = AccessMode::INC;
 inline constexpr AccessMode MIN = AccessMode::MIN;
 inline constexpr AccessMode MAX = AccessMode::MAX;
-
-/// Typed access tag: carries the mode in the type so overload deduction can
-/// lift it into a template parameter. Implicitly converts to AccessMode for
-/// runtime contexts (diagnostics, halo bookkeeping).
-template <AccessMode M>
-struct AccessTag {
-  static constexpr AccessMode mode = M;
-  constexpr operator AccessMode() const { return M; }  // NOLINT(google-explicit-constructor)
-};
-
-/// Namespace-like holder so the OP2-era `Access::READ` spelling (and the
-/// common `using A = Access; A::READ` alias) resolves to typed tags.
-struct Access {
-  static constexpr AccessTag<AccessMode::READ> READ{};
-  static constexpr AccessTag<AccessMode::WRITE> WRITE{};
-  static constexpr AccessTag<AccessMode::RW> RW{};
-  static constexpr AccessTag<AccessMode::INC> INC{};
-  static constexpr AccessTag<AccessMode::MIN> MIN{};
-  static constexpr AccessTag<AccessMode::MAX> MAX{};
-};
 
 /// Valid modes for dataset arguments (MIN/MAX reductions are global-only).
 constexpr bool dat_access_ok(AccessMode a) {
@@ -85,6 +59,22 @@ constexpr bool access_conflicting(AccessMode a) {
 
 /// True if the mode modifies values (drives halo dirtiness).
 constexpr bool access_writes(AccessMode a) { return a != AccessMode::READ; }
+
+/// The value a partial of global reduction A (INC, MIN or MAX) starts from.
+template <AccessMode A, class T>
+constexpr T reduction_identity() {
+  if constexpr (A == AccessMode::INC) return T(0);
+  else if constexpr (A == AccessMode::MIN) return std::numeric_limits<T>::max();
+  else return std::numeric_limits<T>::lowest();
+}
+
+/// Fold partial `v` into `acc` under global reduction A (INC, MIN or MAX).
+template <AccessMode A, class T>
+constexpr T reduction_combine(T acc, T v) {
+  if constexpr (A == AccessMode::INC) return acc + v;
+  else if constexpr (A == AccessMode::MIN) return acc < v ? acc : v;
+  else return acc > v ? acc : v;
+}
 
 /// Human-readable access name ("OP_INC" style, for diagnostics).
 constexpr const char* access_name(AccessMode a) {

@@ -16,12 +16,6 @@
 // explicit Dim, which is checked against dat.dim() when the descriptor is
 // constructed (opv::Error).
 //
-// The OP2-era call shapes keep working on FixedDat arguments via typed tags
-// (see access.hpp):
-//
-//   arg(fixed, idx, map, Access::READ) / arg(fixed, Access::INC)
-//   arg_gbl(ptr, dim, Access::MIN)
-//
 // Invalid combinations (MIN/MAX on a dataset, WRITE/RW on a global, Dim
 // outside [1,kMaxDim], Dim mismatching a FixedDat, no Dim on a plain Dat)
 // are rejected at COMPILE TIME via constraints — `requires { arg<opv::MIN>(d); }`
@@ -94,7 +88,7 @@ struct ArgGbl {
   int dim = 1;  ///< globals keep a runtime arity
 };
 
-// ===== typed builders (explicit template argument spelling) =================
+// ===== typed builders =======================================================
 
 /// Indirect dataset argument through map index `idx`. Pass Dim explicitly
 /// (`arg<opv::READ, 4>(...)`), or bind a FixedDat and omit it.
@@ -139,27 +133,6 @@ inline ArgGbl<S, A> arg_gbl(S* ptr, int dim) {
   OPV_REQUIRE(dim >= 1 && dim <= kMaxDim,
               "arg_gbl: dim must be in [1," << kMaxDim << "]");
   return {ptr, dim};
-}
-
-// ===== tag builders (the historical op_arg call shape) ======================
-// FixedDat arguments only: the static arity is deduced, as above.
-
-template <detail::FixedDatLike D, AccessMode A>
-  requires(dat_access_ok(A))
-inline auto arg(D& dat, int idx, const Map& map, AccessTag<A>) {
-  return arg<A>(dat, idx, map);
-}
-
-template <detail::FixedDatLike D, AccessMode A>
-  requires(dat_access_ok(A))
-inline auto arg(D& dat, AccessTag<A>) {
-  return arg<A>(dat);
-}
-
-template <class S, AccessMode A>
-  requires(gbl_access_ok(A))
-inline ArgGbl<S, A> arg_gbl(S* ptr, int dim, AccessTag<A>) {
-  return arg_gbl<A>(ptr, dim);
 }
 
 // ===== compile-time argument traits ========================================

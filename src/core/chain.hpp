@@ -120,7 +120,6 @@ class LoopChain {
   /// Execute the whole chain under cfg. The first run (per tile size)
   /// builds and pins the plan; steady-state runs do zero planning.
   void run(const ExecConfig& cfg);
-  void run() { run(default_config()); }
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] int size() const { return static_cast<int>(nodes_.size()); }
@@ -140,10 +139,6 @@ class LoopChain {
   [[nodiscard]] double plan_build_seconds() const { return plan_secs_; }
   /// The pinned plan (nullptr before the first run) — test introspection.
   [[nodiscard]] const chain_detail::ChainPlan* plan() const { return plan_.get(); }
-  /// kAuto result: the settled seed-tile size (0 while tuning / explicit).
-  [[nodiscard]] int tuned_tile_elems() const {
-    return tuner_ && tuner_->settled() ? tuner_->best() : 0;
-  }
 
  private:
   /// Type-erased member: the virtual surface the untemplated executor in

@@ -64,20 +64,16 @@ constexpr Layout default_layout(Backend b) {
 
 /// Per-loop (or per-application) execution configuration.
 struct ExecConfig {
-  /// block_size value requesting online autotuning: each Loop handle sweeps
-  /// the perf::OnlineTuner candidates over its first runs (every run is a
-  /// real execution, just with a varied block size) and then pins the
-  /// fastest for the rest of its lifetime.
+  /// chain_tile_elems value requesting automatic seed-tile sizing.
   static constexpr int kAuto = 0;
-  /// The hand-tuned fallback used when no plan (and hence no block size)
-  /// is ever needed, or before the tuner has produced a proposal.
+  /// The hand-tuned mini-partition size (paper Fig. 8b).
   static constexpr int kDefaultBlockSize = 512;
 
   Backend backend = Backend::OpenMP;
   ColoringStrategy coloring = ColoringStrategy::TwoLevel;
   int simd_width = 0;   ///< lanes; 0 = widest compiled for the data type
   int block_size = kDefaultBlockSize;  ///< mini-partition size (elements),
-                                       ///< multiple of 16; kAuto = autotune
+                                       ///< positive multiple of 16
   int nthreads = 0;     ///< 0 = OpenMP default
   bool collect_stats = true;
 
@@ -92,14 +88,10 @@ struct ExecConfig {
     std::string s = backend_name(backend);
     s += "/";
     s += coloring_name(coloring);
-    s += " W=" + std::to_string(simd_width) +
-         " B=" + (block_size == kAuto ? std::string("auto") : std::to_string(block_size)) +
+    s += " W=" + std::to_string(simd_width) + " B=" + std::to_string(block_size) +
          " T=" + std::to_string(nthreads);
     return s;
   }
 };
-
-/// Process-wide default configuration used by the two-argument par_loop.
-ExecConfig& default_config();
 
 }  // namespace opv

@@ -208,8 +208,7 @@ class LocalCtx {
   }
 
   // Typed argument builders: the access mode and the arity Dim travel as
-  // template parameters, via explicit template argument or deduced from the
-  // tag. `ctx.arg<opv::READ, 4>(d, ...)` builds a Dim-4 descriptor (checked
+  // template parameters. `ctx.arg<opv::READ, 4>(d, ...)` builds a Dim-4 descriptor (checked
   // against the dat's declared dim); a FixedDat handle supplies Dim itself,
   // so `ctx.arg<opv::READ>(fixed, ...)` needs no spelling.
   template <AccessMode A, int Dim, detail::DatLike D>
@@ -231,18 +230,6 @@ class LocalCtx {
   template <AccessMode A, class T>
   auto arg_gbl(T* p, int dim) {
     return opv::arg_gbl<A>(p, dim);
-  }
-  template <detail::FixedDatLike D, AccessMode A>
-  auto arg(D* d, int idx, MapHandle m, AccessTag<A> t) {
-    return opv::arg(*d, idx, *m, t);
-  }
-  template <detail::FixedDatLike D, AccessMode A>
-  auto arg(D* d, AccessTag<A> t) {
-    return opv::arg(*d, t);
-  }
-  template <class T, AccessMode A>
-  auto arg_gbl(T* p, int dim, AccessTag<A> t) {
-    return opv::arg_gbl(p, dim, t);
   }
 
   template <class Kernel, class... Args>

@@ -127,9 +127,6 @@ class StatsRegistry {
   /// loop_stats_table's plan column).
   void record_plan(LoopRecord& slot, double seconds);
 
-  /// Accumulate by name (one-shot callers; does the lookup every time).
-  void record(const std::string& loop, double seconds, std::int64_t elements);
-
   [[nodiscard]] LoopRecord get(const std::string& loop) const;
 
   /// All records with at least one call, sorted by name.

@@ -38,7 +38,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -52,7 +51,6 @@
 #include "core/footprint.hpp"
 #include "core/loop_stats.hpp"
 #include "core/plan.hpp"
-#include "perf/tuner.hpp"
 #include "simd/simd.hpp"
 
 namespace opv {
@@ -113,25 +111,16 @@ template <class S, AccessMode A, int Dim, bool Ind>
 inline void thread_init(BoundDat<S, A, Dim, Ind>&) {}
 template <class S, AccessMode A>
 inline void thread_init(BoundGbl<S, A>& g) {
-  if constexpr (A == AccessMode::READ) return;
-  for (int c = 0; c < g.dim; ++c) {
-    if constexpr (A == AccessMode::INC) g.scratch[c] = S(0);
-    else if constexpr (A == AccessMode::MIN) g.scratch[c] = std::numeric_limits<S>::max();
-    else g.scratch[c] = std::numeric_limits<S>::lowest();
-  }
+  if constexpr (A != AccessMode::READ)
+    for (int c = 0; c < g.dim; ++c) g.scratch[c] = reduction_identity<A, S>();
 }
 
 template <class S, AccessMode A, int Dim, bool Ind>
 inline void thread_merge(BoundDat<S, A, Dim, Ind>&) {}
 template <class S, AccessMode A>
 inline void thread_merge(BoundGbl<S, A>& g) {
-  if constexpr (A == AccessMode::READ) return;
-  for (int c = 0; c < g.dim; ++c) {
-    if constexpr (A == AccessMode::INC) g.target[c] += g.scratch[c];
-    else if constexpr (A == AccessMode::MIN)
-      g.target[c] = g.target[c] < g.scratch[c] ? g.target[c] : g.scratch[c];
-    else g.target[c] = g.target[c] > g.scratch[c] ? g.target[c] : g.scratch[c];
-  }
+  if constexpr (A != AccessMode::READ)
+    for (int c = 0; c < g.dim; ++c) g.target[c] = reduction_combine<A>(g.target[c], g.scratch[c]);
 }
 
 template <class Tuple, std::size_t... Is>
@@ -334,9 +323,7 @@ inline void vthread_init(VGbl<S, W, A>& g) {
   using V = simd::Vec<S, W>;
   for (int c = 0; c < g.dim; ++c) {
     if constexpr (A == AccessMode::READ) g.buf[c] = V(g.target[c]);
-    else if constexpr (A == AccessMode::INC) g.buf[c] = V(S(0));
-    else if constexpr (A == AccessMode::MIN) g.buf[c] = V(std::numeric_limits<S>::max());
-    else g.buf[c] = V(std::numeric_limits<S>::lowest());
+    else g.buf[c] = V(reduction_identity<A, S>());
   }
 }
 
@@ -346,15 +333,11 @@ template <class S, int W, AccessMode A>
 inline void vthread_merge(VGbl<S, W, A>& g) {
   if constexpr (A == AccessMode::READ) return;
   for (int c = 0; c < g.dim; ++c) {
-    if constexpr (A == AccessMode::INC) {
-      g.target[c] += simd::hsum(g.buf[c]);
-    } else if constexpr (A == AccessMode::MIN) {
-      const S m = simd::hmin(g.buf[c]);
-      g.target[c] = g.target[c] < m ? g.target[c] : m;
-    } else {
-      const S m = simd::hmax(g.buf[c]);
-      g.target[c] = g.target[c] > m ? g.target[c] : m;
-    }
+    S lanes;
+    if constexpr (A == AccessMode::INC) lanes = simd::hsum(g.buf[c]);
+    else if constexpr (A == AccessMode::MIN) lanes = simd::hmin(g.buf[c]);
+    else lanes = simd::hmax(g.buf[c]);
+    g.target[c] = reduction_combine<A>(g.target[c], lanes);
   }
 }
 
@@ -771,8 +754,10 @@ inline void walk_block_colors(Body& body, const Plan& plan, std::atomic<idx_t>* 
 
 /// The parallel skeleton: open the team, copy the bound argument tuples per
 /// thread (scalar state, plus W-wide state on the vector modes; `VT` is
-/// empty otherwise), walk the schedule, and merge global reductions.
-template <Mode M, int W, class Kernel, class ST, class VT>
+/// empty otherwise), walk the schedule, and — for loops with a global
+/// reduction — merge the threads' partials in thread-id order, so the
+/// result does not depend on which thread finishes first.
+template <Mode M, int W, bool Reduce, class Kernel, class ST, class VT>
 void sweep(Kernel& k, const ST& sproto, const VT& vproto, const Schedule& s, int nthreads) {
   constexpr auto seq = std::make_index_sequence<std::tuple_size_v<ST>>{};
   constexpr bool vec = M == Mode::Simd || M == Mode::Simt;
@@ -797,10 +782,15 @@ void sweep(Kernel& k, const ST& sproto, const VT& vproto, const Schedule& s, int
       walk_global_colors<W>(body, *plan, tid, nth);
     else
       walk_block_colors(body, *plan, queue.empty() ? nullptr : queue.data());
-#pragma omp critical(opv_reduction)
-    {
-      if constexpr (vec) vthread_merge_all(vt, seq);
-      thread_merge_all(st, seq);
+    if constexpr (Reduce) {
+#pragma omp for ordered schedule(static, 1)
+      for (int t = 0; t < nth; ++t) {
+#pragma omp ordered
+        {
+          if constexpr (vec) vthread_merge_all(vt, seq);
+          thread_merge_all(st, seq);
+        }
+      }
     }
   }
 }
@@ -845,15 +835,9 @@ class Loop {
     const idx_t n = exec_limit();
     if (n == 0) return;
 
-    const int bs = resolve_block_size(cfg);
     WallTimer timer;
-    const auto strat = strategy_for(cfg);
-    execute(cfg, cfg.backend,
-            {nullptr, 0, n,
-             strat ? &plan_for(*strat, bs, detail::resolve_threads(cfg.nthreads)) : nullptr});
+    execute(cfg, cfg.backend, {nullptr, 0, n, plan(cfg)});
     const double secs = timer.seconds();
-    if (tuner_ && cfg.block_size == ExecConfig::kAuto && !tuner_->settled())
-      tuner_->observe(bs, secs);
     if (cfg.collect_stats) {
       // Slot bound on first recording run: loops that never collect stats
       // (one-shot wrappers with collect_stats=false, per-rank loops inside
@@ -868,9 +852,6 @@ class Loop {
       if (plan_fresh > 0.0) StatsRegistry::instance().record_plan(*stats_, plan_fresh);
     }
   }
-
-  /// Execute under the process-wide default configuration.
-  void run() { run(default_config()); }
 
   /// A pinned element-index view of this loop's iteration space, executable
   /// with the loop's kernel instantiations and a colored schedule derived
@@ -991,13 +972,7 @@ class Loop {
   [[nodiscard]] const Plan* plan(const ExecConfig& cfg) {
     const auto strat = strategy_for(cfg);
     if (!strat) return nullptr;
-    return &plan_for(*strat, resolve_block_size(cfg), detail::resolve_threads(cfg.nthreads));
-  }
-
-  /// kAuto result: the settled block size (0 while still tuning, or when
-  /// this loop always ran with an explicit block size / no plan).
-  [[nodiscard]] int tuned_block_size() const {
-    return tuner_ && tuner_->settled() ? tuner_->best() : 0;
+    return &plan_for(*strat, cfg.block_size, detail::resolve_threads(cfg.nthreads));
   }
 
   /// Cumulative wall seconds this handle spent acquiring coloring plans
@@ -1018,16 +993,6 @@ class Loop {
   }
 
  private:
-  /// Block size for the next run: explicit from cfg, or — under
-  /// ExecConfig::kAuto — the online tuner's current candidate. Loops that
-  /// never need a plan skip tuning entirely (block size is meaningless).
-  int resolve_block_size(const ExecConfig& cfg) {
-    if (cfg.block_size != ExecConfig::kAuto) return cfg.block_size;
-    if (!strategy_for(cfg)) return ExecConfig::kDefaultBlockSize;
-    if (!tuner_) tuner_ = std::make_unique<perf::OnlineTuner>();
-    return tuner_->propose();
-  }
-
   /// The single source of truth for backend -> coloring-strategy selection
   /// (used by run() and plan()). nullopt = no plan needed.
   [[nodiscard]] static std::optional<ColoringStrategy> strategy_for(const ExecConfig& cfg) {
@@ -1065,16 +1030,13 @@ class Loop {
   /// state, so they bypass the process-wide PlanCache). Subsets have no
   /// contiguous blocks, so TwoLevel/Simt requests resolve to BlockPermute —
   /// the same block-color / element-color structure, iterated through a
-  /// permutation. kAuto block sizes fall back to the default: the online
-  /// tuner measures full runs, and varying a pinned phase schedule per call
-  /// would make overlapped and blocking executions diverge.
+  /// permutation.
   const Plan& slice_plan(Slice& s, const ExecConfig& cfg) {
     const ColoringStrategy strat = cfg.backend != Backend::Simt &&
                                            cfg.coloring == ColoringStrategy::FullPermute
                                        ? ColoringStrategy::FullPermute
                                        : ColoringStrategy::BlockPermute;
-    const int bs =
-        cfg.block_size != ExecConfig::kAuto ? cfg.block_size : ExecConfig::kDefaultBlockSize;
+    const int bs = cfg.block_size;
     if (!s.plan_ || s.block_size_ != bs || s.strat_ != strat) {
       WallTimer t;
       std::vector<IncRef> sorted = conflicts_;
@@ -1109,19 +1071,23 @@ class Loop {
     switch (backend) {
       case Backend::Seq: detail::exec_seq(kernel_, bound<1>(), s.ids, s.lo, s.hi); break;
       case Backend::OpenMP:
-        detail::sweep<Mode::Scalar, 1>(kernel_, bound<1>(), std::tuple<>{}, s, nth);
+        detail::sweep<Mode::Scalar, 1, has_gbl_reduction>(kernel_, bound<1>(), std::tuple<>{}, s,
+                                                          nth);
         break;
       case Backend::AutoVec:
-        detail::sweep<Mode::Hint, 1>(kernel_, bound<1>(), std::tuple<>{}, s, nth);
+        detail::sweep<Mode::Hint, 1, has_gbl_reduction>(kernel_, bound<1>(), std::tuple<>{}, s,
+                                                        nth);
         break;
       case Backend::Simd:
       case Backend::Simt: {
         if constexpr (detail::vector_callable<Kernel, Args...>) {
           auto vsweep = [&]<int W>() {
             if (backend == Backend::Simt)
-              detail::sweep<Mode::Simt, W>(kernel_, bound<1>(), bound<W>(), s, nth);
+              detail::sweep<Mode::Simt, W, has_gbl_reduction>(kernel_, bound<1>(), bound<W>(), s,
+                                                              nth);
             else
-              detail::sweep<Mode::Simd, W>(kernel_, bound<1>(), bound<W>(), s, nth);
+              detail::sweep<Mode::Simd, W, has_gbl_reduction>(kernel_, bound<1>(), bound<W>(), s,
+                                                              nth);
           };
           using Real = typename detail::first_real<Args...>::type;
           const int w = cfg.simd_width > 0 ? cfg.simd_width : simd::max_lanes<Real>;
@@ -1157,13 +1123,6 @@ class Loop {
   PlanSlot plans_[3];
   double plan_build_secs_ = 0.0;     ///< cumulative plan acquisition time
   double plan_secs_reported_ = 0.0;  ///< share already flushed to stats_
-  /// Allocated on the first kAuto run. The tuned block size is pinned per
-  /// Loop INSTANCE, never shared through any global registry: re-templating
-  /// a loop (e.g. a different kernel type or argument descriptors changes
-  /// the Loop type and the generated code) yields a fresh handle that
-  /// re-tunes from scratch rather than inheriting a pin measured on
-  /// different code (test: RetypedHandleReTunes).
-  std::unique_ptr<perf::OnlineTuner> tuner_;
 };
 
 template <class Kernel, class... Args>
@@ -1182,12 +1141,6 @@ void par_loop(Kernel kernel, const char* name, const Set& set, const ExecConfig&
               Args... args) {
   Loop<Kernel, Args...> loop(std::move(kernel), name, set, args...);
   loop.run(cfg);
-}
-
-/// par_loop using the process-wide default configuration.
-template <class Kernel, class... Args>
-void par_loop(Kernel kernel, const char* name, const Set& set, Args... args) {
-  par_loop(std::move(kernel), name, set, default_config(), args...);
 }
 
 }  // namespace opv

@@ -2,16 +2,10 @@
 #include <mutex>
 
 #include "common/error.hpp"
-#include "core/config.hpp"
 #include "core/kernel_info.hpp"
 #include "core/loop_stats.hpp"
 
 namespace opv {
-
-ExecConfig& default_config() {
-  static ExecConfig cfg;
-  return cfg;
-}
 
 // ---- KernelRegistry ---------------------------------------------------------
 
@@ -108,10 +102,6 @@ void StatsRegistry::record_exchange(LoopRecord& slot, double seconds, std::int64
 void StatsRegistry::record_plan(LoopRecord& slot, double seconds) {
   std::lock_guard<std::mutex> lock(impl_->mu);
   slot.plan_seconds += seconds;
-}
-
-void StatsRegistry::record(const std::string& loop, double seconds, std::int64_t elements) {
-  record(slot(loop), seconds, elements);
 }
 
 LoopRecord StatsRegistry::get(const std::string& loop) const {

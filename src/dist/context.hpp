@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <map>
 #include <memory>
 #include <string>
@@ -296,14 +297,9 @@ class DistCtx {
     return {p, dim};
   }
 
-  template <class T, AccessMode A>
-  auto arg_gbl(T* p, int dim, AccessTag<A>) {
-    return arg_gbl<A>(p, dim);
-  }
-
   // FixedDat handles: the handle's compile-time arity N is the descriptor
   // Dim (an explicit Dim must agree — the static counterpart of check_dim),
-  // so loop sites spell no Dim at all. The tag spelling exists only here.
+  // so loop sites spell no Dim at all.
   template <AccessMode A, int Dim, class T, int N>
     requires(dat_access_ok(A) && Dim == N)
   DistArgDat<T, A, N, true> arg(FixedDatHandleT<T, N> d, int idx, MapHandle m) {
@@ -323,14 +319,6 @@ class DistCtx {
     requires(dat_access_ok(A))
   DistArgDat<T, A, N, false> arg(FixedDatHandleT<T, N> d) {
     return arg<A, N>(DatHandle<T>{d.id});
-  }
-  template <class T, int N, AccessMode A>
-  auto arg(FixedDatHandleT<T, N> d, int idx, MapHandle m, AccessTag<A>) {
-    return arg<A, N>(d, idx, m);
-  }
-  template <class T, int N, AccessMode A>
-  auto arg(FixedDatHandleT<T, N> d, AccessTag<A>) {
-    return arg<A, N>(d);
   }
 
   // ---- execution -----------------------------------------------------------
@@ -465,7 +453,7 @@ class DistCtx {
       try {
         exchanged += exchanger_->exchange(*part_, d.view);
       } catch (const std::exception& e) {
-        rethrow_exchange_failure("exchange", d, e);
+        throw exchange_failure("exchange", d, e);
       }
       d.dirty = false;
     }
@@ -475,7 +463,9 @@ class DistCtx {
   /// Start a non-blocking refresh of the listed datasets' halos (dirty ones
   /// only), appending each started dat to `pending` for the matching
   /// wait_halos call. Dats whose begin() threw are NOT appended — their
-  /// halos stay dirty and no orphaned wait() is owed for them.
+  /// halos stay dirty and no orphaned wait() is owed for them — but the
+  /// dats begun before the throw are, and the caller still owes them their
+  /// wait_halos.
   void begin_halos(const std::vector<int>& dat_ids, std::vector<int>& pending) {
     for (int id : dat_ids) {
       DatEntryBase& d = *dats_[id];
@@ -483,25 +473,29 @@ class DistCtx {
       try {
         exchanger_->begin(*part_, d.view);
       } catch (const std::exception& e) {
-        rethrow_exchange_failure("begin", d, e);
+        throw exchange_failure("begin", d, e);
       }
       pending.push_back(id);
     }
   }
 
   /// Complete the refreshes started by begin_halos; clears the dirty bits
-  /// and returns the number of scalar values moved.
+  /// and returns the number of scalar values moved. Every pending dat is
+  /// waited for, even after a failure, before the first error is rethrown;
+  /// dats whose wait() failed stay dirty.
   std::int64_t wait_halos(const std::vector<int>& pending) {
     std::int64_t exchanged = 0;
+    std::exception_ptr first;
     for (int id : pending) {
       DatEntryBase& d = *dats_[id];
       try {
         exchanged += exchanger_->wait(*part_, d.view);
+        d.dirty = false;
       } catch (const std::exception& e) {
-        rethrow_exchange_failure("wait", d, e);
+        if (!first) first = std::make_exception_ptr(exchange_failure("wait", d, e));
       }
-      d.dirty = false;
     }
+    if (first) std::rethrow_exception(first);
     return exchanged;
   }
 
@@ -512,10 +506,10 @@ class DistCtx {
   /// Wrap a transport exception with the halo-exchange context: which
   /// operation, which dat, which transport. The dat's dirty bit is left
   /// set by every caller, so a recovered instance re-exchanges cleanly.
-  [[noreturn]] void rethrow_exchange_failure(const char* op, const DatEntryBase& d,
-                                             const std::exception& e) const {
-    throw Error(std::string("halo ") + op + " failed for dat '" + d.name + "' via transport '" +
-                exchanger_->name() + "': " + e.what());
+  [[nodiscard]] Error exchange_failure(const char* op, const DatEntryBase& d,
+                                       const std::exception& e) const {
+    return Error(std::string("halo ") + op + " failed for dat '" + d.name + "' via transport '" +
+                 exchanger_->name() + "': " + e.what());
   }
 
   void require_open(const char* what) const {

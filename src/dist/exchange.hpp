@@ -11,10 +11,10 @@
 // default adapter (begin = no-op, wait = exchange). In-tree transports:
 //   * MemcpyExchanger — every rank replica lives in one address space, so a
 //     halo slot is refreshed by direct memcpy from the owner;
-//   * StagedExchanger — packs per-neighbor send buffers at begin() and
-//     unpacks them into halo slots at wait(), the two-sided staging shape a
-//     real MPI transport (Isend/Irecv + Wait) needs; optionally does the
-//     copy on a background thread so the overlap is real.
+//   * StagedExchanger — packs per-neighbor send buffers and unpacks them
+//     into halo slots on a background thread between begin() and wait(),
+//     the two-sided staging shape a real MPI transport (Isend/Irecv + Wait)
+//     needs, with a real overlap.
 // A real MPI transport implements the same interface and drops in via
 // DistCtx::set_exchanger without touching the loop API.
 #pragma once
@@ -198,39 +198,32 @@ class MemcpyExchanger final : public Exchanger {
   [[nodiscard]] const char* name() const override { return "memcpy"; }
 };
 
-/// Two-sided staging transport: begin() packs each destination rank's halo
-/// values into per-neighbor send buffers (halo slots grouped by owning
+/// Two-sided staging transport: each destination rank's halo values are
+/// packed into per-neighbor send buffers (halo slots grouped by owning
 /// rank — one contiguous run per (owner, destination) pair, exactly the
-/// message an MPI_Isend would carry) and wait() unpacks them into the halo
-/// slots. exchange() is begin()+wait(). With `async`, begin() hands the
-/// pack+unpack to a background task and wait() joins it, so the copy truly
-/// runs while interior compute proceeds — legal because an overlapping loop
-/// never writes a dat it reads stale (ExchangePlan::can_overlap) and its
-/// interior elements touch no halo slot.
+/// message an MPI_Isend would carry) and unpacked into the halo slots.
+/// begin() hands the pack+unpack to a background task and wait() joins it,
+/// so the copy truly runs while interior compute proceeds — legal because
+/// an overlapping loop never writes a dat it reads stale
+/// (ExchangePlan::can_overlap) and its interior elements touch no halo
+/// slot. exchange() is begin()+wait().
 class StagedExchanger final : public Exchanger {
  public:
-  explicit StagedExchanger(bool async = false) : async_(async) {}
-
   void begin(const Partitioned& part, const DatHaloView& view) override {
     Pending& p = pending_[view.dat];
-    OPV_REQUIRE(!p.active, "StagedExchanger: begin() without a matching wait() for dat "
-                               << view.dat);
-    p.active = true;
+    OPV_REQUIRE(!p.task.valid(), "StagedExchanger: begin() without a matching wait() for dat "
+                                     << view.dat);
     const Staging& st = staging(part, view.set);
-    auto job = [this, &part, view, &st, &p] { return transfer(part, view, st, p); };
-    if (async_) p.task = std::async(std::launch::async, job);
-    else p.copied = job();
+    p.task = std::async(std::launch::async,
+                        [this, &part, view, &st, &p] { return transfer(part, view, st, p); });
   }
 
   std::int64_t wait(const Partitioned& part, const DatHaloView& view) override {
     (void)part;
     auto it = pending_.find(view.dat);
-    OPV_REQUIRE(it != pending_.end() && it->second.active,
+    OPV_REQUIRE(it != pending_.end() && it->second.task.valid(),
                 "StagedExchanger: wait() without a matching begin() for dat " << view.dat);
-    Pending& p = it->second;
-    const std::int64_t copied = p.task.valid() ? p.task.get() : p.copied;
-    p.active = false;
-    return copied;
+    return it->second.task.get();  // leaves the future invalid, even on a throw
   }
 
   std::int64_t exchange(const Partitioned& part, const DatHaloView& view) override {
@@ -238,7 +231,7 @@ class StagedExchanger final : public Exchanger {
     return wait(part, view);
   }
 
-  [[nodiscard]] const char* name() const override { return async_ ? "staged-async" : "staged"; }
+  [[nodiscard]] const char* name() const override { return "staged"; }
 
   /// Number of point-to-point messages one exchange of a dat on `set`
   /// would need (the (owner, destination) pairs with a non-empty halo run).
@@ -260,10 +253,8 @@ class StagedExchanger final : public Exchanger {
   };
 
   struct Pending {
-    bool active = false;
-    std::int64_t copied = 0;
     std::vector<unsigned char> buf;  ///< packed send data, all destinations
-    std::future<std::int64_t> task;
+    std::future<std::int64_t> task;  ///< valid from begin() until wait()
   };
 
   const Staging& staging(const Partitioned& part, int set) {
@@ -326,7 +317,6 @@ class StagedExchanger final : public Exchanger {
     return copied;
   }
 
-  bool async_;
   std::unordered_map<int, Staging> staging_;   ///< per set, pinned
   std::unordered_map<int, Pending> pending_;   ///< per dat
 };

@@ -41,7 +41,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -166,21 +165,32 @@ class Loop {
       // 1. Start (Overlap) or complete (Phased) the refresh of dirty
       //    stale-read dats.
       pending_.clear();
-      WallTimer ht;
-      if (mode == ExchangeMode::Overlap) ctx.begin_halos(plan_.read_dats, pending_);
-      else exchanged = ctx.refresh_halos(plan_.read_dats);
-      exch_secs += ht.seconds();
+      try {
+        WallTimer ht;
+        if (mode == ExchangeMode::Overlap) ctx.begin_halos(plan_.read_dats, pending_);
+        else exchanged = ctx.refresh_halos(plan_.read_dats);
+        exch_secs += ht.seconds();
 
-      // 2. Interior elements: touch no halo slot, safe while the exchange
-      //    is in flight.
-      WallTimer ti;
-      ctx.pool_.run([&](int r) {
-        WallTimer rt;
-        rank_loops_[static_cast<std::size_t>(r)].run_slice(
-            rank_cfg, interior_slices_[static_cast<std::size_t>(r)]);
-        rank_secs_[static_cast<std::size_t>(r)] = rt.seconds();
-      });
-      secs += ti.seconds();
+        // 2. Interior elements: touch no halo slot, safe while the
+        //    exchange is in flight.
+        WallTimer ti;
+        ctx.pool_.run([&](int r) {
+          WallTimer rt;
+          rank_loops_[static_cast<std::size_t>(r)].run_slice(
+              rank_cfg, interior_slices_[static_cast<std::size_t>(r)]);
+          rank_secs_[static_cast<std::size_t>(r)] = rt.seconds();
+        });
+        secs += ti.seconds();
+      } catch (...) {
+        // No exchange outlives the run that began it: the transport could
+        // still be writing halo slots, and its next begin() for the dat
+        // would find the previous one unmatched. The first error wins.
+        try {
+          ctx.wait_halos(pending_);
+        } catch (...) {
+        }
+        throw;
+      }
 
       // 3. Every begin is completed by exactly one wait before any boundary
       //    element (which may read halo slots) executes.
@@ -407,27 +417,20 @@ class Loop {
   void reset_pin(detail::GblPin<T, A>& g) {
     for (int r = 0; r < ctx_->nranks_; ++r)
       for (int c = 0; c < g.dim; ++c) {
-        T v{};
+        T& v = g.buf[static_cast<std::size_t>(r) * g.dim + c];
         if constexpr (A == AccessMode::READ) v = g.target[c];
-        else if constexpr (A == AccessMode::INC) v = T(0);
-        else if constexpr (A == AccessMode::MIN) v = std::numeric_limits<T>::max();
-        else v = std::numeric_limits<T>::lowest();
-        g.buf[static_cast<std::size_t>(r) * g.dim + c] = v;
+        else v = reduction_identity<A, T>();
       }
   }
 
   void merge_pin(detail::NoPin&) {}
   template <class T, AccessMode A>
   void merge_pin(detail::GblPin<T, A>& g) {
-    if constexpr (A == AccessMode::READ) return;
-    for (int r = 0; r < ctx_->nranks_; ++r)
-      for (int c = 0; c < g.dim; ++c) {
-        const T v = g.buf[static_cast<std::size_t>(r) * g.dim + c];
-        if constexpr (A == AccessMode::INC) g.target[c] += v;
-        else if constexpr (A == AccessMode::MIN)
-          g.target[c] = g.target[c] < v ? g.target[c] : v;
-        else g.target[c] = g.target[c] > v ? g.target[c] : v;
-      }
+    if constexpr (A != AccessMode::READ)
+      for (int r = 0; r < ctx_->nranks_; ++r)
+        for (int c = 0; c < g.dim; ++c)
+          g.target[c] =
+              reduction_combine<A>(g.target[c], g.buf[static_cast<std::size_t>(r) * g.dim + c]);
   }
 
   DistCtx* ctx_;

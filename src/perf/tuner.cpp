@@ -6,29 +6,6 @@
 
 namespace opv::perf {
 
-TuneResult tune_block_size(const std::function<double(int)>& workload,
-                           std::vector<int> candidates, int reps) {
-  OPV_REQUIRE(!candidates.empty(), "tune_block_size: no candidates");
-  OPV_REQUIRE(reps >= 1, "tune_block_size: reps must be >= 1");
-  TuneResult r;
-  r.best_seconds = std::numeric_limits<double>::infinity();
-  for (int bs : candidates) {
-    OPV_REQUIRE(bs >= 16 && bs % 16 == 0,
-                "tune_block_size: candidate " << bs << " must be a positive multiple of 16");
-    double best = std::numeric_limits<double>::infinity();
-    for (int i = 0; i < reps; ++i) {
-      const double s = workload(bs);
-      best = s < best ? s : best;
-    }
-    r.samples.emplace_back(bs, best);
-    if (best < r.best_seconds) {
-      r.best_seconds = best;
-      r.best_block_size = bs;
-    }
-  }
-  return r;
-}
-
 OnlineTuner::OnlineTuner(std::vector<int> candidates, int reps)
     : candidates_(std::move(candidates)), reps_(reps) {
   OPV_REQUIRE(!candidates_.empty(), "OnlineTuner: no candidates");
@@ -43,10 +20,10 @@ int OnlineTuner::propose() const {
   return settled_ ? best_ : candidates_[cursor_];
 }
 
-void OnlineTuner::observe(int block_size, double seconds) {
-  if (settled_ || block_size != candidates_[cursor_]) return;
+void OnlineTuner::observe(int size, double seconds) {
+  if (settled_ || size != candidates_[cursor_]) return;
   if (seconds < best_seconds_[cursor_]) best_seconds_[cursor_] = seconds;
-  samples_.emplace_back(block_size, seconds);
+  samples_.emplace_back(size, seconds);
   std::size_t arg = 0;
   for (std::size_t i = 1; i < candidates_.size(); ++i)
     if (best_seconds_[i] < best_seconds_[arg]) arg = i;

@@ -19,23 +19,6 @@ namespace {
 
 int resolve_workers(int requested) { return requested > 0 ? requested : hardware_threads(); }
 
-/// RAII application of the per-instance stats scope around a batch. The
-/// worker loop used to hold an optional<StatsScope> inside its try block;
-/// this named guard makes the invariant explicit and unconditional: however
-/// the batch exits — fall-through, exception from step(), exception from a
-/// checkpoint — the scope prefix is popped before the worker touches the
-/// next instance, so a throwing step can never leak its scope onto a
-/// sibling's rows.
-class ScopedInstanceStats {
- public:
-  ScopedInstanceStats(bool on, const std::string& scope) {
-    if (on) scope_.emplace(scope);
-  }
-
- private:
-  std::optional<StatsScope> scope_;
-};
-
 }  // namespace
 
 Ensemble::Ensemble(EnsembleOptions opts)
@@ -54,16 +37,7 @@ std::string Ensemble::scope_of(int id) const {
 
 int Ensemble::add_instance(const InstanceFactory& factory) {
   const int id = size();
-  // Construct under the instance's scope: a factory that runs loops during
-  // setup (initial-condition kernels) binds their stats slots to the scoped
-  // rows, exactly as the stepping loops will.
-  ScopedInstanceStats scope(opts_.scope_stats, scope_of(id));
-  Slot s;
-  s.inst = factory(id);
-  OPV_REQUIRE(s.inst != nullptr, "Ensemble '" << opts_.name << "': factory returned null for instance " << id);
-  s.chk_inst = dynamic_cast<Checkpointable*>(s.inst.get());
-  s.policy = opts_.health;
-  slots_.push_back(std::move(s));
+  add_instances(1, factory);
   return id;
 }
 
@@ -77,13 +51,15 @@ void Ensemble::add_instances(int n, const InstanceFactory& factory) {
   const int base = size();
   for (int i = 0; i < n; ++i) {
     const int id = base + i;
-    ScopedInstanceStats scope(opts_.scope_stats, scope_of(id));
+    // Construct under the instance's scope: a factory that runs loops
+    // during setup (initial-condition kernels) binds their stats slots to
+    // the scoped rows, exactly as the stepping loops will.
+    StatsScope scope(scope_of(id));
     Slot s;
     s.inst = factory(id);
     OPV_REQUIRE(s.inst != nullptr,
                 "Ensemble '" << opts_.name << "': factory returned null for instance " << id);
     s.chk_inst = dynamic_cast<Checkpointable*>(s.inst.get());
-    s.policy = opts_.health;
     built.push_back(std::move(s));
   }
   for (auto& s : built) slots_.push_back(std::move(s));
@@ -107,12 +83,6 @@ const std::string& Ensemble::error_of(int id) const {
 std::int64_t Ensemble::steps_done(int id) const {
   OPV_REQUIRE(id >= 0 && id < size(), "Ensemble '" << opts_.name << "': no instance " << id);
   return slots_[static_cast<std::size_t>(id)].done_total;
-}
-
-void Ensemble::set_health_policy(int id, HealthPolicy policy) {
-  OPV_REQUIRE(id >= 0 && id < size(), "Ensemble '" << opts_.name << "': no instance " << id);
-  OPV_REQUIRE(policy.retry.max_attempts >= 0, "Ensemble: negative max_attempts");
-  slots_[static_cast<std::size_t>(id)].policy = std::move(policy);
 }
 
 EnsembleReport Ensemble::run(std::int64_t steps) {
@@ -205,7 +175,7 @@ EnsembleReport Ensemble::execute() {
       const int id = *got;
       Slot& s = slots_[static_cast<std::size_t>(id)];
       InstanceReport& ir = rep.instances[static_cast<std::size_t>(id)];
-      const HealthPolicy& hp = s.policy;
+      const HealthPolicy& hp = opts_.health;
       const bool recoverable = hp.active() && s.chk_inst != nullptr;
 
       // Stand off AFTER releasing ownership would let another worker grab
@@ -223,7 +193,9 @@ EnsembleReport Ensemble::execute() {
       bool requeue = false, front = false;
       WallTimer t;
       {
-        ScopedInstanceStats scope(opts_.scope_stats, ir.scope);
+        // Popped however the batch exits, so a throwing step never leaks
+        // its scope onto the next instance's rows.
+        StatsScope scope(ir.scope);
         try {
           // Baseline checkpoint: one per run window, so a failure before the
           // first cadence checkpoint still has a restore point, and rewinds

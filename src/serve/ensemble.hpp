@@ -103,7 +103,6 @@ struct EnsembleOptions {
   int workers = 0;                ///< pool size; 0 = hardware_threads()
   int batch_steps = 1;            ///< steps per queue grab (interleave grain)
   bool collect_stats = true;      ///< record an EnsembleRecord per run()
-  bool scope_stats = true;        ///< per-instance StatsScope around steps
   HealthPolicy health;            ///< resilience regime (default: off)
 };
 
@@ -180,7 +179,7 @@ class Ensemble {
   [[nodiscard]] const std::string& name() const { return opts_.name; }
 
   /// The instance's stats scope, "<ensemble>/i<NNN>" — the prefix its loop
-  /// rows carry in StatsRegistry when scope_stats is on.
+  /// rows carry in StatsRegistry.
   [[nodiscard]] std::string scope_of(int id) const;
 
   /// Access an adopted instance (e.g. to fetch results after run()).
@@ -193,10 +192,6 @@ class Ensemble {
   /// Cumulative steps instance `id` has executed across run()/run_to()
   /// calls (and any restored progress) — the resume bookkeeping.
   [[nodiscard]] std::int64_t steps_done(int id) const;
-
-  /// Override the ensemble-wide HealthPolicy for one instance. Takes
-  /// effect at the next run.
-  void set_health_policy(int id, HealthPolicy policy);
 
   /// Advance every live instance by `steps` timesteps over the shared
   /// pool. Blocks until all instances complete or fail.
@@ -225,7 +220,6 @@ class Ensemble {
   struct Slot {
     std::unique_ptr<Instance> inst;
     Checkpointable* chk_inst = nullptr;  ///< non-null iff inst is Checkpointable
-    HealthPolicy policy;
     std::int64_t remaining = 0;   ///< steps left in the current run
     std::int64_t done_total = 0;  ///< cumulative steps across runs/restores
     std::string error;            ///< retired-by-exception marker

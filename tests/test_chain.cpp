@@ -160,9 +160,9 @@ struct Micro {
 
 TEST(Chain, ExactlyOnceCoverAndContiguousOffsets) {
   Micro f;
-  Loop direct(BumpDirect{}, "ch_cover_direct", f.cells, arg(f.count_c, Access::INC));
-  Loop both(BumpBothCells{}, "ch_cover_edges", f.edges, arg(f.count_e, 0, f.e2c, Access::INC),
-            arg(f.count_e, 1, f.e2c, Access::INC));
+  Loop direct(BumpDirect{}, "ch_cover_direct", f.cells, arg<opv::INC>(f.count_c));
+  Loop both(BumpBothCells{}, "ch_cover_edges", f.edges, arg<opv::INC>(f.count_e, 0, f.e2c),
+            arg<opv::INC>(f.count_e, 1, f.e2c));
   LoopChain chain("ch_cover", direct, both);
 
   ExecConfig cfg{.backend = Backend::Seq};
@@ -197,9 +197,9 @@ TEST(Chain, ExactlyOnceCoverAndContiguousOffsets) {
 
 TEST(Chain, IndirectRwFallsBackUnfused) {
   Micro f;
-  Loop d1(BumpDirect{}, "ch_rw_d1", f.cells, arg(f.count_c, Access::INC));
-  Loop d2(BumpDirect{}, "ch_rw_d2", f.cells, arg(f.count_c, Access::INC));
-  Loop rw(ScaleRwIndirect{}, "ch_rw_ind", f.edges, arg(f.a, 0, f.e2c, Access::RW));
+  Loop d1(BumpDirect{}, "ch_rw_d1", f.cells, arg<opv::INC>(f.count_c));
+  Loop d2(BumpDirect{}, "ch_rw_d2", f.cells, arg<opv::INC>(f.count_c));
+  Loop rw(ScaleRwIndirect{}, "ch_rw_ind", f.edges, arg<opv::RW>(f.a, 0, f.e2c));
   EXPECT_TRUE(rw.footprint().has_indirect_rw());
 
   LoopChain chain("ch_rw", d1, d2, rw);
@@ -216,7 +216,7 @@ TEST(Chain, IndirectRwFallsBackUnfused) {
   // Equivalent unchained reference for the RW loop (its input is unchanged
   // by d1/d2, so one plain run from the same start state matches).
   Micro g;
-  Loop ref(ScaleRwIndirect{}, "ch_rw_ref", g.edges, arg(g.a, 0, g.e2c, Access::RW));
+  Loop ref(ScaleRwIndirect{}, "ch_rw_ref", g.edges, arg<opv::RW>(g.a, 0, g.e2c));
   ref.run(cfg);
   for (idx_t c = 0; c < f.cells.size(); ++c) EXPECT_EQ(f.a.at(c), g.a.at(c)) << c;
   for (idx_t c = 0; c < f.cells.size(); ++c) EXPECT_EQ(f.count_c.at(c), 2.0) << c;
@@ -225,10 +225,10 @@ TEST(Chain, IndirectRwFallsBackUnfused) {
 TEST(Chain, GblReadAfterReductionSplits) {
   Micro f;
   double g = 0.0;
-  Loop accum(GblAccum{}, "ch_gbl_acc", f.cells, arg(f.a, Access::READ),
-             arg_gbl(&g, 1, Access::INC));
-  Loop apply(GblApply{}, "ch_gbl_apply", f.cells, arg(f.a, Access::READ),
-             arg(f.b, Access::WRITE), arg_gbl<opv::READ>(&g, 1));
+  Loop accum(GblAccum{}, "ch_gbl_acc", f.cells, arg<opv::READ>(f.a),
+             arg_gbl<opv::INC>(&g, 1));
+  Loop apply(GblApply{}, "ch_gbl_apply", f.cells, arg<opv::READ>(f.a),
+             arg<opv::WRITE>(f.b), arg_gbl<opv::READ>(&g, 1));
   EXPECT_TRUE(apply.footprint().reads_gbl(&g));
 
   LoopChain chain("ch_gbl", accum, apply);
@@ -259,7 +259,7 @@ TEST(Chain, DegenerateShapes) {
     EXPECT_EQ(empty.plans_built(), 0);
   }
   {  // single-loop chain: below the fusion threshold, plain run()
-    Loop solo(BumpDirect{}, "ch_solo", f.cells, arg(f.count_c, Access::INC));
+    Loop solo(BumpDirect{}, "ch_solo", f.cells, arg<opv::INC>(f.count_c));
     LoopChain chain("ch_single", solo);
     cfg.chain_tile_elems = 64;
     chain.run(cfg);
@@ -269,9 +269,9 @@ TEST(Chain, DegenerateShapes) {
   {  // one giant tile and tiny 16-element tiles both cover exactly once
     for (const int tile : {1 << 20, 16}) {
       Micro m2;
-      Loop d(BumpDirect{}, "ch_deg_d", m2.cells, arg(m2.count_c, Access::INC));
-      Loop e(BumpBothCells{}, "ch_deg_e", m2.edges, arg(m2.count_e, 0, m2.e2c, Access::INC),
-             arg(m2.count_e, 1, m2.e2c, Access::INC));
+      Loop d(BumpDirect{}, "ch_deg_d", m2.cells, arg<opv::INC>(m2.count_c));
+      Loop e(BumpBothCells{}, "ch_deg_e", m2.edges, arg<opv::INC>(m2.count_e, 0, m2.e2c),
+             arg<opv::INC>(m2.count_e, 1, m2.e2c));
       LoopChain chain("ch_degenerate", d, e);
       cfg.chain_tile_elems = tile;
       chain.run(cfg);
@@ -283,9 +283,9 @@ TEST(Chain, DegenerateShapes) {
 
 TEST(Chain, PlanPinnedAcrossRuns) {
   Micro f;
-  Loop d(BumpDirect{}, "ch_pin_d", f.cells, arg(f.count_c, Access::INC));
-  Loop e(BumpBothCells{}, "ch_pin_e", f.edges, arg(f.count_e, 0, f.e2c, Access::INC),
-         arg(f.count_e, 1, f.e2c, Access::INC));
+  Loop d(BumpDirect{}, "ch_pin_d", f.cells, arg<opv::INC>(f.count_c));
+  Loop e(BumpBothCells{}, "ch_pin_e", f.edges, arg<opv::INC>(f.count_e, 0, f.e2c),
+         arg<opv::INC>(f.count_e, 1, f.e2c));
   LoopChain chain("ch_pin", d, e);
   ExecConfig cfg{.backend = Backend::Seq};
   cfg.chain_tile_elems = 128;
@@ -310,9 +310,9 @@ TEST(Chain, PlanPinnedAcrossRuns) {
 TEST(Chain, StatsGroupedUnderChainRow) {
   StatsRegistry::instance().clear();
   Micro f;
-  Loop d(BumpDirect{}, "ch_stat_d", f.cells, arg(f.count_c, Access::INC));
-  Loop e(BumpBothCells{}, "ch_stat_e", f.edges, arg(f.count_e, 0, f.e2c, Access::INC),
-         arg(f.count_e, 1, f.e2c, Access::INC));
+  Loop d(BumpDirect{}, "ch_stat_d", f.cells, arg<opv::INC>(f.count_c));
+  Loop e(BumpBothCells{}, "ch_stat_e", f.edges, arg<opv::INC>(f.count_e, 0, f.e2c),
+         arg<opv::INC>(f.count_e, 1, f.e2c));
   LoopChain chain("ch_stat", d, e);
   ExecConfig cfg{.backend = Backend::Seq};
   cfg.chain_tile_elems = 64;
@@ -346,8 +346,8 @@ TEST(Chain, StatsGroupedUnderChainRow) {
 
 TEST(Chain, FootprintExposesPinnedAccessSummary) {
   Micro f;
-  Loop both(BumpBothCells{}, "ch_fp_edges", f.edges, arg(f.count_e, 0, f.e2c, Access::INC),
-            arg(f.count_e, 1, f.e2c, Access::INC));
+  Loop both(BumpBothCells{}, "ch_fp_edges", f.edges, arg<opv::INC>(f.count_e, 0, f.e2c),
+            arg<opv::INC>(f.count_e, 1, f.e2c));
   const LoopFootprint& fp = both.footprint();
   EXPECT_EQ(fp.iter_set, &f.edges);
   ASSERT_EQ(fp.args.size(), 2u);
@@ -364,8 +364,8 @@ TEST(Chain, FootprintExposesPinnedAccessSummary) {
   EXPECT_EQ(conflicts, both.conflicts());
 
   double g = 0.0;
-  Loop accum(GblAccum{}, "ch_fp_gbl", f.cells, arg(f.a, Access::READ),
-             arg_gbl(&g, 1, Access::INC));
+  Loop accum(GblAccum{}, "ch_fp_gbl", f.cells, arg<opv::READ>(f.a),
+             arg_gbl<opv::INC>(&g, 1));
   const LoopFootprint& gfp = accum.footprint();
   ASSERT_EQ(gfp.args.size(), 2u);
   EXPECT_TRUE(gfp.args[1].is_gbl);

@@ -78,7 +78,7 @@ TEST(DistCtx, FinalizeIsIdempotentAndImplicit) {
   // First loop triggers finalize implicitly; a second explicit call is a
   // no-op.
   ctx.loop([](auto* x) { x[0] = std::decay_t<decltype(x[0])>(1.0); }, "init", cells,
-           ctx.arg(q, Access::WRITE));
+           ctx.arg<opv::WRITE>(q));
   ctx.finalize();
   aligned_vector<double> out;
   ctx.fetch(q, out);

@@ -244,13 +244,15 @@ std::tuple<aligned_vector<double>, double, double> pipeline(Ctx& ctx,
 
   double gsum = 0, gmin = 0;
   for (int it = 0; it < iters; ++it) {
-    ctx.loop(EdgeK{}, "d_edge", edges, ctx.arg(x, 0, e2n, Access::READ),
-             ctx.arg(x, 1, e2n, Access::READ), ctx.arg(w, Access::READ),
-             ctx.arg(acc, 0, e2c, Access::INC), ctx.arg(acc, 1, e2c, Access::INC));
+    ctx.loop(EdgeK{}, "d_edge", edges, ctx.template arg<opv::READ>(x, 0, e2n),
+             ctx.template arg<opv::READ>(x, 1, e2n), ctx.template arg<opv::READ>(w),
+             ctx.template arg<opv::INC>(acc, 0, e2c),
+             ctx.template arg<opv::INC>(acc, 1, e2c));
     gsum = 0;
     gmin = 1e300;
-    ctx.loop(CellK{}, "d_cell", cells, ctx.arg(q, Access::RW), ctx.arg(acc, Access::READ),
-             ctx.arg_gbl(&gsum, 1, Access::INC), ctx.arg_gbl(&gmin, 1, Access::MIN));
+    ctx.loop(CellK{}, "d_cell", cells, ctx.template arg<opv::RW>(q),
+             ctx.template arg<opv::READ>(acc), ctx.template arg_gbl<opv::INC>(&gsum, 1),
+             ctx.template arg_gbl<opv::MIN>(&gmin, 1));
   }
   aligned_vector<double> out;
   ctx.fetch(q, out);
@@ -314,10 +316,11 @@ TEST(DistCtx, DirtyBitsTriggerExchangesAndMatchLocal) {
     auto acc = ctx.template decl_dat<double, 1>("acc", cells);
     ctx.finalize();
     for (int it = 0; it < 4; ++it) {
-      ctx.loop(GatherQ{}, "h_edge", edges, ctx.arg(q, 0, e2c, Access::READ),
-               ctx.arg(q, 1, e2c, Access::READ), ctx.arg(acc, 0, e2c, Access::INC),
-               ctx.arg(acc, 1, e2c, Access::INC));
-      ctx.loop(BumpQ{}, "h_cell", cells, ctx.arg(q, Access::RW), ctx.arg(acc, Access::READ));
+      ctx.loop(GatherQ{}, "h_edge", edges, ctx.template arg<opv::READ>(q, 0, e2c),
+               ctx.template arg<opv::READ>(q, 1, e2c), ctx.template arg<opv::INC>(acc, 0, e2c),
+               ctx.template arg<opv::INC>(acc, 1, e2c));
+      ctx.loop(BumpQ{}, "h_cell", cells, ctx.template arg<opv::RW>(q),
+               ctx.template arg<opv::READ>(acc));
     }
     aligned_vector<double> out;
     ctx.fetch(q, out);

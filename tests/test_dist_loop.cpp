@@ -17,6 +17,7 @@
 
 #include "apps/airfoil/airfoil.hpp"
 #include "dist/context.hpp"
+#include "dist/fault.hpp"
 #include "dist/loop.hpp"
 #include "mesh/generators.hpp"
 #include "perf/table.hpp"
@@ -71,21 +72,14 @@ concept DistArgTypeOk = requires { typename DistArgDat<double, opv::READ, Dim, f
 static_assert(DistArgTypeOk<1> && !DistArgTypeOk<0> && !DistArgTypeOk<kMaxDim + 1>);
 
 // A Dim-less spelling compiles only on a FixedDatHandle, which supplies the
-// arity; a plain DatHandle needs the explicit Dim (tag spelling included).
+// arity; a plain DatHandle needs the explicit Dim.
 template <class H>
 concept DistDimlessOk = requires(DistCtx& c, H d, DistCtx::MapHandle m) {
   c.arg<opv::READ>(d);
   c.arg<opv::READ>(d, 0, m);
 };
-template <class H>
-concept DistDimlessTagOk = requires(DistCtx& c, H d, DistCtx::MapHandle m) {
-  c.arg(d, Access::READ);
-  c.arg(d, 0, m, Access::READ);
-};
-static_assert(DistDimlessOk<DistCtx::FixedDatHandle<double, 3>> &&
-              DistDimlessTagOk<DistCtx::FixedDatHandle<double, 3>>);
+static_assert(DistDimlessOk<DistCtx::FixedDatHandle<double, 3>>);
 static_assert(!DistDimlessOk<DistCtx::DatHandle<double>>, "a plain handle needs a Dim");
-static_assert(!DistDimlessTagOk<DistCtx::DatHandle<double>>);
 static_assert(std::is_same_v<decltype(std::declval<DistCtx&>().arg<opv::INC>(
                                  std::declval<DistCtx::FixedDatHandle<double, 3>>(), 0, 0)),
                              decltype(std::declval<DistCtx&>().arg<opv::INC, 3>(
@@ -153,14 +147,14 @@ TEST_P(DistLoopEquivP, BitwiseMatchesOneShot) {
   Universe a(nranks, cfg);
   double gsum_a = 0, gmin_a = 0;
   for (int it = 0; it < 4; ++it) {
-    a.ctx.loop(EdgeK{}, "dl_edge", a.edges, a.ctx.arg(a.x, 0, a.e2n, Access::READ),
-               a.ctx.arg(a.x, 1, a.e2n, Access::READ), a.ctx.arg(a.w, Access::READ),
-               a.ctx.arg(a.acc, 0, a.e2c, Access::INC), a.ctx.arg(a.acc, 1, a.e2c, Access::INC));
+    a.ctx.loop(EdgeK{}, "dl_edge", a.edges, a.ctx.arg<opv::READ>(a.x, 0, a.e2n),
+               a.ctx.arg<opv::READ>(a.x, 1, a.e2n), a.ctx.arg<opv::READ>(a.w),
+               a.ctx.arg<opv::INC>(a.acc, 0, a.e2c), a.ctx.arg<opv::INC>(a.acc, 1, a.e2c));
     gsum_a = 0;
     gmin_a = 1e300;
-    a.ctx.loop(CellK{}, "dl_cell", a.cells, a.ctx.arg(a.q, Access::RW),
-               a.ctx.arg(a.acc, Access::READ), a.ctx.arg_gbl(&gsum_a, 1, Access::INC),
-               a.ctx.arg_gbl(&gmin_a, 1, Access::MIN));
+    a.ctx.loop(CellK{}, "dl_cell", a.cells, a.ctx.arg<opv::RW>(a.q),
+               a.ctx.arg<opv::READ>(a.acc), a.ctx.arg_gbl<opv::INC>(&gsum_a, 1),
+               a.ctx.arg_gbl<opv::MIN>(&gmin_a, 1));
   }
 
   // Handles: constructed once, run every iteration.
@@ -458,7 +452,7 @@ TEST_P(DistOverlapEquivP, OverlapBitwiseMatchesBlockingPhased) {
   const ExecConfig cfg{.backend = backend, .nthreads = backend == Backend::Seq ? 1 : 2};
 
   auto run_pipeline = [&](ExchangeMode mode, Universe& u) {
-    if (staged) u.ctx.set_exchanger(std::make_unique<StagedExchanger>(/*async=*/true));
+    if (staged) u.ctx.set_exchanger(std::make_unique<StagedExchanger>());
     u.ctx.set_exchange_mode(mode);
     dist::Loop edge(u.ctx, GatherQ{}, "ovq_edge", u.edges,
                     u.ctx.arg<opv::READ>(u.q, 0, u.e2c), u.ctx.arg<opv::READ>(u.q, 1, u.e2c),
@@ -523,6 +517,87 @@ TEST(DistLoopPhases, ReadWriteOverlapFallsBackToBlocking) {
   avg.run();  // must blocking-exchange before the run
   EXPECT_EQ(p->begins, 0) << "fallback loops must never use the non-blocking pair";
   EXPECT_GE(p->blocking_calls, 1);
+}
+
+// ---- phased execution: failed exchanges --------------------------------------
+
+/// Dirties both cell dats the loop below reads through e2c.
+struct BumpQAcc {
+  template <class T>
+  void operator()(T* q, T* a) const {
+    q[0] = q[0] + T(0.01);
+    a[0] = a[0] + T(0.02);
+  }
+};
+/// Reads two cell dats through e2c: an overlapped run begins two exchanges.
+struct SumQAcc {
+  template <class T>
+  void operator()(const T* ql, const T* qr, const T* al, const T* ar, T* w) const {
+    w[0] = ql[0] + qr[0] + al[0] + ar[0];
+  }
+};
+
+/// Dirties q and acc, then runs the two-dat overlapped loop; its first run
+/// is expected to throw when `first_fails`. Returns the loop's output.
+aligned_vector<double> two_dat_pipeline(Universe& u, bool first_fails) {
+  dist::Loop bump(u.ctx, BumpQAcc{}, "fx_bump", u.cells, u.ctx.arg<opv::RW>(u.q),
+                  u.ctx.arg<opv::RW>(u.acc));
+  dist::Loop sum(u.ctx, SumQAcc{}, "fx_sum", u.edges, u.ctx.arg<opv::READ>(u.q, 0, u.e2c),
+                 u.ctx.arg<opv::READ>(u.q, 1, u.e2c), u.ctx.arg<opv::READ>(u.acc, 0, u.e2c),
+                 u.ctx.arg<opv::READ>(u.acc, 1, u.e2c), u.ctx.arg<opv::WRITE>(u.w));
+  EXPECT_EQ(sum.effective_mode(), ExchangeMode::Overlap);
+  bump.run();
+  if (first_fails) {
+    EXPECT_THROW(sum.run(), Error);
+  }
+  EXPECT_NO_THROW(sum.run()) << "a failed run must not leave an exchange in flight";
+  aligned_vector<double> w;
+  u.ctx.fetch(u.w, w);
+  return w;
+}
+
+/// The second begin() of the first run (acc's) throws while q's exchange is
+/// already in flight: the failed run must still complete q's exchange.
+TEST(DistLoopPhases, FailedBeginCompletesExchangesAlreadyBegun) {
+  const ExecConfig cfg{.backend = Backend::Seq, .nthreads = 1};
+  Universe clean(2, cfg), faulty(2, cfg);
+  clean.ctx.set_exchanger(std::make_unique<StagedExchanger>());
+  faulty.ctx.set_exchanger(std::make_unique<FaultyExchanger>(
+      std::make_unique<StagedExchanger>(),
+      ExchangeFaultPlan{.kind = ExchangeFaultKind::Throw, .at_begin = 2}));
+  EXPECT_EQ(two_dat_pipeline(faulty, true), two_dat_pipeline(clean, false));
+}
+
+/// Forwards to a StagedExchanger; the first wait() reports a failure after
+/// the transfer completed.
+struct FailFirstWait final : Exchanger {
+  StagedExchanger inner;
+  int begins = 0, waits = 0;
+  std::int64_t exchange(const Partitioned& part, const DatHaloView& view) override {
+    return inner.exchange(part, view);
+  }
+  void begin(const Partitioned& part, const DatHaloView& view) override {
+    ++begins;
+    inner.begin(part, view);
+  }
+  std::int64_t wait(const Partitioned& part, const DatHaloView& view) override {
+    const std::int64_t n = inner.wait(part, view);
+    if (++waits == 1) throw Error("injected wait failure");
+    return n;
+  }
+  [[nodiscard]] const char* name() const override { return "fail-first-wait"; }
+};
+
+TEST(DistLoopPhases, FailedWaitStillWaitsForEveryPendingDat) {
+  const ExecConfig cfg{.backend = Backend::Seq, .nthreads = 1};
+  Universe clean(2, cfg), faulty(2, cfg);
+  clean.ctx.set_exchanger(std::make_unique<StagedExchanger>());
+  auto flaky = std::make_unique<FailFirstWait>();
+  FailFirstWait* f = flaky.get();
+  faulty.ctx.set_exchanger(std::move(flaky));
+  EXPECT_EQ(two_dat_pipeline(faulty, true), two_dat_pipeline(clean, false));
+  EXPECT_EQ(f->waits, f->begins) << "every begin() must be matched by one wait()";
+  EXPECT_EQ(f->begins, 3) << "only the dat whose wait failed stays dirty";
 }
 
 // ---- phased execution: exchange accounting ----------------------------------

@@ -279,7 +279,7 @@ TEST_P(DistLayoutP, AirfoilMatchesAoSBitwise) {
     dist::DistCtx ctx(3, cfg);
     ctx.set_renumber(true);
     ctx.set_exchange_mode(mode);
-    if (staged) ctx.set_exchanger(std::make_unique<dist::StagedExchanger>(/*async=*/true));
+    if (staged) ctx.set_exchanger(std::make_unique<dist::StagedExchanger>());
     ctx.set_default_layout(l);
     airfoil::Airfoil<double, dist::DistCtx> app(ctx, m);
     app.run(3, 0);
@@ -300,7 +300,7 @@ TEST_P(DistLayoutP, Tet3DMatchesAoSBitwise) {
   const auto run = [&](Layout l) {
     dist::DistCtx ctx(3, cfg);
     ctx.set_exchange_mode(mode);
-    if (staged) ctx.set_exchanger(std::make_unique<dist::StagedExchanger>(/*async=*/true));
+    if (staged) ctx.set_exchanger(std::make_unique<dist::StagedExchanger>());
     ctx.set_default_layout(l);
     tet3d::Tet3D<double, dist::DistCtx> app(ctx, m);
     app.run(3, 0);

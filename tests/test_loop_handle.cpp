@@ -2,8 +2,8 @@
 // compile-time rejection of invalid access/argument combinations and of
 // Dim/dat mismatches, Loop::run() equivalence with one-shot par_loop across
 // backends, plan pinning (pointer stability across runs), stats
-// accumulation through the pre-bound slot, kAuto tuner lifetime across
-// re-templated handles, and subset (Slice) and range execution.
+// accumulation through the pre-bound slot, and subset (Slice) and range
+// execution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,16 +43,6 @@ static_assert(GblArgOk<opv::READ> && GblArgOk<opv::INC> && GblArgOk<opv::MIN> &&
 static_assert(!GblArgOk<opv::WRITE>, "globals cannot be element-wise written");
 static_assert(!GblArgOk<opv::RW>, "globals cannot be read-modify-written");
 
-// The tag spelling is the same typed API: it must be rejected identically.
-template <class Tag>
-concept DatTagArgOk = requires(FixedDat<double, 1>& d, Tag t) { opv::arg(d, t); };
-template <class Tag>
-concept GblTagArgOk = requires(double* p, Tag t) { opv::arg_gbl(p, 1, t); };
-static_assert(DatTagArgOk<decltype(Access::INC)>);
-static_assert(!DatTagArgOk<decltype(Access::MIN)>);
-static_assert(GblTagArgOk<decltype(Access::MAX)>);
-static_assert(!GblTagArgOk<decltype(Access::WRITE)>);
-
 // ---- compile-time Dim validation -------------------------------------------
 // Every descriptor carries a compile-time Dim in [1,kMaxDim]. A Dim outside
 // it, a Dim contradicting a statically-dimensioned dat, and a Dim-less
@@ -79,14 +69,8 @@ concept DimlessArgOk = requires(D& d, const Map& m) {
   opv::arg<opv::READ>(d);
   opv::arg<opv::READ>(d, 0, m);
 };
-template <class D>
-concept DimlessTagArgOk = requires(D& d, const Map& m) {
-  opv::arg(d, Access::READ);
-  opv::arg(d, 0, m, Access::READ);
-};
-static_assert(DimlessArgOk<FixedDat<double, 3>> && DimlessTagArgOk<FixedDat<double, 3>>);
+static_assert(DimlessArgOk<FixedDat<double, 3>>);
 static_assert(!DimlessArgOk<Dat<double>>, "a plain Dat needs an explicit Dim");
-static_assert(!DimlessTagArgOk<Dat<double>>, "the tag spelling follows the same rule");
 
 // ...and a FixedDat deduces exactly the explicit-Dim descriptor type.
 static_assert(std::is_same_v<decltype(opv::arg<opv::READ>(std::declval<FixedDat<double, 4>&>())),
@@ -98,10 +82,6 @@ static_assert(
                                                   std::declval<const Map&>()))>);
 static_assert(std::is_same_v<decltype(opv::arg<opv::READ>(std::declval<FixedDat<double, 4>&>())),
                              Arg<double, opv::READ, 4, false>>);
-// ...including through the tag spelling.
-static_assert(
-    std::is_same_v<decltype(opv::arg(std::declval<FixedDat<double, 2>&>(), Access::WRITE)),
-                   Arg<double, opv::WRITE, 2, false>>);
 
 // ---- compile-time conflict classification ----------------------------------
 
@@ -256,76 +236,6 @@ TEST(LoopHandle, StatsAccumulateAcrossRuns) {
   EXPECT_EQ(rec.elements, f.edges.size());
 }
 
-// ---- online block-size autotuning (ExecConfig::kAuto) ----------------------
-
-TEST(LoopHandle, AutoBlockSizeSettlesAndStaysCorrect) {
-  Fixture a, b;
-  const ExecConfig fixed{.backend = Backend::OpenMP, .nthreads = 2};
-  const ExecConfig autob{.backend = Backend::OpenMP, .block_size = ExecConfig::kAuto,
-                         .nthreads = 2};
-
-  Loop ref(EdgeKernel{}, std::string("lh_fixed"), a.edges, arg<opv::READ>(a.q, 0, a.e2c),
-           arg<opv::READ>(a.q, 1, a.e2c), arg<opv::READ>(a.w), arg<opv::INC>(a.r, 0, a.e2c),
-           arg<opv::INC>(a.r, 1, a.e2c), arg_gbl<opv::INC>(&a.gsum, 1));
-  Loop tuned(EdgeKernel{}, std::string("lh_auto"), b.edges, arg<opv::READ>(b.q, 0, b.e2c),
-             arg<opv::READ>(b.q, 1, b.e2c), arg<opv::READ>(b.w), arg<opv::INC>(b.r, 0, b.e2c),
-             arg<opv::INC>(b.r, 1, b.e2c), arg_gbl<opv::INC>(&b.gsum, 1));
-
-  // Every tuning run is a real execution: after N runs both loops must have
-  // done identical work (same increments, different summation order only).
-  const int runs = 6 * 2 + 3;  // default candidates x reps, then settled
-  for (int it = 0; it < runs; ++it) {
-    ref.run(fixed);
-    tuned.run(autob);
-  }
-  for (idx_t c = 0; c < a.cells.size(); ++c)
-    ASSERT_NEAR(a.r.at(c), b.r.at(c), 1e-11 * (std::abs(a.r.at(c)) + 1)) << "cell " << c;
-  EXPECT_NEAR(a.gsum, b.gsum, 1e-11 * (std::abs(a.gsum) + 1));
-
-  // The tuner has swept all candidates and pinned a winner.
-  const int bs = tuned.tuned_block_size();
-  const std::vector<int> candidates = {128, 256, 512, 1024, 2048, 4096};
-  EXPECT_NE(bs, 0) << "tuner should have settled after " << runs << " runs";
-  EXPECT_NE(std::find(candidates.begin(), candidates.end(), bs), candidates.end());
-
-  // Once settled the pinned plan matches the winning block size and stays
-  // stable across further runs.
-  const Plan* p = tuned.plan(autob);
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->block_size, bs);
-  tuned.run(autob);
-  EXPECT_EQ(tuned.plan(autob), p);
-
-  // A fixed block size never engages the tuner.
-  EXPECT_EQ(ref.tuned_block_size(), 0);
-}
-
-TEST(LoopHandle, AutoBlockSizeWithoutPlanFallsBack) {
-  Fixture f;
-  Loop loop([](const auto* a, auto* b) { b[0] = a[0]; }, std::string("lh_auto_direct"),
-            f.cells, arg<opv::READ>(f.q), arg<opv::WRITE>(f.r));
-  const ExecConfig cfg{.backend = Backend::OpenMP, .block_size = ExecConfig::kAuto};
-  loop.run(cfg);
-  loop.run(cfg);
-  // Direct loops need no plan, so block size is meaningless: no tuning.
-  EXPECT_EQ(loop.tuned_block_size(), 0);
-  EXPECT_EQ(loop.plan(cfg), nullptr);
-  for (idx_t c = 0; c < f.cells.size(); ++c) ASSERT_EQ(f.r.at(c), f.q.at(c));
-}
-
-// ---- legacy call-shape compatibility ---------------------------------------
-
-TEST(LoopHandle, TagSpellingBuildsSameDescriptorType) {
-  Fixture f;
-  auto typed = arg<opv::INC>(f.r, 0, f.e2c);
-  auto tagged = arg(f.r, 0, f.e2c, Access::INC);
-  static_assert(std::is_same_v<decltype(typed), decltype(tagged)>,
-                "tag spelling must produce the identical typed descriptor");
-  auto g_typed = arg_gbl<opv::MIN>(&f.gsum, 1);
-  auto g_tagged = arg_gbl(&f.gsum, 1, Access::MIN);
-  static_assert(std::is_same_v<decltype(g_typed), decltype(g_tagged)>);
-}
-
 // Runtime (data-dependent) validation still throws.
 TEST(LoopHandle, RuntimeValidationStillThrows) {
   Fixture f;
@@ -338,68 +248,6 @@ TEST(LoopHandle, RuntimeValidationStillThrows) {
   EXPECT_THROW((arg<opv::READ, 2>(q)), Error);  // q has dim 1
   EXPECT_THROW((arg<opv::READ, 3>(q, 0, f.e2c)), Error);
   EXPECT_NO_THROW((arg<opv::READ, 1>(q)));
-}
-
-// ---- kAuto tuning is pinned per handle, not per kernel/set -------------------
-
-/// Multi-component kernel (dim-2 endpoint coords, dim-1 weight/result) so
-/// the per-component unrolling actually has components to unroll.
-struct MixKernel {
-  template <class T>
-  void operator()(const T* xl, const T* xr, const T* w, T* rl, T* rr) const {
-    OPV_SIMD_MATH_USING;
-    const T f = w[0] * ((xr[0] - xl[0]) + T(0.5) * (xr[1] - xl[1]));
-    rl[0] += f;
-    rr[0] -= f;
-  }
-};
-
-struct MixFixture {
-  mesh::UnstructuredMesh m = mesh::make_quad_box(19, 13);
-  Set nodes{"nodes", m.nnodes};
-  Set cells{"cells", m.ncells};
-  Set edges{"edges", m.nedges};
-  Map e2n{"e2n", edges, nodes, 2, m.edge_nodes};
-  Map e2c{"e2c", edges, cells, 2, m.edge_cells};
-  FixedDat<double, 2> x{"x", nodes, m.node_xy};
-  FixedDat<double, 1> r{"r", cells};
-  FixedDat<double, 1> w{"w", edges};
-
-  MixFixture() {
-    Rng rng(7);
-    for (idx_t e = 0; e < edges.size(); ++e) w.at(e) = rng.uniform(0.1, 1.0);
-  }
-};
-
-/// The same arithmetic under a second kernel type.
-struct MixKernelRetyped : MixKernel {};
-
-/// Re-templating a loop (here: a second kernel type over the same
-/// arguments, which changes the Loop type and the generated code) must
-/// yield a handle that re-tunes from scratch — a stale block-size pin
-/// measured on the old instantiation must not be inherited.
-TEST(LoopHandle, RetypedHandleReTunes) {
-  MixFixture a, b;
-  const ExecConfig autob{.backend = Backend::OpenMP, .block_size = ExecConfig::kAuto,
-                         .nthreads = 2};
-
-  Loop rt(MixKernel{}, std::string("retune_rt"), a.edges, arg<opv::READ>(a.x, 0, a.e2n),
-          arg<opv::READ>(a.x, 1, a.e2n), arg<opv::READ>(a.w), arg<opv::INC>(a.r, 0, a.e2c),
-          arg<opv::INC>(a.r, 1, a.e2c));
-  const int settle_runs = 6 * 2 + 1;  // candidates x reps, then settled
-  for (int it = 0; it < settle_runs; ++it) rt.run(autob);
-  ASSERT_NE(rt.tuned_block_size(), 0) << "baseline handle should have settled";
-
-  // The retyped handle starts untuned: no pin carries over.
-  Loop st(MixKernelRetyped{}, std::string("retune_st"), b.edges, arg<opv::READ>(b.x, 0, b.e2n),
-          arg<opv::READ>(b.x, 1, b.e2n), arg<opv::READ>(b.w), arg<opv::INC>(b.r, 0, b.e2c),
-          arg<opv::INC>(b.r, 1, b.e2c));
-  static_assert(!std::is_same_v<decltype(rt), decltype(st)>);
-  EXPECT_EQ(st.tuned_block_size(), 0) << "fresh (retyped) handle must not inherit a pin";
-  st.run(autob);
-  EXPECT_EQ(st.tuned_block_size(), 0) << "one run cannot have settled the tuner";
-  for (int it = 1; it < settle_runs; ++it) st.run(autob);
-  EXPECT_NE(st.tuned_block_size(), 0) << "retyped handle re-tunes independently";
 }
 
 // ---- subset (Slice) execution ----------------------------------------------

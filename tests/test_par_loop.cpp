@@ -121,25 +121,25 @@ Result run_all(Fixture& f, const ExecConfig& cfg) {
   r.gmin = 1e300;
   r.gmax = -1e300;
 
-  par_loop(IndirectIncKernel{}, "t_inc", f.edges, cfg, arg(f.x, 0, f.e2n, Access::READ),
-           arg(f.x, 1, f.e2n, Access::READ), arg(f.w, Access::READ),
-           arg(f.acc, 0, f.e2c, Access::INC), arg(f.acc, 1, f.e2c, Access::INC),
-           arg_gbl(&r.gsum, 1, Access::INC));
+  par_loop(IndirectIncKernel{}, "t_inc", f.edges, cfg, arg<opv::READ>(f.x, 0, f.e2n),
+           arg<opv::READ>(f.x, 1, f.e2n), arg<opv::READ>(f.w),
+           arg<opv::INC>(f.acc, 0, f.e2c), arg<opv::INC>(f.acc, 1, f.e2c),
+           arg_gbl<opv::INC>(&r.gsum, 1));
 
-  par_loop(DirectKernel{}, "t_direct", f.cells, cfg, arg(f.direct_a, Access::READ),
-           arg(f.direct_b, Access::WRITE), arg(f.direct_c, Access::RW),
-           arg_gbl(&r.gmin, 1, Access::MIN), arg_gbl(&r.gmax, 1, Access::MAX));
+  par_loop(DirectKernel{}, "t_direct", f.cells, cfg, arg<opv::READ>(f.direct_a),
+           arg<opv::WRITE>(f.direct_b), arg<opv::RW>(f.direct_c),
+           arg_gbl<opv::MIN>(&r.gmin, 1), arg_gbl<opv::MAX>(&r.gmax, 1));
 
-  par_loop(GatherOnlyKernel{}, "t_gather", f.cells, cfg, arg(f.x, 0, f.c2n, Access::READ),
-           arg(f.x, 1, f.c2n, Access::READ), arg(f.x, 2, f.c2n, Access::READ),
-           arg(f.adt, Access::WRITE));
+  par_loop(GatherOnlyKernel{}, "t_gather", f.cells, cfg, arg<opv::READ>(f.x, 0, f.c2n),
+           arg<opv::READ>(f.x, 1, f.c2n), arg<opv::READ>(f.x, 2, f.c2n),
+           arg<opv::WRITE>(f.adt));
 
-  par_loop(IntReadKernel{}, "t_int", f.cells, cfg, arg(f.direct_a, Access::READ),
-           arg(f.acc, Access::INC), arg(f.flag, Access::READ));
+  par_loop(IntReadKernel{}, "t_int", f.cells, cfg, arg<opv::READ>(f.direct_a),
+           arg<opv::INC>(f.acc), arg<opv::READ>(f.flag));
 
   double coef[2] = {2.0, 0.5};
-  par_loop(GblReadKernel{}, "t_gblread", f.cells, cfg, arg(f.direct_a, Access::READ),
-           arg(f.direct_b, Access::RW), arg_gbl(coef, 2, Access::READ));
+  par_loop(GblReadKernel{}, "t_gblread", f.cells, cfg, arg<opv::READ>(f.direct_a),
+           arg<opv::RW>(f.direct_b), arg_gbl<opv::READ>(coef, 2));
 
   r.acc.assign(f.acc.data(), f.acc.data() + f.acc.size());
   r.b.assign(f.direct_b.data(), f.direct_b.data() + f.direct_b.size());
@@ -257,9 +257,9 @@ TEST(FloatLoops, VectorizedMatchesSeq) {
   };
   auto run = [&](ExecConfig cfg) {
     r.fill(0.0f);
-    par_loop(edge_k, "f_edge", edges, cfg, arg(q, 0, e2c, Access::READ),
-             arg(q, 1, e2c, Access::READ), arg(w, Access::READ), arg(r, 0, e2c, Access::INC),
-             arg(r, 1, e2c, Access::INC));
+    par_loop(edge_k, "f_edge", edges, cfg, arg<opv::READ>(q, 0, e2c),
+             arg<opv::READ>(q, 1, e2c), arg<opv::READ>(w), arg<opv::INC>(r, 0, e2c),
+             arg<opv::INC>(r, 1, e2c));
     return aligned_vector<float>(r.data(), r.data() + r.size());
   };
   const auto ref = run({.backend = Backend::Seq});
@@ -297,10 +297,10 @@ TEST(ArgValidation, RejectsBadArguments) {
   // combinations (MIN/MAX on a dataset, WRITE/RW on a global) are now
   // compile errors — see the static_asserts in test_loop_handle.cpp.
   Fixture f;
-  EXPECT_THROW(arg(f.x, 2, f.e2n, Access::READ), Error);   // idx out of range
-  EXPECT_THROW(arg(f.w, 0, f.e2n, Access::READ), Error);   // dat not on target set
+  EXPECT_THROW(arg<opv::READ>(f.x, 2, f.e2n), Error);  // idx out of range
+  EXPECT_THROW(arg<opv::READ>(f.w, 0, f.e2n), Error);  // dat not on target set
   double g = 0;
-  EXPECT_THROW(arg_gbl(&g, 0, Access::INC), Error);        // dim < 1
+  EXPECT_THROW(arg_gbl<opv::INC>(&g, 0), Error);       // dim < 1
 }
 
 TEST(ArgValidation, MapRejectsOutOfRangeEntries) {
@@ -315,20 +315,9 @@ TEST(EmptySet, LoopIsNoop) {
   FixedDat<double, 1> d("d", empty);
   double g = 0;
   EXPECT_NO_THROW(par_loop([](const auto* x, auto* gg) { gg[0] += x[0]; }, "empty_loop", empty,
-                           ExecConfig{.backend = Backend::Simd}, arg(d, Access::READ),
-                           arg_gbl(&g, 1, Access::INC)));
+                           ExecConfig{.backend = Backend::Simd}, arg<opv::READ>(d),
+                           arg_gbl<opv::INC>(&g, 1)));
   EXPECT_EQ(g, 0.0);
-}
-
-TEST(DefaultConfig, TwoArgOverloadUsesIt) {
-  Fixture f;
-  default_config() = ExecConfig{.backend = Backend::Seq};
-  f.adt.fill(0.0);
-  par_loop(GatherOnlyKernel{}, "t_gather_default", f.cells, arg(f.x, 0, f.c2n, Access::READ),
-           arg(f.x, 1, f.c2n, Access::READ), arg(f.x, 2, f.c2n, Access::READ),
-           arg(f.adt, Access::WRITE));
-  EXPECT_GT(f.adt.at(0), 0.0);
-  default_config() = ExecConfig{};
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
 // Perf module tests: table formatting, useful-bandwidth accounting math,
-// and (cheap, loose) sanity checks on the machine probes.
+// (cheap, loose) sanity checks on the machine probes, and the online tuner
+// behind LoopChain's seed-tile sizing.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/error.hpp"
 #include "perf/probes.hpp"
 #include "perf/table.hpp"
+#include "perf/tuner.hpp"
 
 namespace {
 
@@ -96,6 +101,55 @@ TEST(Probes, SqrtVectorFasterPerOp) {
   EXPECT_GT(r.scalar_ns_per_op, 0.0);
   EXPECT_GT(r.vector_ns_per_op, 0.0);
   EXPECT_LT(r.vector_ns_per_op, r.scalar_ns_per_op);
+}
+
+// ---- OnlineTuner -------------------------------------------------------------
+
+TEST(OnlineTuner, RejectsBadConstruction) {
+  using Sizes = std::vector<int>;
+  EXPECT_THROW(perf::OnlineTuner(Sizes{}), Error);
+  EXPECT_THROW(perf::OnlineTuner(Sizes{64, 100}), Error);  // not a multiple of 16
+  EXPECT_THROW(perf::OnlineTuner(Sizes{0}), Error);
+  EXPECT_THROW(perf::OnlineTuner(Sizes{-16}), Error);
+  EXPECT_THROW(perf::OnlineTuner(Sizes{64}, 0), Error);  // reps < 1
+  EXPECT_NO_THROW(perf::OnlineTuner(Sizes{16, 64}, 1));
+}
+
+TEST(OnlineTuner, SettlesOnFastestAfterCandidatesTimesReps) {
+  const std::vector<int> sizes = {64, 128, 256};
+  // Per pass: 128 leads the first, 256 posts the best time of all in the
+  // second. The tuner keeps each candidate's best time.
+  const double cost[2][3] = {{3.0, 1.0, 2.0}, {3.0, 1.5, 0.5}};
+  perf::OnlineTuner t(sizes, 2);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < sizes.size(); ++i) {
+      ASSERT_FALSE(t.settled()) << "settled after only " << pass * 3 + i << " observations";
+      ASSERT_EQ(t.propose(), sizes[i]) << "candidates are proposed in order";
+      t.observe(sizes[i], cost[pass][i]);
+    }
+    if (pass == 0) EXPECT_EQ(t.best(), 128);
+  }
+  EXPECT_TRUE(t.settled());
+  EXPECT_EQ(t.best(), 256);
+  EXPECT_EQ(t.propose(), 256);
+  t.observe(256, 9.0);  // settled: later observations change nothing
+  EXPECT_EQ(t.propose(), 256);
+}
+
+TEST(OnlineTuner, IgnoresObservationsOfOtherSizes) {
+  perf::OnlineTuner t({64, 128}, 1);
+  t.observe(128, 0.1);  // the current candidate is 64
+  EXPECT_EQ(t.propose(), 64);
+  EXPECT_EQ(t.best(), 0);
+  EXPECT_TRUE(t.samples().empty());
+  t.observe(64, 1.0);
+  EXPECT_EQ(t.propose(), 128);
+  t.observe(64, 0.01);  // no longer current: neither advances nor wins
+  EXPECT_EQ(t.propose(), 128);
+  t.observe(128, 2.0);
+  EXPECT_TRUE(t.settled());
+  EXPECT_EQ(t.best(), 64);
+  EXPECT_EQ(t.samples().size(), 2u);
 }
 
 }  // namespace

@@ -287,21 +287,20 @@ TEST(WorkQueue, UrgentLaneRunsAheadOfFreshWork) {
 }
 
 TEST(WorkQueue, BurstLimitPreventsNormalLaneStarvation) {
-  // burst=2: after two consecutive urgent grabs a normal id must be served
+  // After kBurst (4) consecutive urgent grabs a normal id must be served
   // even though urgent work is still pending.
-  WorkQueue q(/*priority_burst=*/2);
+  static_assert(WorkQueue::kBurst == 4);
+  WorkQueue q;
   q.push(7);
-  q.requeue_front(1);
-  q.requeue_front(2);
-  q.requeue_front(3);
+  for (int id = 1; id <= 5; ++id) q.requeue_front(id);
   std::vector<int> order;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < 6; ++i) {
     auto got = q.acquire();
     ASSERT_TRUE(got.has_value());
     order.push_back(*got);
     q.release(*got, false);
   }
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 7, 3}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 7, 5}));
   EXPECT_EQ(q.pending(), 0u);
 }
 

@@ -225,6 +225,7 @@ TEST(Ensemble, PerInstanceStatsRowsAreIsolated) {
   const int steps = 3;
 
   auto& reg = StatsRegistry::instance();
+  reg.clear();  // the rows are process-wide: start from zero on a repeated run
   EnsembleOptions opts;
   opts.name = "stats_ens";
   opts.workers = 2;
@@ -259,7 +260,7 @@ TEST(Ensemble, SameMeshInstancesShareOnePlanBuild) {
   ExecConfig cfg;
   cfg.backend = Backend::OpenMP;
   cfg.nthreads = 1;
-  cfg.block_size = 256;  // pin: kAuto tuning would vary the key
+  cfg.block_size = 256;
 
   PlanCache::instance().clear();
   PlanCache::instance().reset_counters();

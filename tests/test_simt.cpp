@@ -1,7 +1,7 @@
 // SIMT (OpenCL-model) backend tests: determinism under dynamic work-group
 // scheduling, colored-increment correctness with adversarial conflict
 // patterns, work-group (block) size behavior including non-multiples of the
-// bundle width, and reduction handling — plus the block-size auto-tuner.
+// bundle width, and reduction handling.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +10,6 @@
 #include "core/context.hpp"
 #include "core/op2.hpp"
 #include "mesh/generators.hpp"
-#include "perf/tuner.hpp"
 
 namespace {
 
@@ -107,9 +106,9 @@ TEST(SimtBackend, BlockSizeNotMultipleOfWidth) {
   };
   auto run = [&](ExecConfig cfg) {
     r.fill(0.0);
-    par_loop(edge_k, "tails", edges, cfg, arg(q, 0, e2c, Access::READ),
-             arg(q, 1, e2c, Access::READ), arg(r, 0, e2c, Access::INC),
-             arg(r, 1, e2c, Access::INC));
+    par_loop(edge_k, "tails", edges, cfg, arg<opv::READ>(q, 0, e2c),
+             arg<opv::READ>(q, 1, e2c), arg<opv::INC>(r, 0, e2c),
+             arg<opv::INC>(r, 1, e2c));
     return aligned_vector<double>(r.data(), r.data() + r.size());
   };
   const auto ref = run({.backend = Backend::Seq});
@@ -126,55 +125,8 @@ TEST(SimtBackend, DirectLoopUsesWorkQueue) {
   par_loop([](const auto* x, auto* y) { y[0] = x[0] + std::decay_t<decltype(y[0])>(1.0); }, "dq",
            s,
            ExecConfig{.backend = Backend::Simt, .simd_width = 8, .nthreads = 6},
-           arg(a, Access::READ), arg(b, Access::WRITE));
+           arg<opv::READ>(a), arg<opv::WRITE>(b));
   for (idx_t i = 0; i < s.size(); ++i) ASSERT_EQ(b.at(i), a.at(i) + 1.0) << i;
-}
-
-TEST(Tuner, FindsAPlausibleBlockSize) {
-  // Synthetic workload whose cost curve has a clear minimum at 512.
-  auto cost = [](int bs) {
-    const double x = std::log2(bs) - 9.0;  // min at 2^9 = 512
-    return 1.0 + x * x;
-  };
-  const auto r = perf::tune_block_size(cost, {128, 256, 512, 1024, 2048}, 1);
-  EXPECT_EQ(r.best_block_size, 512);
-  EXPECT_EQ(r.samples.size(), 5u);
-  EXPECT_DOUBLE_EQ(r.best_seconds, 1.0);
-}
-
-TEST(Tuner, RejectsBadInput) {
-  auto cost = [](int) { return 1.0; };
-  EXPECT_THROW(perf::tune_block_size(cost, {}), Error);
-  EXPECT_THROW(perf::tune_block_size(cost, {100}), Error);  // not mult of 16
-  EXPECT_THROW(perf::tune_block_size(cost, {256}, 0), Error);
-}
-
-TEST(Tuner, TunesARealLoop) {
-  // End-to-end: tune the block size of a real colored loop (just checks
-  // the plumbing returns a candidate; no performance assertion).
-  auto msh = mesh::make_quad_box(64, 64);
-  Set cells("cells", msh.ncells), edges("edges", msh.nedges);
-  Map e2c("e2c", edges, cells, 2, msh.edge_cells);
-  FixedDat<double, 1> q("q", cells), r("r", cells);
-  q.fill(2.0);
-  auto edge_k = [](const auto* ql, const auto* qr, auto* rl, auto* rr) {
-    rl[0] += qr[0] - ql[0];
-    rr[0] += ql[0] - qr[0];
-  };
-  const auto result = perf::tune_block_size(
-      [&](int bs) {
-        const ExecConfig cfg{.backend = Backend::Simd, .block_size = bs,
-                             .collect_stats = false};
-        WallTimer t;
-        par_loop(edge_k, "tune", edges, cfg, arg(q, 0, e2c, Access::READ),
-                 arg(q, 1, e2c, Access::READ), arg(r, 0, e2c, Access::INC),
-                 arg(r, 1, e2c, Access::INC));
-        return t.seconds();
-      },
-      {128, 256, 512}, 2);
-  EXPECT_TRUE(result.best_block_size == 128 || result.best_block_size == 256 ||
-              result.best_block_size == 512);
-  EXPECT_GT(result.best_seconds, 0.0);
 }
 
 }  // namespace
