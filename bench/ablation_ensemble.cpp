@@ -121,12 +121,13 @@ Row run_mode(bool mixed, int n, idx_t base, int steps, int workers, int batch) {
   if (rep.failed > 0) r.bitwise_ok = false;
 
   // Plan-sharing accounting (untimed): the Seq arms build no coloring
-  // plans, so probe the regime with a pinned-block OpenMP config — shared
-  // mesh => one build for the whole ensemble, mixed => one per mesh.
+  // plans, so probe the regime with a pinned-block two-thread OpenMP config
+  // (a one-thread TwoLevel team takes no plan) — shared mesh => one build
+  // for the whole ensemble, mixed => one per mesh.
   {
     ExecConfig pcfg;
     pcfg.backend = Backend::OpenMP;
-    pcfg.nthreads = 1;
+    pcfg.nthreads = 2;
     pcfg.block_size = 256;
     PlanCache::instance().clear();
     PlanCache::instance().reset_counters();

@@ -12,7 +12,8 @@
 //             overlapped schedule with a blocking exchange; results are
 //             bitwise-identical to Overlap, so the time difference is
 //             exactly what the overlap buys
-//   Overlap   begin exchange -> interior -> wait -> boundary
+//   Overlap   begin exchange -> interior (the driver thread waits for the
+//             exchange meanwhile) -> boundary
 //
 // All modes run the StagedExchanger (per-neighbor pack/unpack, async): the
 // transport a real MPI backend would mirror. Reported per configuration:

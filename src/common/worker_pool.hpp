@@ -34,6 +34,11 @@ namespace opv {
 /// so repeated run() calls — one per parallel loop in a timestep-driven
 /// application — pay a condition-variable wakeup, not a thread spawn. The
 /// first exception thrown by any rank is rethrown in the caller.
+///
+/// run(f, task) also puts the calling thread to work: it starts the ranks,
+/// runs task() while they compute, then joins them. The ranks are always
+/// joined before anything is rethrown; the task's exception takes
+/// precedence over a rank's.
 class WorkerPool {
  public:
   explicit WorkerPool(int nranks) {
@@ -55,22 +60,29 @@ class WorkerPool {
     for (auto& t : threads_) t.join();
   }
 
-  template <class F>
-  void run(F&& f) {
+  template <class F, class Task = decltype([] {})>
+  void run(F&& f, Task&& task = {}) {
     const std::function<void(int)> job(std::forward<F>(f));
     State& s = state_;
-    std::unique_lock<std::mutex> lock(s.mu);
-    s.job = &job;
-    s.pending = s.nranks;
-    ++s.generation;
+    {
+      std::lock_guard<std::mutex> lock(s.mu);
+      s.job = &job;
+      s.pending = s.nranks;
+      ++s.generation;
+    }
     s.start_cv.notify_all();
+    std::exception_ptr error;
+    try {
+      task();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    std::unique_lock<std::mutex> lock(s.mu);
     s.done_cv.wait(lock, [&] { return s.pending == 0; });
     s.job = nullptr;
-    if (s.error) {
-      const std::exception_ptr e = s.error;
-      s.error = nullptr;
-      std::rethrow_exception(e);
-    }
+    if (!error) error = s.error;
+    s.error = nullptr;
+    if (error) std::rethrow_exception(error);
   }
 
   [[nodiscard]] int size() const { return state_.nranks; }

@@ -128,7 +128,7 @@ ChainPlan plan_chain(const std::vector<LoopSpec>& specs, idx_t tile_elems) {
         }
         // Monotone clamp: tiles non-decreasing in element order makes every
         // (tile, loop) subset a contiguous ascending range — the property
-        // the bitwise-identical Seq executor and run_range rest on.
+        // the bitwise-identical Seq executor and the pinned slices rest on.
         t = std::max(t, prev);
         prev = t;
         tile_of[static_cast<std::size_t>(i)] = t;
@@ -231,14 +231,9 @@ void LoopChain::materialize(idx_t tile_elems) {
       chain_detail::plan_chain(specs, tile_elems));
   for (const chain_detail::Segment& seg : plan->segments) {
     if (!seg.fused) continue;
-    for (int l = seg.begin; l < seg.end; ++l) {
-      const std::vector<idx_t>& off = seg.offsets[static_cast<std::size_t>(l - seg.begin)];
-      std::vector<std::pair<idx_t, idx_t>> ranges(static_cast<std::size_t>(seg.ntiles));
-      for (int t = 0; t < seg.ntiles; ++t)
-        ranges[static_cast<std::size_t>(t)] = {off[static_cast<std::size_t>(t)],
-                                               off[static_cast<std::size_t>(t) + 1]};
-      nodes_[static_cast<std::size_t>(l)]->set_tile_ranges(std::move(ranges));
-    }
+    for (int l = seg.begin; l < seg.end; ++l)
+      nodes_[static_cast<std::size_t>(l)]->set_tiles(
+          seg.offsets[static_cast<std::size_t>(l - seg.begin)]);
   }
   plan_secs_ += timer.seconds();
   plan_ = std::move(plan);

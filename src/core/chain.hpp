@@ -27,15 +27,14 @@
 //
 // Executor (chain.run(cfg)): for each segment, either plain run() per loop
 // (unfused) or tile waves: for tile t, run every member loop's subset
-// back-to-back. Race-free subsets execute through Loop::run_range
-// (contiguous, vectorizable); conflicted subsets on parallel backends go
-// through a pinned Loop::Slice whose subset coloring plan is built once —
-// there the per-tile color order reassociates increment sums exactly like
-// run()'s coloring does (the documented reassociation carve-out).
+// back-to-back. Each (tile, member) subset is a pinned Loop::Slice over its
+// contiguous range, on every backend: it runs under the schedule run()
+// would pick, and a conflicted member's range plan is built once — there
+// the per-tile color order reassociates increment sums exactly like run()'s
+// coloring does (the documented reassociation carve-out).
 #pragma once
 
 #include <memory>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -150,9 +149,10 @@ class LoopChain {
     [[nodiscard]] virtual const std::string& loop_name() const = 0;
     [[nodiscard]] virtual idx_t iter_count() const = 0;  ///< run()'s element count
     virtual void run_full(const ExecConfig& cfg) = 0;    ///< plain Loop::run
-    /// Pin this member's tile ranges (clears previously pinned slices).
-    virtual void set_tile_ranges(std::vector<std::pair<idx_t, idx_t>> ranges) = 0;
-    /// Execute tile t's subset (range fast path or pinned Slice).
+    /// Pin one slice per tile: tile t is [off[t], off[t+1]) (replacing
+    /// previously pinned slices).
+    virtual void set_tiles(const std::vector<idx_t>& off) = 0;
+    /// Execute tile t's pinned slice.
     virtual void run_tile(const ExecConfig& cfg, int t) = 0;
     /// Unflushed plan-acquisition seconds of the underlying loop.
     [[nodiscard]] virtual double take_fresh_plan_seconds() = 0;
@@ -162,38 +162,19 @@ class LoopChain {
   struct NodeImpl final : Node {
     explicit NodeImpl(L* l) : loop(l) {}
     L* loop;
-    std::vector<std::pair<idx_t, idx_t>> ranges;
-    std::vector<typename L::Slice> slices;  ///< built lazily per tile
+    std::vector<typename L::Slice> slices;  ///< one per tile
 
     [[nodiscard]] const LoopFootprint& footprint() const override { return loop->footprint(); }
     [[nodiscard]] const std::string& loop_name() const override { return loop->name(); }
     [[nodiscard]] idx_t iter_count() const override { return loop->exec_limit(); }
     void run_full(const ExecConfig& cfg) override { loop->run(cfg); }
-    void set_tile_ranges(std::vector<std::pair<idx_t, idx_t>> r) override {
-      ranges = std::move(r);
+    void set_tiles(const std::vector<idx_t>& off) override {
       slices.clear();
+      for (std::size_t t = 0; t + 1 < off.size(); ++t)
+        slices.push_back(loop->make_slice(off[t], off[t + 1]));
     }
     void run_tile(const ExecConfig& cfg, int t) override {
-      const auto [lo, hi] = ranges[static_cast<std::size_t>(t)];
-      if (hi <= lo) return;
-      // Contiguous-range fast path: always on Seq (serial ascending order,
-      // the bitwise-identity backbone), and on the parallel backends for
-      // race-free loops. Conflicted subsets on parallel backends need the
-      // Slice's subset coloring.
-      const bool range_ok =
-          cfg.backend == Backend::Seq || (!L::has_inc && cfg.backend != Backend::Simt);
-      if (range_ok) {
-        loop->run_range(cfg, lo, hi);
-        return;
-      }
-      if (slices.empty()) slices.resize(ranges.size());
-      typename L::Slice& s = slices[static_cast<std::size_t>(t)];
-      if (s.empty()) {
-        aligned_vector<idx_t> elems(static_cast<std::size_t>(hi - lo));
-        std::iota(elems.begin(), elems.end(), lo);
-        s = loop->make_slice(std::move(elems));
-      }
-      loop->run_slice(cfg, s);
+      loop->run_slice(cfg, slices[static_cast<std::size_t>(t)]);
     }
     [[nodiscard]] double take_fresh_plan_seconds() override {
       return loop->fresh_plan_seconds();

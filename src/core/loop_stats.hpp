@@ -28,15 +28,17 @@ struct LoopRecord {
   // Halo-exchange accounting (distributed loops; paper section 6.5): wall
   // time spent moving halo bytes for this loop (begin+wait of the
   // non-blocking pair, or the blocking exchange) and the number of scalar
-  // values moved. Both accumulate across calls; `seconds` above is compute
-  // only, so exchange_seconds / (seconds + exchange_seconds) is the loop's
-  // communication fraction.
+  // values moved. Both accumulate across calls. Under the default Overlap
+  // mode the wait runs on the driver thread while the ranks compute the
+  // interior, so that share of exchange_seconds overlaps `seconds` above
+  // rather than adding to it; only the Blocking and Phased modes keep the
+  // two disjoint.
   double exchange_seconds = 0.0;
   std::int64_t exchanged_values = 0;
 
   // Plan-construction accounting (the run-time pre-processing cost the
   // ROADMAP names): wall time this loop spent acquiring coloring plans
-  // (cache lookups plus the builds they trigger, including per-slice subset
+  // (cache lookups plus the builds they trigger, including per-slice range
   // plans). Amortizes toward zero over a long run — the `plan` column in
   // perf::loop_stats_table makes the remaining share visible.
   double plan_seconds = 0.0;

@@ -532,14 +532,15 @@ inline void vflush_perm(VGbl<S, W, A>&) {}
 
 /// SIMT colored increment (Fig. 3a): indirect increments are applied
 /// color-by-color with a lane mask, serializing conflicting work-items
-/// exactly like the generated OpenCL kernel does.
+/// exactly like the generated OpenCL kernel does. `colors` holds the W
+/// element colors of the chunk starting at element n.
 template <class S, int W, AccessMode A, int Dim, bool Ind>
-inline void vflush_simt(VDat<S, W, A, Dim, Ind>& a, idx_t n, const std::int32_t* elem_color,
+inline void vflush_simt(VDat<S, W, A, Dim, Ind>& a, idx_t n, const std::int32_t* colors,
                         int ncolors) {
   using V = simd::Vec<S, W>;
   using IV = simd::Vec<std::int32_t, W>;
   if constexpr (Ind && A == AccessMode::INC) {
-    const IV cv = IV::loadu(elem_color + n);
+    const IV cv = IV::loadu(colors);
     for (int col = 0; col < ncolors; ++col) {
       const auto imask = (cv == IV(col));
       const auto vmask = simd::MaskConvert<V>::from(imask);
@@ -641,13 +642,13 @@ struct first_real<ArgGbl<S, A>, Rest...> {
 
 namespace detail {
 
-/// The serial reference executor: the scalar kernel over positions
-/// [lo, hi) (element ids[j], or j when ids is null) in ascending order.
+/// The serial reference executor: the scalar kernel over elements [lo, hi)
+/// in ascending order.
 template <class Kernel, class Tuple>
-void exec_seq(Kernel& k, Tuple t, const idx_t* ids, idx_t lo, idx_t hi) {
+void exec_seq(Kernel& k, Tuple t, idx_t lo, idx_t hi) {
   constexpr auto seq = std::make_index_sequence<std::tuple_size_v<Tuple>>{};
   thread_init_all(t, seq);
-  run_scalar(k, t, ids, lo, hi, seq);
+  run_scalar(k, t, nullptr, lo, hi, seq);
   thread_merge_all(t, seq);
 }
 
@@ -656,21 +657,12 @@ void exec_seq(Kernel& k, Tuple t, const idx_t* ids, idx_t lo, idx_t hi) {
 /// W-wide vector kernel (Simd; Simt with its per-color masked increments).
 enum class Mode { Scalar, Hint, Simd, Simt };
 
-/// What one execution walks: with no plan, positions [lo, hi) of the id
-/// list `ids` (null = the contiguous element range); with a plan, its
-/// colors — global colors for FullPermute, block colors otherwise.
-struct Schedule {
-  const idx_t* ids = nullptr;
-  idx_t lo = 0;
-  idx_t hi = 0;
-  const Plan* plan = nullptr;
-};
-
-/// The element-range body: positions [lo, hi) of `ids` (null = contiguous
-/// ids). Vector modes run W-wide chunks first — contiguous vload/vflush
-/// (vflush_simt on Simt, with the range's `ncol` element colors from
-/// `ecol`), or permuted vload_perm/vflush_perm — and every mode finishes
-/// with the scalar kernel: the pre/main/post structure of paper section 4.2.
+/// The element-range body: positions [lo, hi) of `ids` (null = the
+/// elements lo..hi-1 themselves). Vector modes run W-wide chunks first —
+/// contiguous vload/vflush (vflush_simt on Simt, with the range's `ncol`
+/// element colors, `ecol` holding element lo's), or permuted
+/// vload_perm/vflush_perm — and every mode finishes with the scalar kernel:
+/// the pre/main/post structure of paper section 4.2.
 template <Mode M, int W, class Kernel, class ST, class VT, std::size_t... Is>
 OPV_NOINLINE OPV_FLATTEN void run_elems(Kernel& k, ST& st, VT& vt, const idx_t* ids, idx_t lo,
                                         idx_t hi, const std::int32_t* ecol, int ncol,
@@ -685,10 +677,10 @@ OPV_NOINLINE OPV_FLATTEN void run_elems(Kernel& k, ST& st, VT& vt, const idx_t* 
           vflush_perm_all(vt, seq);
         }
     } else {
-      for (; lo + W <= hi; lo += W) {
+      for (const idx_t lo0 = lo; lo + W <= hi; lo += W) {
         vload_all(vt, lo, seq);
         vcall(k, vt, seq);
-        if constexpr (M == Mode::Simt) vflush_simt_all(vt, lo, ecol, ncol, seq);
+        if constexpr (M == Mode::Simt) vflush_simt_all(vt, lo, ecol + (lo - lo0), ncol, seq);
         else vflush_all(vt, lo, seq);
       }
     }
@@ -754,14 +746,16 @@ inline void walk_block_colors(Body& body, const Plan& plan, std::atomic<idx_t>* 
 
 /// The parallel skeleton: open the team, copy the bound argument tuples per
 /// thread (scalar state, plus W-wide state on the vector modes; `VT` is
-/// empty otherwise), walk the schedule, and — for loops with a global
-/// reduction — merge the threads' partials in thread-id order, so the
+/// empty otherwise), walk the elements [lo, hi) — in ascending order
+/// without a plan, else the plan's colors over them (global colors for
+/// FullPermute, block colors otherwise) — and, for loops with a global
+/// reduction, merge the threads' partials in thread-id order, so the
 /// result does not depend on which thread finishes first.
 template <Mode M, int W, bool Reduce, class Kernel, class ST, class VT>
-void sweep(Kernel& k, const ST& sproto, const VT& vproto, const Schedule& s, int nthreads) {
+void sweep(Kernel& k, const ST& sproto, const VT& vproto, idx_t lo, idx_t hi, const Plan* plan,
+           int nthreads) {
   constexpr auto seq = std::make_index_sequence<std::tuple_size_v<ST>>{};
   constexpr bool vec = M == Mode::Simd || M == Mode::Simt;
-  const Plan* plan = s.plan;
   const std::int32_t* ecol = plan ? plan->elem_color.data() : nullptr;
   std::vector<std::atomic<idx_t>> queue(M == Mode::Simt && plan ? plan->nblock_colors : 0);
   for (auto& q : queue) q.store(0, std::memory_order_relaxed);
@@ -772,12 +766,14 @@ void sweep(Kernel& k, const ST& sproto, const VT& vproto, const Schedule& s, int
     thread_init_all(st, seq);
     if constexpr (vec) vthread_init_all(vt, seq);
     auto body = [&](const idx_t* ids, idx_t lo, idx_t hi, int ncol = 1) {
-      run_elems<M, W>(k, st, vt, ids, lo, hi, ecol, ncol, seq);
+      const std::int32_t* colors = nullptr;  // element colors are indexed from the range start
+      if constexpr (M == Mode::Simt) colors = ecol + (lo - plan->first);
+      run_elems<M, W>(k, st, vt, ids, lo, hi, colors, ncol, seq);
     };
     const int tid = omp_get_thread_num();
     const int nth = omp_get_num_threads();
     if (!plan)
-      walk_direct<W>(body, s.ids, s.lo, s.hi, tid, nth);
+      walk_direct<W>(body, nullptr, lo, hi, tid, nth);
     else if (plan->strategy == ColoringStrategy::FullPermute)
       walk_global_colors<W>(body, *plan, tid, nth);
     else
@@ -836,7 +832,7 @@ class Loop {
     if (n == 0) return;
 
     WallTimer timer;
-    execute(cfg, cfg.backend, {nullptr, 0, n, plan(cfg)});
+    execute(cfg, 0, n, plan(cfg));
     const double secs = timer.seconds();
     if (cfg.collect_stats) {
       // Slot bound on first recording run: loops that never collect stats
@@ -853,85 +849,55 @@ class Loop {
     }
   }
 
-  /// A pinned element-index view of this loop's iteration space, executable
-  /// with the loop's kernel instantiations and a colored schedule derived
-  /// from the same conflict analysis (paper section 6.5's interior/boundary
-  /// phases: the distributed layer runs one Slice per phase). The schedule
-  /// (a subset coloring plan for loops with conflicts) is built lazily on
+  /// A pinned contiguous piece [lo, hi) of this loop's executed range
+  /// (paper section 6.5's interior/boundary phases run one Slice each, and
+  /// a LoopChain tile one per member). It runs with the loop's kernel
+  /// instantiations under the schedule run() would choose for the same
+  /// configuration; a plan that schedule needs is built over the range on
   /// the first run_slice and pinned for the Slice's lifetime.
   class Slice {
    public:
     Slice() = default;
-    [[nodiscard]] idx_t size() const { return static_cast<idx_t>(elems_.size()); }
-    [[nodiscard]] bool empty() const { return elems_.empty(); }
-    [[nodiscard]] const aligned_vector<idx_t>& elems() const { return elems_; }
-    /// The pinned subset plan (nullptr until a conflicted run builds it).
+    [[nodiscard]] idx_t lo() const { return lo_; }
+    [[nodiscard]] idx_t hi() const { return hi_; }
+    [[nodiscard]] idx_t size() const { return hi_ - lo_; }
+    [[nodiscard]] bool empty() const { return hi_ == lo_; }
+    /// The pinned range plan (nullptr until a run that needs one builds it).
     [[nodiscard]] const Plan* plan() const { return plan_.get(); }
 
    private:
     friend class Loop;
-    aligned_vector<idx_t> elems_;
+    idx_t lo_ = 0;
+    idx_t hi_ = 0;
     std::shared_ptr<const Plan> plan_;
-    int block_size_ = -1;
-    ColoringStrategy strat_ = ColoringStrategy::TwoLevel;
   };
 
-  /// Pin a subset of this loop's iteration space for phased execution.
-  /// Element ids must lie inside the executed range (exec_limit()).
-  [[nodiscard]] Slice make_slice(aligned_vector<idx_t> elems) const {
+  /// Pin the range [lo, hi) of the executed range [0, exec_limit()).
+  [[nodiscard]] Slice make_slice(idx_t lo, idx_t hi) const {
     const idx_t limit = exec_limit();
-    for (idx_t e : elems)
-      OPV_REQUIRE(e >= 0 && e < limit, "loop '" << name_ << "': slice element " << e
-                                                << " outside the executed range [0," << limit
-                                                << ")");
+    OPV_REQUIRE(lo >= 0 && lo <= hi && hi <= limit,
+                "loop '" << name_ << "': slice [" << lo << "," << hi
+                         << ") is not a range inside the executed range [0," << limit << ")");
     Slice s;
-    s.elems_ = std::move(elems);
+    s.lo_ = lo;
+    s.hi_ = hi;
     return s;
   }
 
-  /// Execute only the slice's elements. Race-handling mirrors run(): loops
-  /// with indirect conflicts go through a subset coloring plan (BlockPermute
-  /// by default, FullPermute if cfg asks for it — TwoLevel has no contiguous
-  /// blocks to offer a subset, and the Simt queue model likewise executes
-  /// its slice through the BlockPermute schedule). Global reductions
-  /// init/merge per call, so running a loop as interior + boundary slices
-  /// accumulates exactly like one full run. Stats are the caller's business
-  /// (a phased caller owns the aggregate timing), so nothing is recorded.
+  /// Execute only the slice's elements. Seq runs them in ascending order,
+  /// so a cover of slices executed in order is bitwise-identical to one
+  /// run(), increments included. Global reductions init/merge per call, so
+  /// slices accumulate exactly like one full run. Stats are the caller's
+  /// business (a phased or chained caller owns the aggregate timing), so
+  /// nothing is recorded.
   void run_slice(const ExecConfig& cfg, Slice& s) {
-    const idx_t n = s.size();
-    if (n == 0) return;
-    // Simt's queue model needs contiguous blocks: its slices run the Simd
-    // schedules (through the BlockPermute subset plan when conflicted).
-    const Backend be = cfg.backend == Backend::Simt ? Backend::Simd : cfg.backend;
-    const Plan* plan = has_inc && be != Backend::Seq ? &slice_plan(s, cfg) : nullptr;
-    execute(cfg, be, {s.elems_.data(), 0, n, plan});
+    if (s.empty()) return;
+    const auto strat = strategy_for(cfg);
+    execute(cfg, s.lo_, s.hi_, strat ? &slice_plan(s, *strat, cfg) : nullptr);
   }
 
-  /// Execute only the contiguous element range [lo, hi) of the executed
-  /// range, in place of run(). Seq preserves the exact ascending element
-  /// order (so a cover of ranges executed in order is bitwise-identical to
-  /// one run(), increments included); the parallel backends take the same
-  /// race-free direct path run() would — loops with indirect conflicts must
-  /// go through a Slice there (the LoopChain executor routes them so).
-  void run_range(const ExecConfig& cfg, idx_t lo, idx_t hi) {
-    if (hi <= lo) return;
-    const idx_t limit = exec_limit();
-    OPV_REQUIRE(lo >= 0 && hi <= limit, "loop '" << name_ << "': range [" << lo << "," << hi
-                                                 << ") outside the executed range [0," << limit
-                                                 << ")");
-    // The Simt queue model schedules through a plan; contiguous ranges
-    // execute via run_slice's BlockPermute subset schedule instead.
-    OPV_REQUIRE(cfg.backend != Backend::Simt,
-                "loop '" << name_ << "': run_range is not available on Simt");
-    OPV_REQUIRE(!has_inc || cfg.backend == Backend::Seq,
-                "loop '" << name_
-                         << "': run_range on a parallel backend requires a race-free loop; use "
-                            "run_slice (subset coloring)");
-    execute(cfg, cfg.backend, {nullptr, lo, hi, nullptr});
-  }
-
-  /// The executed range [0, exec_limit()) shared by run(), run_slice() and
-  /// run_range(). Loops with indirect increments redundantly execute the
+  /// The executed range [0, exec_limit()) that run() covers and slices
+  /// divide. Loops with indirect increments redundantly execute the
   /// import halo so owned data receives all contributions (OP2's owner-
   /// compute scheme) — unless they also reduce into a global: halo elements
   /// would then contribute to the reduction on every executing rank, so
@@ -976,7 +942,7 @@ class Loop {
   }
 
   /// Cumulative wall seconds this handle spent acquiring coloring plans
-  /// (cache lookups + builds, including subset plans for slices). The
+  /// (cache lookups + builds, including range plans for slices). The
   /// distributed layer aggregates this across its rank loops into the
   /// stats `plan` column.
   [[nodiscard]] double plan_build_seconds() const { return plan_build_secs_; }
@@ -994,20 +960,27 @@ class Loop {
 
  private:
   /// The single source of truth for backend -> coloring-strategy selection
-  /// (used by run() and plan()). nullopt = no plan needed.
+  /// (used by run(), run_slice() and plan()). nullopt = no plan needed.
   [[nodiscard]] static std::optional<ColoringStrategy> strategy_for(const ExecConfig& cfg) {
     // Simt always schedules work-groups through a TwoLevel plan, conflicts
     // or not (the dynamic block queue lives in the plan).
     if (cfg.backend == Backend::Simt) return ColoringStrategy::TwoLevel;
     if (!has_inc || cfg.backend == Backend::Seq) return std::nullopt;
-    // Scalar OpenMP races are handled at block granularity only.
-    if (cfg.backend == Backend::OpenMP) return ColoringStrategy::TwoLevel;
     // AutoVec requires lane independence: TwoLevel cannot provide it, so
     // fall back to BlockPermute (the paper's scheme for enabling compiler
     // vectorization of gather-scatter loops).
     if (cfg.backend == Backend::AutoVec && cfg.coloring == ColoringStrategy::TwoLevel)
       return ColoringStrategy::BlockPermute;
-    return cfg.coloring;
+    // Scalar OpenMP races are handled at block granularity only.
+    const ColoringStrategy strat =
+        cfg.backend == Backend::OpenMP ? ColoringStrategy::TwoLevel : cfg.coloring;
+    // TwoLevel's block colors only keep threads apart, and Simd's
+    // contiguous scatter already serializes conflicting lanes: a one-thread
+    // team sweeps its range in ascending order without a plan (the paper's
+    // MPI+vector stub, Fig. 3b).
+    if (strat == ColoringStrategy::TwoLevel && detail::resolve_threads(cfg.nthreads) == 1)
+      return std::nullopt;
+    return strat;
   }
   /// Memoized plan lookup: one pinned shared_ptr per coloring strategy.
   /// Acquisition wall time (the cache lookup plus any build it triggers)
@@ -1026,27 +999,14 @@ class Loop {
     return *s.plan;
   }
 
-  /// Subset plan for a Slice, built once and pinned (slices are per-handle
-  /// state, so they bypass the process-wide PlanCache). Subsets have no
-  /// contiguous blocks, so TwoLevel/Simt requests resolve to BlockPermute —
-  /// the same block-color / element-color structure, iterated through a
-  /// permutation.
-  const Plan& slice_plan(Slice& s, const ExecConfig& cfg) {
-    const ColoringStrategy strat = cfg.backend != Backend::Simt &&
-                                           cfg.coloring == ColoringStrategy::FullPermute
-                                       ? ColoringStrategy::FullPermute
-                                       : ColoringStrategy::BlockPermute;
-    const int bs = cfg.block_size;
-    if (!s.plan_ || s.block_size_ != bs || s.strat_ != strat) {
+  /// Range plan for a Slice, built once and pinned (slices are per-handle
+  /// state, so they bypass the process-wide PlanCache).
+  const Plan& slice_plan(Slice& s, ColoringStrategy strat, const ExecConfig& cfg) {
+    if (!s.plan_ || s.plan_->block_size != cfg.block_size || s.plan_->strategy != strat) {
       WallTimer t;
-      std::vector<IncRef> sorted = conflicts_;
-      std::sort(sorted.begin(), sorted.end());
-      sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-      s.plan_ = build_plan(s.size(), sorted, bs, strat, s.elems_.data(),
+      s.plan_ = build_plan(s.size(), conflicts_, cfg.block_size, strat, s.lo_,
                            detail::resolve_threads(cfg.nthreads));
       plan_build_secs_ += t.seconds();
-      s.block_size_ = bs;
-      s.strat_ = strat;
     }
     return *s.plan_;
   }
@@ -1064,30 +1024,32 @@ class Loop {
   }
 
   /// The one backend switch (and, for the vector backends, the one width
-  /// dispatch) behind run(), run_slice() and run_range().
-  void execute(const ExecConfig& cfg, Backend backend, const detail::Schedule& s) {
+  /// dispatch) behind run() and run_slice(): the elements [lo, hi), under
+  /// `plan` when the schedule needs one.
+  void execute(const ExecConfig& cfg, idx_t lo, idx_t hi, const Plan* plan) {
     using detail::Mode;
+    const Backend backend = cfg.backend;
     const int nth = detail::resolve_threads(cfg.nthreads);
     switch (backend) {
-      case Backend::Seq: detail::exec_seq(kernel_, bound<1>(), s.ids, s.lo, s.hi); break;
+      case Backend::Seq: detail::exec_seq(kernel_, bound<1>(), lo, hi); break;
       case Backend::OpenMP:
-        detail::sweep<Mode::Scalar, 1, has_gbl_reduction>(kernel_, bound<1>(), std::tuple<>{}, s,
-                                                          nth);
+        detail::sweep<Mode::Scalar, 1, has_gbl_reduction>(kernel_, bound<1>(), std::tuple<>{}, lo,
+                                                          hi, plan, nth);
         break;
       case Backend::AutoVec:
-        detail::sweep<Mode::Hint, 1, has_gbl_reduction>(kernel_, bound<1>(), std::tuple<>{}, s,
-                                                        nth);
+        detail::sweep<Mode::Hint, 1, has_gbl_reduction>(kernel_, bound<1>(), std::tuple<>{}, lo,
+                                                        hi, plan, nth);
         break;
       case Backend::Simd:
       case Backend::Simt: {
         if constexpr (detail::vector_callable<Kernel, Args...>) {
           auto vsweep = [&]<int W>() {
             if (backend == Backend::Simt)
-              detail::sweep<Mode::Simt, W, has_gbl_reduction>(kernel_, bound<1>(), bound<W>(), s,
-                                                              nth);
+              detail::sweep<Mode::Simt, W, has_gbl_reduction>(kernel_, bound<1>(), bound<W>(), lo,
+                                                              hi, plan, nth);
             else
-              detail::sweep<Mode::Simd, W, has_gbl_reduction>(kernel_, bound<1>(), bound<W>(), s,
-                                                              nth);
+              detail::sweep<Mode::Simd, W, has_gbl_reduction>(kernel_, bound<1>(), bound<W>(), lo,
+                                                              hi, plan, nth);
           };
           using Real = typename detail::first_real<Args...>::type;
           const int w = cfg.simd_width > 0 ? cfg.simd_width : simd::max_lanes<Real>;

@@ -93,31 +93,31 @@ struct BlockColorer {
   explicit BlockColorer(idx_t nslots)
       : work(static_cast<std::size_t>(nslots), 0), epoch(static_cast<std::size_t>(nslots), -1) {}
 
-  /// Colors elements [begin,end); writes into elem_color; returns #colors.
-  /// `subset` maps positions to element ids (nullptr = identity).
+  /// Colors elements [begin,end); writes into color[e - begin]; returns
+  /// #colors.
   int color_block(idx_t begin, idx_t end, const std::vector<IncRef>& conflicts,
-                  const SlotSpace& space, aligned_vector<std::int32_t>& elem_color,
-                  const idx_t* subset) {
+                  const SlotSpace& space, std::int32_t* color) {
     int ncolors = 0;
     int base = 0;
     idx_t remaining = end - begin;
-    for (idx_t e = begin; e < end; ++e) elem_color[e] = -1;
+    for (idx_t e = begin; e < end; ++e) color[e - begin] = -1;
     while (remaining > 0) {
       ++cur_epoch;
       for (idx_t e = begin; e < end; ++e) {
-        if (elem_color[e] >= 0) continue;
+        std::int32_t& ec = color[e - begin];
+        if (ec >= 0) continue;
         std::uint32_t mask = 0;
         for (const IncRef& c : conflicts) {
-          const idx_t s = space.slot(c, subset ? subset[e] : e);
+          const idx_t s = space.slot(c, e);
           if (epoch[s] == cur_epoch) mask |= work[s];
         }
         const std::uint32_t avail = ~mask;
         if (avail == 0) continue;
         const int bit = std::countr_zero(avail);
-        elem_color[e] = base + bit;
-        ncolors = std::max(ncolors, elem_color[e] + 1);
+        ec = base + bit;
+        ncolors = std::max(ncolors, ec + 1);
         for (const IncRef& c : conflicts) {
-          const idx_t s = space.slot(c, subset ? subset[e] : e);
+          const idx_t s = space.slot(c, e);
           if (epoch[s] != cur_epoch) {
             epoch[s] = cur_epoch;
             work[s] = 0;
@@ -136,21 +136,19 @@ struct BlockColorer {
 }  // namespace
 
 std::shared_ptr<const Plan> build_plan(idx_t nelems, const std::vector<IncRef>& conflicts,
-                                       int block_size, ColoringStrategy strategy,
-                                       const idx_t* subset, int nthreads) {
+                                       int block_size, ColoringStrategy strategy, idx_t first,
+                                       int nthreads) {
   OPV_REQUIRE(block_size >= 16 && block_size % 16 == 0,
               "block size must be a positive multiple of 16, got " << block_size);
   auto plan = std::make_shared<Plan>();
   Plan& p = *plan;
+  p.first = first;
   p.nelems = nelems;
   p.block_size = block_size;
   p.strategy = strategy;
   p.nblocks = (nelems + block_size - 1) / block_size;
 
   const SlotSpace space(conflicts);
-  // Position -> element id (identity without a subset). Coloring runs in
-  // position space; conflict slots are resolved through the actual ids.
-  const auto elem_of = [subset](idx_t e) { return subset ? subset[e] : e; };
 
   // ---- block coloring (TwoLevel & BlockPermute; trivial without conflicts)
   if (conflicts.empty() || strategy == ColoringStrategy::FullPermute) {
@@ -159,7 +157,7 @@ std::shared_ptr<const Plan> build_plan(idx_t nelems, const std::vector<IncRef>& 
   } else {
     auto block_slots = [&](idx_t b, std::vector<idx_t>& out) {
       for (idx_t e = p.block_begin(b); e < p.block_end(b); ++e)
-        for (const IncRef& c : conflicts) out.push_back(space.slot(c, elem_of(e)));
+        for (const IncRef& c : conflicts) out.push_back(space.slot(c, e));
     };
     p.nblock_colors = greedy_color(p.nblocks, space.total(), block_slots, p.block_color);
   }
@@ -188,7 +186,7 @@ std::shared_ptr<const Plan> build_plan(idx_t nelems, const std::vector<IncRef>& 
         for (idx_t b = 0; b < p.nblocks; ++b) {
           try {
             const int nc = bc.color_block(p.block_begin(b), p.block_end(b), conflicts, space,
-                                          p.elem_color, subset);
+                                          p.elem_color.data() + b * block_size);
             p.block_nelem_colors[b] = nc;
             local_max = std::max(local_max, nc);
           } catch (...) {
@@ -213,21 +211,22 @@ std::shared_ptr<const Plan> build_plan(idx_t nelems, const std::vector<IncRef>& 
       gcolor.assign(static_cast<std::size_t>(nelems), 0);
       p.nglobal_colors = nelems > 0 ? 1 : 0;
     } else {
-      auto elem_slots = [&](idx_t e, std::vector<idx_t>& out) {
-        for (const IncRef& c : conflicts) out.push_back(space.slot(c, elem_of(e)));
+      auto elem_slots = [&](idx_t i, std::vector<idx_t>& out) {
+        for (const IncRef& c : conflicts) out.push_back(space.slot(c, first + i));
       };
       p.nglobal_colors = greedy_color(nelems, space.total(), elem_slots, gcolor);
     }
     // Stable counting sort by color.
     p.color_offsets.assign(static_cast<std::size_t>(p.nglobal_colors) + 1, 0);
-    for (idx_t e = 0; e < nelems; ++e) ++p.color_offsets[gcolor[e] + 1];
+    for (idx_t i = 0; i < nelems; ++i) ++p.color_offsets[gcolor[i] + 1];
     for (int c = 0; c < p.nglobal_colors; ++c) p.color_offsets[c + 1] += p.color_offsets[c];
     p.permute.assign(static_cast<std::size_t>(nelems), 0);
     std::vector<idx_t> cursor(p.color_offsets.begin(), p.color_offsets.end() - 1);
-    for (idx_t e = 0; e < nelems; ++e) p.permute[cursor[gcolor[e]]++] = e;
+    for (idx_t i = 0; i < nelems; ++i) p.permute[cursor[gcolor[i]]++] = first + i;
   }
 
   // ---- BlockPermute: per-block stable sort by element color ---------------
+  // Offsets are positions in block_permute (block b starts at b*block_size).
   if (strategy == ColoringStrategy::BlockPermute) {
     p.block_permute.assign(static_cast<std::size_t>(nelems), 0);
     p.bcol_base.assign(static_cast<std::size_t>(p.nblocks) + 1, 0);
@@ -236,21 +235,16 @@ std::shared_ptr<const Plan> build_plan(idx_t nelems, const std::vector<IncRef>& 
     p.bcol_off.assign(static_cast<std::size_t>(p.bcol_base[p.nblocks]), 0);
     for (idx_t b = 0; b < p.nblocks; ++b) {
       const idx_t begin = p.block_begin(b), end = p.block_end(b);
+      const std::int32_t* ec = p.elem_color.data() + (begin - first);
       const int nc = p.block_nelem_colors[b];
       idx_t* off = p.bcol_off.data() + p.bcol_base[b];
       for (int c = 0; c <= nc; ++c) off[c] = 0;
-      for (idx_t e = begin; e < end; ++e) ++off[p.elem_color[e] + 1];
-      off[0] = begin;
+      for (idx_t e = begin; e < end; ++e) ++off[ec[e - begin] + 1];
+      off[0] = begin - first;
       for (int c = 0; c < nc; ++c) off[c + 1] += off[c];
       std::vector<idx_t> cursor(off, off + nc);
-      for (idx_t e = begin; e < end; ++e) p.block_permute[cursor[p.elem_color[e]]++] = e;
+      for (idx_t e = begin; e < end; ++e) p.block_permute[cursor[ec[e - begin]]++] = e;
     }
-  }
-
-  // ---- subset translation: permutations carry element ids, not positions --
-  if (subset) {
-    for (idx_t& e : p.permute) e = subset[e];
-    for (idx_t& e : p.block_permute) e = subset[e];
   }
 
   return plan;
@@ -366,7 +360,7 @@ std::shared_ptr<const Plan> PlanCache::get(const Set& set, const std::vector<Inc
   try {
     // Build from the canonical order so the plan a key maps to does not
     // depend on which caller's conflict order got there first.
-    auto plan = build_plan(nelems, canonical, block_size, strategy, nullptr, nthreads);
+    auto plan = build_plan(nelems, canonical, block_size, strategy, 0, nthreads);
     promise.set_value(plan);
     return plan;
   } catch (...) {

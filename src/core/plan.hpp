@@ -43,39 +43,41 @@ struct IncRef {
   friend bool operator==(const IncRef& a, const IncRef& b) = default;
 };
 
-/// A computed execution plan for (set, conflicts, block size, strategy).
+/// A computed execution plan for (element range, conflicts, block size,
+/// strategy). The plan covers the elements [first, first + nelems).
 struct Plan {
-  idx_t nelems = 0;  ///< elements covered (the set's exec size)
+  idx_t first = 0;   ///< first element covered
+  idx_t nelems = 0;  ///< elements covered (the set's exec size for run())
   int block_size = 0;
   ColoringStrategy strategy = ColoringStrategy::TwoLevel;
 
-  // ---- block decomposition: block b = [b*block_size, min((b+1)*bs, n)) ----
+  // ---- block decomposition: block b = elements [block_begin(b), block_end(b))
   idx_t nblocks = 0;
   std::vector<int> block_color;                 ///< per block
   int nblock_colors = 0;
   std::vector<std::vector<idx_t>> color_blocks; ///< blocks of each color
 
   // ---- TwoLevel / BlockPermute: per-element color within its block -------
-  aligned_vector<std::int32_t> elem_color;      ///< size nelems
+  aligned_vector<std::int32_t> elem_color;      ///< element first+i at [i]
   std::vector<int> block_nelem_colors;          ///< per block
   int max_elem_colors = 0;
 
   // ---- FullPermute: execute permute[color_offsets[c]..color_offsets[c+1]) -
-  aligned_vector<idx_t> permute;
+  aligned_vector<idx_t> permute;                ///< element ids
   std::vector<idx_t> color_offsets;             ///< nglobal_colors+1
   int nglobal_colors = 0;
 
   // ---- BlockPermute: per-block permutation grouped by element color ------
   // Elements of block b, color c: block_permute[bcol_off[bcol_base[b]+c] ..
   //                                             bcol_off[bcol_base[b]+c+1])
-  aligned_vector<idx_t> block_permute;
+  aligned_vector<idx_t> block_permute;          ///< element ids
   std::vector<idx_t> bcol_off;
   std::vector<idx_t> bcol_base;                 ///< nblocks+1
 
-  [[nodiscard]] idx_t block_begin(idx_t b) const { return b * block_size; }
+  [[nodiscard]] idx_t block_begin(idx_t b) const { return first + b * block_size; }
   [[nodiscard]] idx_t block_end(idx_t b) const {
     const idx_t e = (b + 1) * block_size;
-    return e < nelems ? e : nelems;
+    return first + (e < nelems ? e : nelems);
   }
 };
 
@@ -83,20 +85,18 @@ struct Plan {
 /// PlanCache). `conflicts` lists every (map, idx) the loop increments
 /// through; an empty list yields a trivially parallel plan (one color).
 ///
-/// `subset`, when non-null, points at `nelems` element ids: the plan then
-/// schedules exactly those elements (conflict slots are looked up through
-/// the subset ids, and the produced `permute`/`block_permute` arrays contain
-/// subset ids, so the permuted executors run them unchanged). Blocks and
-/// `elem_color` stay in subset-position space — subset plans are only valid
-/// for the permuted strategies (FullPermute/BlockPermute), which is what
-/// opv::Loop's slice execution uses (phased interior/boundary runs).
+/// The plan schedules the contiguous elements [first, first + nelems):
+/// blocks are contiguous pieces of that range, the permutations hold
+/// element ids, and `elem_color` is indexed from `first`. opv::Loop's
+/// slices (phased interior/boundary runs, chain tiles) pass their range
+/// start; whole-set plans start at 0.
 ///
 /// `nthreads` bounds the team size of the internal per-block coloring
 /// parallelism (0 = the OpenMP default). Callers holding a per-rank thread
 /// budget (dist rank loops) pass theirs so plan builds do not oversubscribe.
 std::shared_ptr<const Plan> build_plan(idx_t nelems, const std::vector<IncRef>& conflicts,
                                        int block_size, ColoringStrategy strategy,
-                                       const idx_t* subset = nullptr, int nthreads = 0);
+                                       idx_t first = 0, int nthreads = 0);
 
 /// Process-wide plan cache keyed purely by CONTENT: the iteration set's
 /// shape plus a fingerprint of each conflict map's data, block size and

@@ -20,10 +20,10 @@
 //     stats registry). The bytes move through a pluggable Exchanger
 //     (exchange.hpp); the default is the in-process MemcpyExchanger;
 //   * interior/boundary phased execution (paper section 6.5): loops whose
-//     exchange can legally overlap compute run begin_exchange -> interior
-//     elements -> wait_exchange -> boundary elements, hiding exchange
-//     latency behind the halo-independent majority of each rank's work
-//     (set_exchange_mode selects Overlap / Phased / Blocking);
+//     exchange can legally overlap compute begin it, run each rank's core
+//     range while the driver thread waits for it, then run the boundary —
+//     hiding exchange latency behind the halo-independent majority of each
+//     rank's work (set_exchange_mode selects Overlap / Phased / Blocking);
 //   * cross-rank global reductions merged after the rank barrier.
 #pragma once
 
@@ -262,7 +262,7 @@ class DistCtx {
 
   /// How loops schedule their exchange relative to compute (paper section
   /// 6.5). The default is Overlap: loops whose ExchangePlan permits it run
-  /// begin -> interior -> wait -> boundary; loops that cannot legally
+  /// begin -> interior (caller thread: wait) -> boundary; loops that cannot legally
   /// overlap always fall back to Blocking regardless of this setting.
   /// Phased keeps the two-phase schedule but exchanges up front — the
   /// bitwise-identical control for measuring what the overlap buys.

@@ -4,9 +4,9 @@
 // and overlappable; the first step is separating WHAT a loop exchanges from
 // HOW the bytes move, the second is splitting WHEN: a dist::Loop pins an
 // ExchangePlan at construction (which dats it reads stale, which it
-// dirties, and the per-rank interior/boundary element classification), and
-// all traffic flows through the context's Exchanger as a non-blocking
-// begin()/wait() pair so interior compute can run while the bytes move.
+// dirties, and whether it may overlap), and all traffic flows through the
+// context's Exchanger as a non-blocking begin()/wait() pair so interior
+// compute — each rank's core range (halo.hpp) — runs while the bytes move.
 // Blocking-only transports implement exchange() alone and inherit the
 // default adapter (begin = no-op, wait = exchange). In-tree transports:
 //   * MemcpyExchanger — every rank replica lives in one address space, so a
@@ -98,15 +98,6 @@ inline void halo_unpack_row(const DatHaloView& v, int r, idx_t e, const unsigned
                 v.value_bytes);
 }
 
-/// One rank's pinned interior/boundary classification (paper section 6.5):
-/// interior elements touch no halo slot through any indirect argument of
-/// the loop and may execute while an exchange is in flight; boundary
-/// elements may read or write halo slots and run only after wait().
-struct RankPhases {
-  aligned_vector<idx_t> interior;  ///< owned elements, halo-independent
-  aligned_vector<idx_t> boundary;  ///< owned remainder (+ execute halo)
-};
-
 /// A loop's pinned halo-exchange schedule, derived once at dist::Loop
 /// construction from the argument types (compile-time access modes) and the
 /// runtime dat identities:
@@ -115,18 +106,16 @@ struct RankPhases {
 ///     executes the import halo), refreshed before the run if dirty;
 ///   * write_dats — datasets the loop modifies, whose halo copies are
 ///     invalidated after the run;
-///   * can_overlap / phases — whether the exchange may legally overlap
-///     interior compute, and the per-rank element classification that makes
-///     the overlap possible. can_overlap is false (and phases stays empty)
-///     when the loop has nothing to exchange, or when a dat appears in both
-///     lists: the transport may read owner values any time between begin()
-///     and wait(), so a loop writing what it reads stale must take the
-///     blocking path.
+///   * can_overlap — whether the exchange may legally overlap the interior
+///     (each rank's core range [0, ncore), which touches no halo slot). It
+///     is false when the loop has nothing to exchange, or when a dat appears
+///     in both lists: the transport may read owner values any time between
+///     begin() and wait(), so a loop writing what it reads stale must take
+///     the blocking path.
 struct ExchangePlan {
   std::vector<int> read_dats;
   std::vector<int> write_dats;
   bool can_overlap = false;
-  std::vector<RankPhases> phases;  ///< per rank; empty unless can_overlap
 };
 
 /// How a dist::Loop schedules its halo exchange relative to compute.
@@ -135,7 +124,8 @@ enum class ExchangeMode {
   Phased,    ///< exchange, then interior slice, then boundary slice —
              ///< the overlapped schedule with a blocking exchange (its
              ///< bitwise-identical control)
-  Overlap,   ///< begin exchange, interior slice, wait, boundary slice
+  Overlap,   ///< begin exchange, interior slice while the caller waits,
+             ///< then boundary slice
 };
 
 constexpr const char* exchange_mode_name(ExchangeMode m) {
@@ -163,9 +153,11 @@ class Exchanger {
   /// Non-blocking pair. Contract: every begin(view) is matched by exactly
   /// one wait(view) before any consumer reads the halo slots; between the
   /// two calls the transport may read owner slots and write halo slots of
-  /// the dat at any time. The default adapter keeps blocking-only
-  /// transports working: begin is a no-op and wait performs the blocking
-  /// exchange.
+  /// the dat at any time. Both calls come from the thread that runs the
+  /// loop, and wait() may run while the ranks compute the interior. The
+  /// default adapter keeps blocking-only transports working: begin is a
+  /// no-op and wait performs the blocking exchange — on the caller thread,
+  /// overlapped with the interior.
   virtual void begin(const Partitioned& part, const DatHaloView& view) {
     (void)part;
     (void)view;

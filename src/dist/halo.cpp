@@ -96,16 +96,27 @@ Partitioned::Partitioned(const GlobalSpec& spec, const std::vector<aligned_vecto
   OPV_REQUIRE(owner.size() == nsets_, "Partitioned: ownership for every set required");
   const int nsets = static_cast<int>(nsets_);
 
-  // owned_index[s][g]: position of g within its owner's owned list (owned
-  // lists are ascending in global id, so this is a per-rank running count).
+  // core[s][g]: every map from set s takes g to elements its owner owns.
+  std::vector<std::vector<char>> core(nsets_);
+  for (int s = 0; s < nsets; ++s) core[s].assign(owner[s].size(), 1);
+  for (const auto& m : spec.maps) {
+    const auto& of = owner[m.from];
+    const auto& ot = owner[m.to];
+    auto& c = core[m.from];
+    for (std::size_t f = 0; f < of.size(); ++f)
+      for (int k = 0; k < m.dim; ++k)
+        if (ot[m.data[f * m.dim + k]] != of[f]) c[f] = 0;
+  }
+
+  // owned_index[s][g]: position of g within its owner's owned list — core
+  // elements first, then the rest, each group ascending in global id.
   std::vector<aligned_vector<idx_t>> owned_index(nsets_);
-  std::vector<std::vector<idx_t>> owned_count(nsets_,
-                                              std::vector<idx_t>(static_cast<std::size_t>(nranks),
-                                                                 0));
   for (int s = 0; s < nsets; ++s) {
     owned_index[s].assign(owner[s].size(), -1);
-    for (std::size_t g = 0; g < owner[s].size(); ++g)
-      owned_index[s][g] = owned_count[s][owner[s][g]]++;
+    std::vector<idx_t> next(static_cast<std::size_t>(nranks), 0);
+    for (const bool want_core : {true, false})
+      for (std::size_t g = 0; g < owner[s].size(); ++g)
+        if ((core[s][g] != 0) == want_core) owned_index[s][g] = next[owner[s][g]]++;
   }
 
   // Execute halo: for every map F->T and from-element f, f must be executed
@@ -153,8 +164,12 @@ Partitioned::Partitioned(const GlobalSpec& spec, const std::vector<aligned_vecto
       const auto& own = owner[s];
       const auto& fl = flag(r, s);
       const std::size_t n = own.size();
-      for (std::size_t g = 0; g < n; ++g)
-        if (own[g] == r) L.local_to_global.push_back(static_cast<idx_t>(g));
+      for (const bool want_core : {true, false}) {
+        L.ncore = static_cast<idx_t>(L.local_to_global.size());
+        for (std::size_t g = 0; g < n; ++g)
+          if (own[g] == r && (core[s][g] != 0) == want_core)
+            L.local_to_global.push_back(static_cast<idx_t>(g));
+      }
       L.nowned = static_cast<idx_t>(L.local_to_global.size());
       for (std::size_t g = 0; g < n; ++g)
         if (fl[g] == 1) L.local_to_global.push_back(static_cast<idx_t>(g));

@@ -59,10 +59,15 @@ std::vector<aligned_vector<int>> derive_ownership(const GlobalSpec& spec, int pr
                                                   int nranks);
 
 /// One rank's view of one set. Local ids are ordered
-/// [0, nowned) owned (ascending global id),
+/// [0, ncore) owned core (ascending global id),
+/// [ncore, nowned) the rest of the owned elements (ascending global id),
 /// [nowned, nowned+nexec) execute halo (ascending global id),
 /// [nowned+nexec, ntotal) non-execute halo (ascending global id).
+/// An owned element is core when every map from its set takes it to owned
+/// elements only, so a loop runs the core while the halo exchange is in
+/// flight (paper section 6.5).
 struct LocalLayout {
+  idx_t ncore = 0;
   idx_t nowned = 0;
   idx_t nexec = 0;
   idx_t ntotal = 0;

@@ -22,19 +22,23 @@
 // section 6; perf::rank_imbalance), plus the exchange wall time and value
 // count (the section 6.5 communication share).
 //
-// Phased execution (paper section 6.5): construction also classifies each
-// rank's owned elements into INTERIOR (no indirect argument reaches a halo
-// slot — safe to execute while an exchange is in flight) and BOUNDARY (may
-// read or write halo slots — must wait), pinned as one opv::Loop::Slice per
-// phase per rank. Under ExchangeMode::Overlap (the default) run() does
-//   begin_exchange -> interior slices -> wait_exchange -> boundary slices
-// hiding exchange latency behind the halo-independent majority of the
-// work; ExchangeMode::Phased runs the same slices after a blocking exchange
-// (bitwise-identical results, no overlap — the measurement control), and
-// loops that cannot legally overlap (nothing to exchange, or a dat both
-// read stale and written, whose owner values the in-flight transport could
-// observe mid-write) automatically fall back to the Blocking contiguous
-// path.
+// Phased execution (paper section 6.5): each rank numbers its owned
+// elements core-first (halo.hpp), so the INTERIOR phase — elements no map
+// takes to a halo slot, safe to execute while an exchange is in flight —
+// is the range [0, ncore), and the BOUNDARY phase (may read or write halo
+// slots — must wait) is [ncore, exec_limit()), which includes the execute
+// halo of INC loops. Construction pins one opv::Loop::Slice per phase per
+// rank. Under ExchangeMode::Overlap (the default) run() does
+//   begin_exchange -> interior slices | wait_exchange -> boundary slices
+// with the wait running on the driver thread while the ranks compute the
+// interior, hiding exchange latency behind the halo-independent majority
+// of the work; ExchangeMode::Phased runs the same slices after a blocking
+// exchange (bitwise-identical results, no overlap — the measurement
+// control), and loops that cannot legally overlap (nothing to exchange, or
+// a dat both read stale and written, whose owner values the in-flight
+// transport could observe mid-write) automatically fall back to the
+// Blocking contiguous path. On Seq all three run each rank's elements in
+// the same order.
 #pragma once
 
 #include "dist/context.hpp"
@@ -121,7 +125,6 @@ class Loop {
     (validate(dargs), ...);
     (collect_read(dargs), ...);
     (collect_write(dargs), ...);
-    (collect_ind(dargs), ...);
     setup_pins(std::index_sequence_for<DArgs...>{}, dargs...);
     rank_secs_.assign(static_cast<std::size_t>(ctx.nranks_), 0.0);
     rank_loops_.reserve(static_cast<std::size_t>(ctx.nranks_));
@@ -145,70 +148,73 @@ class Loop {
     double exch_secs = 0.0;  // exchange wall time (begin + wait, or blocking)
     std::int64_t exchanged = 0;
 
-    if (mode == ExchangeMode::Blocking) {
-      // 1. Lazy blocking halo refresh of the pinned stale-read set.
-      if (!plan_.read_dats.empty()) {
+    // Once a rank has computed, the write dats' halo copies are stale on
+    // every exit, a failed one included.
+    bool computed = false;
+    auto run_ranks = [&](std::vector<typename RankLoop::Slice>* slices, auto&& task) {
+      computed = true;
+      WallTimer timer;
+      ctx.pool_.run(
+          [&](int r) {
+            const std::size_t i = static_cast<std::size_t>(r);
+            WallTimer rt;
+            if (slices) rank_loops_[i].run_slice(rank_cfg, (*slices)[i]);
+            else rank_loops_[i].run(rank_cfg);
+            rank_secs_[i] += rt.seconds();
+          },
+          task);
+      secs += timer.seconds();
+    };
+    std::fill(rank_secs_.begin(), rank_secs_.end(), 0.0);
+
+    // Under Overlap the exchanges begun below are completed exactly once,
+    // by wait_pending (which waits for every pending dat, even after a
+    // failure) — on the success path while the ranks run the interior.
+    bool waited = mode != ExchangeMode::Overlap;
+    auto wait_pending = [&] {
+      waited = true;
+      WallTimer wt;
+      exchanged = ctx.wait_halos(pending_);
+      exch_secs += wt.seconds();
+    };
+    try {
+      if (mode == ExchangeMode::Blocking) {
+        // Lazy blocking halo refresh of the pinned stale-read set, then one
+        // contiguous run of the pinned per-rank loops.
         WallTimer ht;
         exchanged = ctx.refresh_halos(plan_.read_dats);
         exch_secs = ht.seconds();
-      }
-      // 2. One contiguous run of the pinned per-rank loops; per-rank wall
-      //    times are captured for the imbalance accounting.
-      WallTimer timer;
-      ctx.pool_.run([&](int r) {
-        WallTimer rt;
-        rank_loops_[static_cast<std::size_t>(r)].run(rank_cfg);
-        rank_secs_[static_cast<std::size_t>(r)] = rt.seconds();
-      });
-      secs = timer.seconds();
-    } else {
-      // 1. Start (Overlap) or complete (Phased) the refresh of dirty
-      //    stale-read dats.
-      pending_.clear();
-      try {
+        run_ranks(nullptr, [] {});
+      } else {
+        // 1. Start (Overlap) or complete (Phased) the refresh of dirty
+        //    stale-read dats.
+        pending_.clear();
         WallTimer ht;
         if (mode == ExchangeMode::Overlap) ctx.begin_halos(plan_.read_dats, pending_);
         else exchanged = ctx.refresh_halos(plan_.read_dats);
         exch_secs += ht.seconds();
-
-        // 2. Interior elements: touch no halo slot, safe while the
-        //    exchange is in flight.
-        WallTimer ti;
-        ctx.pool_.run([&](int r) {
-          WallTimer rt;
-          rank_loops_[static_cast<std::size_t>(r)].run_slice(
-              rank_cfg, interior_slices_[static_cast<std::size_t>(r)]);
-          rank_secs_[static_cast<std::size_t>(r)] = rt.seconds();
+        // 2. Interior elements touch no halo slot, so they run while the
+        //    driver thread completes the exchange: every begin is matched
+        //    by exactly one wait before any boundary element (which may
+        //    read halo slots) executes.
+        run_ranks(&interior_slices_, [&] {
+          if (!waited) wait_pending();
         });
-        secs += ti.seconds();
-      } catch (...) {
-        // No exchange outlives the run that began it: the transport could
-        // still be writing halo slots, and its next begin() for the dat
-        // would find the previous one unmatched. The first error wins.
+        // 3. Boundary elements (plus the execute halo for INC loops).
+        run_ranks(&boundary_slices_, [] {});
+      }
+    } catch (...) {
+      // No exchange outlives the run that began it: the transport could
+      // still be writing halo slots, and its next begin() for the dat would
+      // find the previous one unmatched. The first error wins.
+      if (!waited) {
         try {
-          ctx.wait_halos(pending_);
+          wait_pending();
         } catch (...) {
         }
-        throw;
       }
-
-      // 3. Every begin is completed by exactly one wait before any boundary
-      //    element (which may read halo slots) executes.
-      if (mode == ExchangeMode::Overlap) {
-        WallTimer wt;
-        exchanged = ctx.wait_halos(pending_);
-        exch_secs += wt.seconds();
-      }
-
-      // 4. Boundary elements (plus the execute halo for INC loops).
-      WallTimer tb;
-      ctx.pool_.run([&](int r) {
-        WallTimer rt;
-        rank_loops_[static_cast<std::size_t>(r)].run_slice(
-            rank_cfg, boundary_slices_[static_cast<std::size_t>(r)]);
-        rank_secs_[static_cast<std::size_t>(r)] += rt.seconds();
-      });
-      secs += tb.seconds();
+      if (computed) ctx.mark_dirty(plan_.write_dats);
+      throw;
     }
     std::apply([&](auto&... p) { (merge_pin(p), ...); }, pins_);
 
@@ -245,8 +251,7 @@ class Loop {
   [[nodiscard]] int nranks() const { return static_cast<int>(rank_loops_.size()); }
 
   /// The pinned halo-exchange schedule — one object for the Loop's lifetime
-  /// (tests verify pinning through its address and contents). Includes the
-  /// per-rank interior/boundary classification when the loop can overlap.
+  /// (tests verify pinning through its address and contents).
   [[nodiscard]] const ExchangePlan& exchange_plan() const { return plan_; }
 
   /// The schedule the next run() will actually use: the context's
@@ -256,15 +261,16 @@ class Loop {
     return plan_.can_overlap ? ctx_->exchange_mode() : ExchangeMode::Blocking;
   }
 
-  /// Fraction of owned elements (across all ranks) classified interior —
-  /// the share of work available to hide the exchange behind (0 when the
-  /// loop is not phased).
+  /// Fraction of owned elements (across all ranks) in the interior, i.e.
+  /// sum(ncore) / sum(nowned) — the share of work available to hide the
+  /// exchange behind (0 when the loop is not phased).
   [[nodiscard]] double interior_fraction() const {
     if (!plan_.can_overlap) return 0.0;
     double interior = 0.0, owned = 0.0;
     for (int r = 0; r < ctx_->nranks_; ++r) {
-      interior += static_cast<double>(plan_.phases[static_cast<std::size_t>(r)].interior.size());
-      owned += static_cast<double>(ctx_->part_->set(r, set_).size());
+      const LocalLayout& L = ctx_->part_->layout(r, set_);
+      interior += static_cast<double>(L.ncore);
+      owned += static_cast<double>(L.nowned);
     }
     return owned > 0.0 ? interior / owned : 0.0;
   }
@@ -323,25 +329,10 @@ class Loop {
     }
   }
 
-  /// Indirect references (map, slot, target set) — the classification walks
-  /// these to decide which owned elements can reach a halo slot.
-  struct IndRef {
-    int map = -1;
-    int idx = -1;
-    int to = -1;
-  };
-  template <class DA>
-  void collect_ind(const DA& a) {
-    if constexpr (!DA::is_gbl && DA::indirect)
-      ind_refs_.push_back({a.map, a.idx, ctx_->spec_.maps[a.map].to});
-  }
-
-  /// Derive the pinned interior/boundary classification (paper section
-  /// 6.5). An owned element is interior iff every indirect argument maps it
-  /// to an owned slot of the target set — it then neither reads values the
-  /// exchange delivers nor touches slots the exchange writes, so it can run
-  /// while the exchange is in flight. Everything else (including the
-  /// execute halo of INC loops) is boundary. Loops with nothing to exchange
+  /// Pin the interior/boundary phases (paper section 6.5) as range slices:
+  /// the core [0, ncore) reaches no halo slot through any map from the
+  /// iteration set, so it can run while the exchange is in flight;
+  /// [ncore, exec_limit()) is the boundary. Loops with nothing to exchange
   /// or with a dat both read stale and written stay unphased.
   void build_phases() {
     bool disjoint = true;
@@ -355,28 +346,11 @@ class Loop {
         !plan_.read_dats.empty() && disjoint && !(has_inc && has_gbl_reduction);
     if (!plan_.can_overlap) return;
 
-    const DistCtx& ctx = *ctx_;
-    plan_.phases.resize(static_cast<std::size_t>(ctx.nranks_));
-    interior_slices_.reserve(static_cast<std::size_t>(ctx.nranks_));
-    boundary_slices_.reserve(static_cast<std::size_t>(ctx.nranks_));
-    for (int r = 0; r < ctx.nranks_; ++r) {
+    for (int r = 0; r < ctx_->nranks_; ++r) {
       RankLoop& rl = rank_loops_[static_cast<std::size_t>(r)];
-      const idx_t nowned = ctx.part_->set(r, set_).size();
-      const idx_t nexec = rl.exec_limit();
-      RankPhases& ph = plan_.phases[static_cast<std::size_t>(r)];
-      for (idx_t e = 0; e < nowned; ++e) {
-        bool interior = true;
-        for (const IndRef& ref : ind_refs_) {
-          if (ctx.part_->map(r, ref.map)(e, ref.idx) >= ctx.part_->set(r, ref.to).size()) {
-            interior = false;
-            break;
-          }
-        }
-        (interior ? ph.interior : ph.boundary).push_back(e);
-      }
-      for (idx_t e = nowned; e < nexec; ++e) ph.boundary.push_back(e);
-      interior_slices_.push_back(rl.make_slice(ph.interior));
-      boundary_slices_.push_back(rl.make_slice(ph.boundary));
+      const idx_t ncore = ctx_->part_->layout(r, set_).ncore;
+      interior_slices_.push_back(rl.make_slice(0, ncore));
+      boundary_slices_.push_back(rl.make_slice(ncore, rl.exec_limit()));
     }
   }
 
@@ -438,7 +412,6 @@ class Loop {
   DistCtx::SetHandle set_;
   idx_t global_size_ = 0;
   ExchangePlan plan_;
-  std::vector<IndRef> ind_refs_;
   std::tuple<detail::pin_t<DArgs>...> pins_;
   std::vector<RankLoop> rank_loops_;
   /// Per-rank pinned phase schedules (empty unless plan_.can_overlap).
@@ -458,10 +431,10 @@ Loop(DistCtx&, Kernel, std::string, DistCtx::SetHandle, DArgs...) -> Loop<Kernel
 
 /// Mirrors opv::par_loop over opv::Loop: identical call shape, throwaway
 /// handle. The nranks engine handles are built serially on the caller
-/// thread, and phased loops additionally re-derive the interior/boundary
-/// classification and per-rank subset plans (deliberately uncached — they
-/// are handle state, so the wrapper stays bitwise-identical to handle
-/// construction + run). This path's per-call overhead grows with the rank
+/// thread, and phased loops on multi-thread teams additionally rebuild
+/// their per-rank range plans (deliberately uncached — they are handle
+/// state, so the wrapper stays bitwise-identical to handle construction +
+/// run). This path's per-call overhead grows with the rank
 /// count; steady-state iteration should construct the Loop once (the
 /// dispatch ablation bench measures the gap).
 template <class Kernel, class... DArgs>

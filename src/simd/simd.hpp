@@ -182,13 +182,15 @@ struct RealConvert<F32x8> {
 };
 #endif
 #if defined(__AVX512F__) && defined(__AVX2__)
+// Zero-masked under a full mask: the plain conversions seed their merge
+// source with _mm512_undefined_*(), which GCC reports as maybe-uninitialized.
 template <>
 struct RealConvert<F64x8> {
-  static F64x8 from(I32x8 i) { return F64x8{_mm512_cvtepi32_pd(i.v)}; }
+  static F64x8 from(I32x8 i) { return F64x8{_mm512_maskz_cvtepi32_pd(0xFF, i.v)}; }
 };
 template <>
 struct RealConvert<F32x16> {
-  static F32x16 from(I32x16 i) { return F32x16{_mm512_cvtepi32_ps(i.v)}; }
+  static F32x16 from(I32x16 i) { return F32x16{_mm512_maskz_cvtepi32_ps(0xFFFF, i.v)}; }
 };
 #endif
 

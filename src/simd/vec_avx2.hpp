@@ -256,7 +256,10 @@ struct F64x4 {
   static F64x4 loadu(const double* p) { return F64x4{_mm256_loadu_pd(p)}; }
   static F64x4 loada(const double* p) { return F64x4{_mm256_load_pd(p)}; }
   static F64x4 gather(const double* base, I32x4 idx) {
-    return F64x4{_mm256_i32gather_pd(base, idx.v, 8)};
+    // Explicit source and full mask: the plain intrinsic seeds its merge
+    // source with _mm256_undefined_pd(), a GCC maybe-uninitialized report.
+    const __m256d all = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
+    return F64x4{_mm256_mask_i32gather_pd(_mm256_setzero_pd(), base, idx.v, all, 8)};
   }
   static F64x4 gather_masked(const double* base, I32x4 idx, MaskF64x4 m, F64x4 fb) {
     return F64x4{_mm256_mask_i32gather_pd(fb.v, base, idx.v, m.m, 8)};

@@ -3,10 +3,15 @@
 // native mask registers, and — crucially — real hardware gather AND scatter
 // instructions (_mm512_i32logather_pd / i32scatter_pd in the paper). The
 // permute coloring schemes only become interesting on this ISA.
+// Wrappers whose plain intrinsic seeds its merge source with an
+// _mm512_undefined_*() value (GCC reports it as maybe-uninitialized) are
+// spelled with an explicit source or zero-masking under a full mask.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <numeric>
 
 #if defined(__AVX512F__) && defined(__AVX2__)
 #include <immintrin.h>
@@ -78,7 +83,7 @@ struct F64x8 {
   static F64x8 loada(const double* p) { return F64x8{_mm512_load_pd(p)}; }
   /// The paper's _mm512_i32logather_pd: 32-bit indices gathering doubles.
   static F64x8 gather(const double* base, I32x8 idx) {
-    return F64x8{_mm512_i32gather_pd(idx.v, base, 8)};
+    return F64x8{_mm512_mask_i32gather_pd(_mm512_setzero_pd(), 0xFF, idx.v, base, 8)};
   }
   static F64x8 gather_masked(const double* base, I32x8 idx, MaskK8 m, F64x8 fb) {
     return F64x8{_mm512_mask_i32gather_pd(fb.v, m.m, idx.v, base, 8)};
@@ -187,14 +192,48 @@ inline void scatter_add_serial_masked(double* base, I32x8 idx, F64x8 a, MaskK8 m
 inline F64x8 select(MaskK8 m, F64x8 a, F64x8 b) {
   return F64x8{_mm512_mask_blend_pd(m.m, b.v, a.v)};
 }
-inline F64x8 min(F64x8 a, F64x8 b) { return F64x8{_mm512_min_pd(a.v, b.v)}; }
-inline F64x8 max(F64x8 a, F64x8 b) { return F64x8{_mm512_max_pd(a.v, b.v)}; }
+inline F64x8 min(F64x8 a, F64x8 b) { return F64x8{_mm512_maskz_min_pd(0xFF, a.v, b.v)}; }
+inline F64x8 max(F64x8 a, F64x8 b) { return F64x8{_mm512_maskz_max_pd(0xFF, a.v, b.v)}; }
 inline F64x8 abs(F64x8 a) { return F64x8{_mm512_abs_pd(a.v)}; }
-inline F64x8 sqrt(F64x8 a) { return F64x8{_mm512_sqrt_pd(a.v)}; }
+inline F64x8 sqrt(F64x8 a) { return F64x8{_mm512_maskz_sqrt_pd(0xFF, a.v)}; }
 inline F64x8 fma(F64x8 a, F64x8 b, F64x8 c) { return F64x8{_mm512_fmadd_pd(a.v, b.v, c.v)}; }
-inline double hsum(F64x8 a) { return _mm512_reduce_add_pd(a.v); }
-inline double hmin(F64x8 a) { return _mm512_reduce_min_pd(a.v); }
-inline double hmax(F64x8 a) { return _mm512_reduce_max_pd(a.v); }
+
+namespace avx512_detail {
+/// A two-operand intrinsic as a callable.
+#define OPV_AVX512_OP(f) [](auto x, auto y) { return f(x, y); }
+
+// The horizontal reductions of GCC's _mm512_reduce_*, in their lane pairing
+// and operand order (high 256 bits op low, high 128 op low, then
+// neighbouring lanes), spelled with zero-masked 256-bit extracts.
+inline __m256d half(__m512d a, int hi) {
+  return hi ? _mm512_maskz_extractf64x4_pd(0xFF, a, 1) : _mm512_maskz_extractf64x4_pd(0xFF, a, 0);
+}
+template <class Op256, class Op128>
+inline double reduce(__m512d a, Op256 op256, Op128 op128) {
+  const __m256d t = op256(half(a, 1), half(a, 0));
+  const __m128d u = op128(_mm256_extractf128_pd(t, 1), _mm256_castpd256_pd128(t));
+  return _mm_cvtsd_f64(op128(u, _mm_shuffle_pd(u, u, 1)));
+}
+template <class Op256, class Op128>
+inline float reduce(__m512 a, Op256 op256, Op128 op128) {
+  const __m512d d = _mm512_castps_pd(a);
+  const __m256 t = op256(_mm256_castpd_ps(half(d, 1)), _mm256_castpd_ps(half(d, 0)));
+  __m128 u = op128(_mm256_extractf128_ps(t, 1), _mm256_castps256_ps128(t));
+  u = op128(u, _mm_shuffle_ps(u, u, 0x4E));
+  return _mm_cvtss_f32(op128(u, _mm_shuffle_ps(u, u, 0x11)));
+}
+}  // namespace avx512_detail
+
+inline double hsum(F64x8 a) {
+  return avx512_detail::reduce(a.v, OPV_AVX512_OP(_mm256_add_pd), OPV_AVX512_OP(_mm_add_pd));
+}
+inline double hmin(F64x8 a) {
+  return avx512_detail::reduce(a.v, OPV_AVX512_OP(_mm256_min_pd), OPV_AVX512_OP(_mm_min_pd));
+}
+inline double hmax(F64x8 a) {
+  return avx512_detail::reduce(a.v, OPV_AVX512_OP(_mm256_max_pd), OPV_AVX512_OP(_mm_max_pd));
+}
+
 
 // ---- I32x16 ----------------------------------------------------------------
 
@@ -213,7 +252,7 @@ struct I32x16 {
   static I32x16 loadu(const std::int32_t* p) { return I32x16{_mm512_loadu_si512(p)}; }
   static I32x16 loada(const std::int32_t* p) { return I32x16{_mm512_load_si512(p)}; }
   static I32x16 gather(const std::int32_t* base, I32x16 idx) {
-    return I32x16{_mm512_i32gather_epi32(idx.v, base, 4)};
+    return I32x16{_mm512_mask_i32gather_epi32(_mm512_setzero_si512(), 0xFFFF, idx.v, base, 4)};
   }
   static I32x16 gather_masked(const std::int32_t* base, I32x16 idx, MaskK16 m, I32x16 fb) {
     return I32x16{_mm512_mask_i32gather_epi32(fb.v, m.m, idx.v, base, 4)};
@@ -245,7 +284,9 @@ struct I32x16 {
   friend I32x16 operator+(I32x16 a, I32x16 b) { return I32x16{_mm512_add_epi32(a.v, b.v)}; }
   friend I32x16 operator-(I32x16 a, I32x16 b) { return I32x16{_mm512_sub_epi32(a.v, b.v)}; }
   friend I32x16 operator*(I32x16 a, I32x16 b) { return I32x16{_mm512_mullo_epi32(a.v, b.v)}; }
-  friend I32x16 operator>>(I32x16 a, int s) { return I32x16{_mm512_srai_epi32(a.v, s)}; }
+  friend I32x16 operator>>(I32x16 a, int s) {
+    return I32x16{_mm512_maskz_srai_epi32(0xFFFF, a.v, static_cast<unsigned>(s))};
+  }
   I32x16& operator+=(I32x16 o) {
     v = _mm512_add_epi32(v, o.v);
     return *this;
@@ -265,8 +306,8 @@ inline void storeu(std::int32_t* p, I32x16 a) { _mm512_storeu_si512(p, a.v); }
 inline I32x16 select(MaskK16 m, I32x16 a, I32x16 b) {
   return I32x16{_mm512_mask_blend_epi32(m.m, b.v, a.v)};
 }
-inline I32x16 min(I32x16 a, I32x16 b) { return I32x16{_mm512_min_epi32(a.v, b.v)}; }
-inline I32x16 max(I32x16 a, I32x16 b) { return I32x16{_mm512_max_epi32(a.v, b.v)}; }
+inline I32x16 min(I32x16 a, I32x16 b) { return I32x16{_mm512_maskz_min_epi32(0xFFFF, a.v, b.v)}; }
+inline I32x16 max(I32x16 a, I32x16 b) { return I32x16{_mm512_maskz_max_epi32(0xFFFF, a.v, b.v)}; }
 inline void store_strided(std::int32_t* p, int s, I32x16 a) {
   const auto t = a.to_array();
   for (int i = 0; i < 16; ++i) p[i * s] = t[i];
@@ -291,9 +332,19 @@ inline void scatter_add_serial_masked(std::int32_t* base, I32x16 idx, I32x16 a, 
   for (int i = 0; i < 16; ++i)
     if ((m.m >> i) & 1) base[ix[i]] += t[i];
 }
-inline std::int32_t hsum(I32x16 a) { return _mm512_reduce_add_epi32(a.v); }
-inline std::int32_t hmin(I32x16 a) { return _mm512_reduce_min_epi32(a.v); }
-inline std::int32_t hmax(I32x16 a) { return _mm512_reduce_max_epi32(a.v); }
+// Integer reductions are exact in any order.
+inline std::int32_t hsum(I32x16 a) {
+  const auto t = a.to_array();
+  return std::accumulate(t.begin(), t.end(), std::int32_t{0});
+}
+inline std::int32_t hmin(I32x16 a) {
+  const auto t = a.to_array();
+  return *std::min_element(t.begin(), t.end());
+}
+inline std::int32_t hmax(I32x16 a) {
+  const auto t = a.to_array();
+  return *std::max_element(t.begin(), t.end());
+}
 
 // ---- F32x16 ----------------------------------------------------------------
 
@@ -312,7 +363,7 @@ struct F32x16 {
   static F32x16 loadu(const float* p) { return F32x16{_mm512_loadu_ps(p)}; }
   static F32x16 loada(const float* p) { return F32x16{_mm512_load_ps(p)}; }
   static F32x16 gather(const float* base, I32x16 idx) {
-    return F32x16{_mm512_i32gather_ps(idx.v, base, 4)};
+    return F32x16{_mm512_mask_i32gather_ps(_mm512_setzero_ps(), 0xFFFF, idx.v, base, 4)};
   }
   static F32x16 gather_masked(const float* base, I32x16 idx, MaskK16 m, F32x16 fb) {
     return F32x16{_mm512_mask_i32gather_ps(fb.v, m.m, idx.v, base, 4)};
@@ -423,14 +474,20 @@ inline void scatter_add_serial_masked(float* base, I32x16 idx, F32x16 a, MaskK16
 inline F32x16 select(MaskK16 m, F32x16 a, F32x16 b) {
   return F32x16{_mm512_mask_blend_ps(m.m, b.v, a.v)};
 }
-inline F32x16 min(F32x16 a, F32x16 b) { return F32x16{_mm512_min_ps(a.v, b.v)}; }
-inline F32x16 max(F32x16 a, F32x16 b) { return F32x16{_mm512_max_ps(a.v, b.v)}; }
+inline F32x16 min(F32x16 a, F32x16 b) { return F32x16{_mm512_maskz_min_ps(0xFFFF, a.v, b.v)}; }
+inline F32x16 max(F32x16 a, F32x16 b) { return F32x16{_mm512_maskz_max_ps(0xFFFF, a.v, b.v)}; }
 inline F32x16 abs(F32x16 a) { return F32x16{_mm512_abs_ps(a.v)}; }
-inline F32x16 sqrt(F32x16 a) { return F32x16{_mm512_sqrt_ps(a.v)}; }
+inline F32x16 sqrt(F32x16 a) { return F32x16{_mm512_maskz_sqrt_ps(0xFFFF, a.v)}; }
 inline F32x16 fma(F32x16 a, F32x16 b, F32x16 c) { return F32x16{_mm512_fmadd_ps(a.v, b.v, c.v)}; }
-inline float hsum(F32x16 a) { return _mm512_reduce_add_ps(a.v); }
-inline float hmin(F32x16 a) { return _mm512_reduce_min_ps(a.v); }
-inline float hmax(F32x16 a) { return _mm512_reduce_max_ps(a.v); }
+inline float hsum(F32x16 a) {
+  return avx512_detail::reduce(a.v, OPV_AVX512_OP(_mm256_add_ps), OPV_AVX512_OP(_mm_add_ps));
+}
+inline float hmin(F32x16 a) {
+  return avx512_detail::reduce(a.v, OPV_AVX512_OP(_mm256_min_ps), OPV_AVX512_OP(_mm_min_ps));
+}
+inline float hmax(F32x16 a) {
+  return avx512_detail::reduce(a.v, OPV_AVX512_OP(_mm256_max_ps), OPV_AVX512_OP(_mm_max_ps));
+}
 
 // ---- mask conversions -------------------------------------------------------
 
@@ -446,6 +503,8 @@ inline MaskK16 mask_to_f32x16(MaskK16 m) { return m; }
 inline MaskK8 tail_mask_k8(int n) { return MaskK8{static_cast<__mmask8>((1u << n) - 1u)}; }
 /// Tail mask with the first n of 16 lanes active.
 inline MaskK16 tail_mask_k16(int n) { return MaskK16{static_cast<__mmask16>((1u << n) - 1u)}; }
+
+#undef OPV_AVX512_OP
 
 }  // namespace opv::simd
 

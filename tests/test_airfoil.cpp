@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "apps/airfoil/airfoil.hpp"
 #include "core/context.hpp"
@@ -170,6 +171,18 @@ INSTANTIATE_TEST_SUITE_P(Configs, AirfoilBackends,
                          [](const auto& info) {
                            return AirfoilBackends::configs()[info.param].first;
                          });
+
+/// A one-thread OpenMP team takes no coloring plan and sweeps each loop in
+/// ascending order, so it computes exactly what Seq computes.
+TEST(AirfoilApp, OneThreadOpenMPIsBitwiseSeq) {
+  auto m = mesh::make_airfoil_omesh(48, 16);
+  double rms_seq = 0.0, rms_omp = 0.0;
+  const auto ref = run_app<double>(m, {.backend = Backend::Seq}, 5, &rms_seq);
+  const auto got = run_app<double>(m, {.backend = Backend::OpenMP, .nthreads = 1}, 5, &rms_omp);
+  ASSERT_EQ(ref.size(), got.size());
+  EXPECT_EQ(std::memcmp(ref.data(), got.data(), ref.size() * sizeof(double)), 0);
+  EXPECT_EQ(rms_seq, rms_omp);
+}
 
 TEST(AirfoilApp, DistMatchesLocal) {
   auto m = mesh::make_airfoil_omesh(36, 12);

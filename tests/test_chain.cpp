@@ -88,8 +88,8 @@ TEST(Chain, VolnaSeqBitwise) {
 }
 
 TEST(Chain, AirfoilParallelBackendsTolerance) {
-  // OpenMP/Simd route conflicted subsets through subset coloring, which
-  // reassociates indirect increments exactly like unchained execution does
+  // OpenMP/Simd run conflicted tiles through range coloring plans, which
+  // reassociate indirect increments exactly like unchained execution does
   // — equivalence within the field-norm reassociation bar, not bitwise.
   auto m = mesh::make_airfoil_omesh(96, 32);
   mesh::shuffle_edges(m, 11);

@@ -160,6 +160,44 @@ TEST_P(HaloP, LayoutInvariants) {
   }
 }
 
+/// Owned elements are numbered core-first: [0, ncore) reaches only owned
+/// targets through every map from its set, every element of [ncore,
+/// nowned) reaches a halo slot through some map, and both groups keep
+/// ascending global ids.
+TEST_P(HaloP, OwnedElementsAreNumberedCoreFirst) {
+  HaloFixture f(GetParam());
+  Partitioned part(f.spec, f.owner, f.nranks);
+  for (int r = 0; r < f.nranks; ++r)
+    for (int s = 0; s < 3; ++s) {
+      const LocalLayout& L = part.layout(r, s);
+      ASSERT_LE(L.ncore, L.nowned);
+      auto reaches_halo = [&](idx_t l) {
+        for (int mi = 0; mi < static_cast<int>(f.spec.maps.size()); ++mi) {
+          const auto& m = f.spec.maps[static_cast<std::size_t>(mi)];
+          if (m.from != s) continue;
+          const Map& lm = part.map(r, mi);
+          for (int k = 0; k < m.dim; ++k) {
+            const bool halo = lm(l, k) >= part.layout(r, m.to).nowned;
+            EXPECT_EQ(halo, f.owner[m.to][m.data[L.local_to_global[l] * m.dim + k]] != r);
+            if (halo) return true;
+          }
+        }
+        return false;
+      };
+      for (idx_t l = 0; l < L.nowned; ++l)
+        EXPECT_EQ(reaches_halo(l), l >= L.ncore) << "rank " << r << " set " << s << " elem " << l;
+      for (idx_t l = 1; l < L.nowned; ++l)
+        if (l != L.ncore) {
+          EXPECT_LT(L.local_to_global[l - 1], L.local_to_global[l])
+              << "rank " << r << " set " << s << " elem " << l;
+        }
+    }
+  if (f.nranks == 1) {
+    const LocalLayout& L = part.layout(0, f.s_edges);
+    EXPECT_EQ(L.ncore, L.nowned) << "one rank has no halo: every element is core";
+  }
+}
+
 TEST_P(HaloP, ExecHaloCompletesOwnedIncrements) {
   // The owner-compute guarantee: for every rank r and every cell c owned by
   // r, EVERY edge incident to c (through e2c) must be executed by r, i.e.
@@ -173,9 +211,10 @@ TEST_P(HaloP, ExecHaloCompletesOwnedIncrements) {
     for (idx_t e = 0; e < f.m.nedges; ++e) {
       const bool touches_owned = f.owner[f.s_cells][f.m.edge_cells[2 * e]] == r ||
                                  f.owner[f.s_cells][f.m.edge_cells[2 * e + 1]] == r;
-      if (touches_owned)
+      if (touches_owned) {
         EXPECT_TRUE(executed.count(e))
             << "rank " << r << " misses edge " << e << " touching its cells";
+      }
     }
   }
 }

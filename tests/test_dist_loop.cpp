@@ -4,14 +4,16 @@
 // through a counting Exchanger — the pluggable-transport seam), exchange-
 // plan pinning, per-rank imbalance stats, construction-time argument
 // validation, and negative-compile asserts for invalid dist arg/access
-// combinations. Phased execution (paper §6.5): interior/boundary
-// classification invariants, begin/wait pairing through the non-blocking
-// Exchanger interface, bitwise Overlap==Phased equivalence across rank
-// counts/backends/transports, the automatic blocking fallback for loops
-// that write what they read stale, and per-loop exchange accounting.
+// combinations. Phased execution (paper §6.5): the interior as each rank's
+// core range, begin/wait pairing through the non-blocking Exchanger
+// interface, bitwise Overlap==Phased equivalence across rank
+// counts/backends/transports (and ==Blocking on Seq), the automatic
+// blocking fallback for loops that write what they read stale, failed
+// exchanges, and per-loop exchange accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <type_traits>
 
@@ -255,7 +257,8 @@ TEST(DistLoop, DirtyBitsStayLazyAcrossRuns) {
 // ---- exchange-plan pinning --------------------------------------------------
 
 TEST(DistLoop, ExchangePlanAndRankPlansPinned) {
-  Universe u(2, ExecConfig{.backend = Backend::Simd, .simd_width = 4, .nthreads = 1});
+  // Two threads per rank: a one-thread TwoLevel team takes no plan.
+  Universe u(2, ExecConfig{.backend = Backend::Simd, .simd_width = 4, .nthreads = 2});
   dist::Loop edge(u.ctx, GatherQ{}, "pin_edge", u.edges, u.ctx.arg<opv::READ>(u.q, 0, u.e2c),
                   u.ctx.arg<opv::READ>(u.q, 1, u.e2c), u.ctx.arg<opv::INC>(u.acc, 0, u.e2c),
                   u.ctx.arg<opv::INC>(u.acc, 1, u.e2c));
@@ -318,49 +321,25 @@ TEST(DistLoop, DimMismatchThrowsAtConstruction) {
   EXPECT_NO_THROW((u.ctx.arg<opv::RW, 1>(q)));
 }
 
-// ---- phased execution: interior/boundary classification ---------------------
+// ---- phased execution: the interior is the core range -----------------------
 
-/// Per rank: interior ∪ boundary covers every executed element exactly once
-/// (owned ∪ execute halo for INC loops), the two are disjoint, interior
-/// elements reach only owned slots through every indirect map, and every
-/// owned element that maps into a halo slot is boundary.
-TEST(DistLoopPhases, ClassificationPartitionsExecutedElements) {
+/// The interior phase is each rank's core range [0, ncore) (halo.hpp pins
+/// its invariants), so the interior share is sum(ncore) / sum(nowned).
+TEST(DistLoopPhases, InteriorFractionIsTheCoreShare) {
   Universe u(4, ExecConfig{.backend = Backend::Seq, .nthreads = 1});
   dist::Loop edge(u.ctx, GatherQ{}, "cls_edge", u.edges, u.ctx.arg<opv::READ>(u.q, 0, u.e2c),
                   u.ctx.arg<opv::READ>(u.q, 1, u.e2c), u.ctx.arg<opv::INC>(u.acc, 0, u.e2c),
                   u.ctx.arg<opv::INC>(u.acc, 1, u.e2c));
-  const ExchangePlan& plan = edge.exchange_plan();
-  ASSERT_TRUE(plan.can_overlap);
-  ASSERT_EQ(plan.phases.size(), 4u);
+  ASSERT_TRUE(edge.exchange_plan().can_overlap);
+  const Partitioned& part = u.ctx.partitioned();
+  double core = 0.0, owned = 0.0;
+  for (int r = 0; r < 4; ++r) {
+    core += static_cast<double>(part.layout(r, u.edges).ncore);
+    owned += static_cast<double>(part.layout(r, u.edges).nowned);
+  }
   EXPECT_GT(edge.interior_fraction(), 0.0);
   EXPECT_LT(edge.interior_fraction(), 1.0);
-
-  const Partitioned& part = u.ctx.partitioned();
-  for (int r = 0; r < 4; ++r) {
-    const Set& edges = part.set(r, u.edges);
-    const Map& e2c = part.map(r, u.e2c);
-    const idx_t cells_owned = part.set(r, u.cells).size();
-    const RankPhases& ph = plan.phases[r];
-
-    // Union = [0, exec_size), disjoint (each element seen exactly once).
-    std::vector<int> seen(static_cast<std::size_t>(edges.exec_size()), 0);
-    for (idx_t e : ph.interior) {
-      ASSERT_LT(e, edges.size()) << "interior must be owned";
-      ++seen[e];
-    }
-    for (idx_t e : ph.boundary) {
-      ASSERT_LT(e, edges.exec_size());
-      ++seen[e];
-    }
-    for (idx_t e = 0; e < edges.exec_size(); ++e)
-      ASSERT_EQ(seen[e], 1) << "rank " << r << " element " << e;
-
-    // Interior never reaches a halo slot; hence boundary ⊇ halo-mappers.
-    for (idx_t e : ph.interior)
-      for (int k = 0; k < 2; ++k)
-        ASSERT_LT(e2c(e, k), cells_owned)
-            << "rank " << r << " interior edge " << e << " maps into the halo";
-  }
+  EXPECT_EQ(edge.interior_fraction(), core / owned);
 }
 
 /// A loop with no indirect arguments has nothing to exchange: no phases,
@@ -370,7 +349,6 @@ TEST(DistLoopPhases, DirectLoopIsNotPhased) {
   dist::Loop cell(u.ctx, BumpQ{}, "cls_cell", u.cells, u.ctx.arg<opv::RW>(u.q),
                   u.ctx.arg<opv::READ>(u.acc));
   EXPECT_FALSE(cell.exchange_plan().can_overlap);
-  EXPECT_TRUE(cell.exchange_plan().phases.empty());
   EXPECT_EQ(cell.effective_mode(), ExchangeMode::Blocking);
 }
 
@@ -443,7 +421,9 @@ TEST(DistLoopPhases, EveryBeginPairedWithExactlyOneWait) {
 /// Overlap and Phased run the same pinned interior/boundary schedule; only
 /// the exchange timing differs, so the results must be bitwise identical
 /// across rank counts, backends and transports (the §6.5 correctness
-/// criterion: overlap must not change what the loops compute).
+/// criterion: overlap must not change what the loops compute). On Seq,
+/// Blocking runs each rank's elements in the same core-first order too, so
+/// it must match bitwise as well.
 class DistOverlapEquivP
     : public ::testing::TestWithParam<std::tuple<int, Backend, bool /*staged*/>> {};
 
@@ -470,14 +450,23 @@ TEST_P(DistOverlapEquivP, OverlapBitwiseMatchesBlockingPhased) {
   run_pipeline(ExchangeMode::Phased, a);
   run_pipeline(ExchangeMode::Overlap, b);
 
-  aligned_vector<double> qa, qb, acca, accb;
-  a.ctx.fetch(a.q, qa);
-  b.ctx.fetch(b.q, qb);
-  a.ctx.fetch(a.acc, acca);
-  b.ctx.fetch(b.acc, accb);
-  ASSERT_EQ(qa.size(), qb.size());
-  for (std::size_t i = 0; i < qa.size(); ++i) ASSERT_EQ(qa[i], qb[i]) << "cell " << i;
-  for (std::size_t i = 0; i < acca.size(); ++i) ASSERT_EQ(acca[i], accb[i]) << "cell " << i;
+  const auto expect_bitwise = [](Universe& x, Universe& y) {
+    aligned_vector<double> qx, qy, accx, accy;
+    x.ctx.fetch(x.q, qx);
+    y.ctx.fetch(y.q, qy);
+    x.ctx.fetch(x.acc, accx);
+    y.ctx.fetch(y.acc, accy);
+    ASSERT_EQ(qx.size(), qy.size());
+    for (std::size_t i = 0; i < qx.size(); ++i) ASSERT_EQ(qx[i], qy[i]) << "cell " << i;
+    for (std::size_t i = 0; i < accx.size(); ++i) ASSERT_EQ(accx[i], accy[i]) << "cell " << i;
+  };
+  expect_bitwise(a, b);
+  if (backend == Backend::Seq) {
+    SCOPED_TRACE("Blocking");
+    Universe c(nranks, cfg);
+    run_pipeline(ExchangeMode::Blocking, c);
+    expect_bitwise(a, c);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -510,7 +499,6 @@ TEST(DistLoopPhases, ReadWriteOverlapFallsBackToBlocking) {
                  u.ctx.arg<opv::RW>(u.q, 1, u.e2c));
   EXPECT_FALSE(avg.exchange_plan().can_overlap)
       << "a dat both read stale and written cannot overlap";
-  EXPECT_TRUE(avg.exchange_plan().phases.empty());
   EXPECT_EQ(avg.effective_mode(), ExchangeMode::Blocking);
 
   avg.run();  // writes q -> dirty
@@ -598,6 +586,55 @@ TEST(DistLoopPhases, FailedWaitStillWaitsForEveryPendingDat) {
   EXPECT_EQ(two_dat_pipeline(faulty, true), two_dat_pipeline(clean, false));
   EXPECT_EQ(f->waits, f->begins) << "every begin() must be matched by one wait()";
   EXPECT_EQ(f->begins, 3) << "only the dat whose wait failed stays dirty";
+}
+
+/// Counts the halo exchanges each dat completes (blocking exchanges and
+/// successful waits) and fails the first wait(), after its transfer.
+struct CountFailFirstWait final : Exchanger {
+  MemcpyExchanger inner;
+  int waits = 0;
+  std::map<int, int> completed;  ///< dat id -> exchanges completed
+  std::int64_t exchange(const Partitioned& part, const DatHaloView& view) override {
+    ++completed[view.dat];
+    return inner.exchange(part, view);
+  }
+  std::int64_t wait(const Partitioned& part, const DatHaloView& view) override {
+    const std::int64_t n = inner.exchange(part, view);
+    if (++waits == 1) throw Error("injected wait failure");
+    ++completed[view.dat];
+    return n;
+  }
+  [[nodiscard]] const char* name() const override { return "count-fail-first-wait"; }
+};
+
+/// The interior of an INC loop has already written owned values when its
+/// halo wait fails, so the written dat's halo copies are stale: the failed
+/// run must leave it dirty, and the next loop reading it through a map
+/// must exchange it.
+TEST(DistLoopPhases, FailedWaitLeavesWrittenDatsDirty) {
+  Universe u(3, ExecConfig{.backend = Backend::Seq, .nthreads = 1});
+  auto flaky = std::make_unique<CountFailFirstWait>();
+  CountFailFirstWait* x = flaky.get();
+  u.ctx.set_exchanger(std::move(flaky));
+
+  dist::Loop bump(u.ctx, BumpQ{}, "fw_bump", u.cells, u.ctx.arg<opv::RW>(u.q),
+                  u.ctx.arg<opv::READ>(u.acc));
+  dist::Loop edge(u.ctx, GatherQ{}, "fw_edge", u.edges, u.ctx.arg<opv::READ>(u.q, 0, u.e2c),
+                  u.ctx.arg<opv::READ>(u.q, 1, u.e2c), u.ctx.arg<opv::INC>(u.acc, 0, u.e2c),
+                  u.ctx.arg<opv::INC>(u.acc, 1, u.e2c));
+  dist::Loop read_acc(u.ctx, SumQAcc{}, "fw_read", u.edges, u.ctx.arg<opv::READ>(u.q, 0, u.e2c),
+                      u.ctx.arg<opv::READ>(u.q, 1, u.e2c),
+                      u.ctx.arg<opv::READ>(u.acc, 0, u.e2c),
+                      u.ctx.arg<opv::READ>(u.acc, 1, u.e2c), u.ctx.arg<opv::WRITE>(u.w));
+  ASSERT_EQ(edge.effective_mode(), ExchangeMode::Overlap);
+
+  bump.run();  // dirties q, so edge begins (and fails to wait for) q
+  EXPECT_THROW(edge.run(), Error);
+  EXPECT_EQ(x->completed[u.acc.id], 0);
+  read_acc.run();
+  EXPECT_EQ(x->completed[u.acc.id], 1)
+      << "the INC target written before the failed wait must be exchanged";
+  EXPECT_EQ(x->completed[u.q.id], 1) << "the dat whose wait failed stays dirty too";
 }
 
 // ---- phased execution: exchange accounting ----------------------------------

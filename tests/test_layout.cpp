@@ -394,10 +394,11 @@ TEST(Partition3D, RcbSplitsZElongatedBoxIntoZBands) {
     }
     for (int a = 0; a < nparts; ++a)
       for (int b = 0; b < nparts; ++b)
-        if (a != b)
+        if (a != b) {
           EXPECT_TRUE(zhi[static_cast<std::size_t>(a)] < zlo[static_cast<std::size_t>(b)] ||
                       zhi[static_cast<std::size_t>(b)] < zlo[static_cast<std::size_t>(a)])
               << "parts " << a << " and " << b << " overlap in z (nparts=" << nparts << ")";
+        }
   }
 }
 

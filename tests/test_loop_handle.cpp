@@ -1,15 +1,16 @@
 // Tests for the typed-argument API and the reusable Loop handle:
 // compile-time rejection of invalid access/argument combinations and of
 // Dim/dat mismatches, Loop::run() equivalence with one-shot par_loop across
-// backends, plan pinning (pointer stability across runs), stats
-// accumulation through the pre-bound slot, and subset (Slice) and range
-// execution.
+// backends, plan pinning (pointer stability across runs), the one-thread
+// plan-free TwoLevel rule, stats accumulation through the pre-bound slot,
+// and range (Slice) execution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/context.hpp"
@@ -178,7 +179,8 @@ TEST(LoopHandle, PlanPointerStableAcrossRuns) {
   Loop loop(EdgeKernel{}, std::string("lh_plan"), f.edges, arg<opv::READ>(f.q, 0, f.e2c),
             arg<opv::READ>(f.q, 1, f.e2c), arg<opv::READ>(f.w), arg<opv::INC>(f.r, 0, f.e2c),
             arg<opv::INC>(f.r, 1, f.e2c), arg_gbl<opv::INC>(&f.gsum, 1));
-  const ExecConfig cfg{.backend = Backend::Simd, .simd_width = 4};
+  // Two threads: a one-thread TwoLevel team takes no plan at all.
+  const ExecConfig cfg{.backend = Backend::Simd, .simd_width = 4, .nthreads = 2};
   loop.run(cfg);
   const Plan* p1 = loop.plan(cfg);
   ASSERT_NE(p1, nullptr);
@@ -188,7 +190,7 @@ TEST(LoopHandle, PlanPointerStableAcrossRuns) {
 
   // A different strategy pins a different plan without evicting the first.
   const ExecConfig bp{.backend = Backend::Simd, .coloring = ColoringStrategy::BlockPermute,
-                      .simd_width = 4};
+                      .simd_width = 4, .nthreads = 2};
   loop.run(bp);
   const Plan* p2 = loop.plan(bp);
   ASSERT_NE(p2, nullptr);
@@ -199,6 +201,43 @@ TEST(LoopHandle, PlanPointerStableAcrossRuns) {
   EXPECT_EQ(p1, PlanCache::instance()
                     .get(f.edges, loop.conflicts(), cfg.block_size, ColoringStrategy::TwoLevel)
                     .get());
+}
+
+/// A one-thread team needs no coloring for TwoLevel: block colors only keep
+/// threads apart, and Simd's contiguous scatter serializes conflicting
+/// lanes. OpenMP and Simd then sweep the range in ascending order (OpenMP
+/// bitwise Seq); the schemes whose lanes need element colors keep a plan.
+TEST(LoopHandle, OneThreadTwoLevelNeedsNoPlan) {
+  Fixture seq_f;
+  Loop seq_loop(EdgeKernel{}, std::string("lh_1t_seq"), seq_f.edges,
+                arg<opv::READ>(seq_f.q, 0, seq_f.e2c), arg<opv::READ>(seq_f.q, 1, seq_f.e2c),
+                arg<opv::READ>(seq_f.w), arg<opv::INC>(seq_f.r, 0, seq_f.e2c),
+                arg<opv::INC>(seq_f.r, 1, seq_f.e2c), arg_gbl<opv::INC>(&seq_f.gsum, 1));
+  seq_loop.run(ExecConfig{.backend = Backend::Seq});
+
+  Fixture f;
+  Loop loop(EdgeKernel{}, std::string("lh_1t"), f.edges, arg<opv::READ>(f.q, 0, f.e2c),
+            arg<opv::READ>(f.q, 1, f.e2c), arg<opv::READ>(f.w), arg<opv::INC>(f.r, 0, f.e2c),
+            arg<opv::INC>(f.r, 1, f.e2c), arg_gbl<opv::INC>(&f.gsum, 1));
+  static_assert(decltype(loop)::has_inc);
+  const ExecConfig omp1{.backend = Backend::OpenMP, .nthreads = 1};
+  EXPECT_EQ(loop.plan(omp1), nullptr);
+  EXPECT_EQ(loop.plan(ExecConfig{.backend = Backend::Simd, .nthreads = 1}), nullptr);
+  EXPECT_NE(loop.plan(ExecConfig{.backend = Backend::OpenMP, .nthreads = 2}), nullptr);
+  EXPECT_NE(loop.plan(ExecConfig{.backend = Backend::Simd,
+                                 .coloring = ColoringStrategy::BlockPermute,
+                                 .nthreads = 1}),
+            nullptr);
+  EXPECT_NE(loop.plan(ExecConfig{.backend = Backend::Simd,
+                                 .coloring = ColoringStrategy::FullPermute,
+                                 .nthreads = 1}),
+            nullptr);
+  EXPECT_NE(loop.plan(ExecConfig{.backend = Backend::AutoVec, .nthreads = 1}), nullptr);
+  EXPECT_NE(loop.plan(ExecConfig{.backend = Backend::Simt, .nthreads = 1}), nullptr);
+
+  loop.run(omp1);
+  for (idx_t c = 0; c < f.cells.size(); ++c) ASSERT_EQ(f.r.at(c), seq_f.r.at(c)) << "cell " << c;
+  EXPECT_EQ(f.gsum, seq_f.gsum);
 }
 
 TEST(LoopHandle, DirectLoopNeedsNoPlan) {
@@ -250,15 +289,15 @@ TEST(LoopHandle, RuntimeValidationStillThrows) {
   EXPECT_NO_THROW((arg<opv::READ, 1>(q)));
 }
 
-// ---- subset (Slice) execution ----------------------------------------------
+// ---- range (Slice) execution ----------------------------------------------
 // The phased distributed runner executes a loop as interior + boundary
-// Slices; these tests pin the core contract: a slice runs exactly its
-// elements with the loop's kernel instantiations, race-free, with globals
-// accumulating across slices.
+// Slices and LoopChain as one Slice per tile; these tests pin the core
+// contract: a slice runs exactly its range with the loop's kernel
+// instantiations, race-free, with globals accumulating across slices.
 
 /// Direct per-element transform: any slice cover computes bitwise the same
 /// values as one full run, whatever the execution order. A single multiply
-/// on purpose — one rounding, so contiguous and permuted codegen cannot
+/// on purpose — one rounding, so the vector and scalar paths cannot
 /// diverge through FMA contraction.
 struct ScaleKernel {
   template <class T>
@@ -267,8 +306,15 @@ struct ScaleKernel {
   }
 };
 
+/// Three ranges covering [0, n), with boundaries on no vector width.
+std::vector<std::pair<idx_t, idx_t>> three_ranges(idx_t n) {
+  const idx_t a = n / 3 + 1, b = 2 * n / 3 + 5;
+  return {{0, a}, {a, b}, {b, n}};
+}
+
 TEST(LoopSlice, DirectSliceCoverBitwiseMatchesFullRun) {
-  for (Backend b : {Backend::Seq, Backend::OpenMP, Backend::AutoVec, Backend::Simd}) {
+  for (Backend b :
+       {Backend::Seq, Backend::OpenMP, Backend::AutoVec, Backend::Simd, Backend::Simt}) {
     SCOPED_TRACE(backend_name(b));
     const ExecConfig cfg{.backend = b, .nthreads = 2};
     Fixture full, sliced;
@@ -278,12 +324,10 @@ TEST(LoopSlice, DirectSliceCoverBitwiseMatchesFullRun) {
 
     Loop loop(ScaleKernel{}, "slice_direct", sliced.cells, opv::arg<opv::READ>(sliced.q),
               opv::arg<opv::WRITE>(sliced.r));
-    aligned_vector<idx_t> evens, odds;
-    for (idx_t c = 0; c < sliced.cells.size(); ++c) (c % 2 ? odds : evens).push_back(c);
-    auto s_even = loop.make_slice(std::move(evens));
-    auto s_odd = loop.make_slice(std::move(odds));
-    loop.run_slice(cfg, s_even);
-    loop.run_slice(cfg, s_odd);
+    for (const auto& [lo, hi] : three_ranges(sliced.cells.size())) {
+      auto s = loop.make_slice(lo, hi);
+      loop.run_slice(cfg, s);
+    }
 
     for (idx_t c = 0; c < full.cells.size(); ++c)
       ASSERT_EQ(full.r.at(c), sliced.r.at(c)) << "cell " << c;
@@ -292,7 +336,7 @@ TEST(LoopSlice, DirectSliceCoverBitwiseMatchesFullRun) {
 
 /// Indirect increments of exactly 1.0 (exact in floating point): after any
 /// disjoint slice cover, every cell holds its edge degree — each element
-/// executed exactly once, increments race-free under the subset coloring.
+/// executed exactly once, increments race-free under the range plan.
 struct DegreeKernel {
   template <class T>
   void operator()(T* c1, T* c2) const {
@@ -308,7 +352,6 @@ TEST(LoopSlice, ConflictedSlicesExecuteEachElementExactlyOnce) {
   };
   for (const Case c : {Case{Backend::Seq, ColoringStrategy::TwoLevel},
                        Case{Backend::OpenMP, ColoringStrategy::TwoLevel},
-                       Case{Backend::OpenMP, ColoringStrategy::FullPermute},
                        Case{Backend::AutoVec, ColoringStrategy::BlockPermute},
                        Case{Backend::AutoVec, ColoringStrategy::FullPermute},
                        Case{Backend::Simd, ColoringStrategy::TwoLevel},
@@ -324,37 +367,73 @@ TEST(LoopSlice, ConflictedSlicesExecuteEachElementExactlyOnce) {
               opv::arg<opv::INC>(f.r, 1, f.e2c));
     static_assert(decltype(loop)::has_inc);
 
-    aligned_vector<idx_t> evens, odds;
-    for (idx_t e = 0; e < f.edges.size(); ++e) (e % 2 ? odds : evens).push_back(e);
-    auto s_even = loop.make_slice(std::move(evens));
-    auto s_odd = loop.make_slice(std::move(odds));
-    loop.run_slice(cfg, s_even);
-    loop.run_slice(cfg, s_odd);
+    const auto ranges = three_ranges(f.edges.size());
+    std::vector<decltype(loop)::Slice> slices;
+    for (const auto& [lo, hi] : ranges) slices.push_back(loop.make_slice(lo, hi));
+    for (auto& s : slices) loop.run_slice(cfg, s);
 
-    // The subset plan is pinned after the first conflicted run (Seq needs
-    // no plan: it executes the slice serially in element order).
-    const Plan* plan = s_even.plan();
+    // Each slice's range plan is pinned after its first run (Seq needs no
+    // plan: it executes the range serially in element order). The plan
+    // covers exactly the range, and its permutations hold element ids.
+    auto& mid = slices[1];
+    const Plan* plan = mid.plan();
     if (c.backend == Backend::Seq) {
       EXPECT_EQ(plan, nullptr);
     } else {
       ASSERT_NE(plan, nullptr);
-      EXPECT_EQ(plan->nelems, s_even.size());
+      EXPECT_EQ(plan->first, mid.lo());
+      EXPECT_EQ(plan->nelems, mid.size());
+      for (idx_t b = 0; b < plan->nblocks; ++b) {
+        ASSERT_GE(plan->block_begin(b), mid.lo());
+        ASSERT_LE(plan->block_end(b), mid.hi());
+      }
+      for (const aligned_vector<idx_t>* perm : {&plan->permute, &plan->block_permute})
+        for (idx_t e : *perm) {
+          ASSERT_GE(e, mid.lo());
+          ASSERT_LT(e, mid.hi());
+        }
     }
-    loop.run_slice(cfg, s_even);
-    EXPECT_EQ(s_even.plan(), plan) << "slice plan must be pinned across runs";
+    loop.run_slice(cfg, mid);
+    EXPECT_EQ(mid.plan(), plan) << "slice plan must be pinned across runs";
 
     std::vector<double> degree(static_cast<std::size_t>(f.cells.size()), 0.0);
     for (idx_t e = 0; e < f.edges.size(); ++e) {
-      degree[f.m.edge_cells[2 * e]] += 1.0;
-      degree[f.m.edge_cells[2 * e + 1]] += 1.0;
-    }
-    // s_even ran twice (plan-pinning check), so evens count double.
-    for (idx_t e = 0; e < f.edges.size(); e += 2) {
-      degree[f.m.edge_cells[2 * e]] += 1.0;
-      degree[f.m.edge_cells[2 * e + 1]] += 1.0;
+      const int times = e >= mid.lo() && e < mid.hi() ? 2 : 1;  // mid ran twice
+      degree[f.m.edge_cells[2 * e]] += times;
+      degree[f.m.edge_cells[2 * e + 1]] += times;
     }
     for (idx_t i = 0; i < f.cells.size(); ++i)
       ASSERT_EQ(f.r.at(i), degree[i]) << "cell " << i;
+  }
+}
+
+/// Seq (and a one-thread OpenMP team, which needs no plan) runs a slice in
+/// ascending element order, so a cover executed in order is bitwise one
+/// run() — increments with rounding included.
+TEST(LoopSlice, InOrderCoverIsBitwiseOneRun) {
+  for (const ExecConfig cfg : {ExecConfig{.backend = Backend::Seq},
+                               ExecConfig{.backend = Backend::OpenMP, .nthreads = 1}}) {
+    SCOPED_TRACE(cfg.to_string());
+    Fixture full, sliced;
+    Loop ref(EdgeKernel{}, std::string("slice_order_full"), full.edges,
+             arg<opv::READ>(full.q, 0, full.e2c), arg<opv::READ>(full.q, 1, full.e2c),
+             arg<opv::READ>(full.w), arg<opv::INC>(full.r, 0, full.e2c),
+             arg<opv::INC>(full.r, 1, full.e2c), arg_gbl<opv::INC>(&full.gsum, 1));
+    ref.run(ExecConfig{.backend = Backend::Seq});
+
+    Loop loop(EdgeKernel{}, std::string("slice_order"), sliced.edges,
+              arg<opv::READ>(sliced.q, 0, sliced.e2c), arg<opv::READ>(sliced.q, 1, sliced.e2c),
+              arg<opv::READ>(sliced.w), arg<opv::INC>(sliced.r, 0, sliced.e2c),
+              arg<opv::INC>(sliced.r, 1, sliced.e2c), arg_gbl<opv::INC>(&sliced.gsum, 1));
+    for (const auto& [lo, hi] : three_ranges(sliced.edges.size())) {
+      auto s = loop.make_slice(lo, hi);
+      loop.run_slice(cfg, s);
+      EXPECT_EQ(s.plan(), nullptr);
+    }
+    for (idx_t c = 0; c < full.cells.size(); ++c)
+      ASSERT_EQ(full.r.at(c), sliced.r.at(c)) << "cell " << c;
+    // Each slice merges its own partial sum: reassociated, not bitwise.
+    EXPECT_NEAR(sliced.gsum, full.gsum, 1e-12 * std::abs(full.gsum));
   }
 }
 
@@ -370,16 +449,15 @@ struct CountMinKernel {
 };
 
 TEST(LoopSlice, GlobalReductionsAccumulateAcrossSlices) {
-  for (Backend b : {Backend::Seq, Backend::OpenMP, Backend::Simd}) {
+  for (Backend b : {Backend::Seq, Backend::OpenMP, Backend::Simd, Backend::Simt}) {
     SCOPED_TRACE(backend_name(b));
     Fixture f;
     double count = 0.0, gmin = 1e300;
     Loop loop(CountMinKernel{}, "slice_gbl", f.cells, opv::arg<opv::READ>(f.q),
               opv::arg_gbl<opv::INC>(&count, 1), opv::arg_gbl<opv::MIN>(&gmin, 1));
-    aligned_vector<idx_t> lo, hi;
-    for (idx_t c = 0; c < f.cells.size(); ++c) (c < f.cells.size() / 3 ? lo : hi).push_back(c);
-    auto s_lo = loop.make_slice(std::move(lo));
-    auto s_hi = loop.make_slice(std::move(hi));
+    const idx_t third = f.cells.size() / 3;
+    auto s_lo = loop.make_slice(0, third);
+    auto s_hi = loop.make_slice(third, f.cells.size());
     const ExecConfig cfg{.backend = b, .nthreads = 2};
     loop.run_slice(cfg, s_lo);
     loop.run_slice(cfg, s_hi);
@@ -392,10 +470,9 @@ TEST(LoopSlice, GlobalReductionsAccumulateAcrossSlices) {
 }
 
 /// Indirect increments + a global reduction: run() refuses halo execution
-/// wholesale (exec_size must equal size); make_slice and run_range enforce
-/// the same rule per element — owned elements stay legal, halo elements are
-/// rejected (they would contribute to the reduction on every executing
-/// rank).
+/// wholesale (exec_size must equal size); make_slice enforces the same rule
+/// per range — owned elements stay legal, halo elements are rejected (they
+/// would contribute to the reduction on every executing rank).
 struct DegreeCountKernel {
   template <class T>
   void operator()(T* c1, T* c2, T* g) const {
@@ -416,30 +493,41 @@ TEST(LoopSlice, HaloElementsRejectedForGlobalReductionLoops) {
 
   Loop with_gbl(DegreeCountKernel{}, "slice_gblhalo", edges, opv::arg<opv::INC>(r, 0, e2c),
                 opv::arg<opv::INC>(r, 1, e2c), opv::arg_gbl<opv::INC>(&g, 1));
-  EXPECT_NO_THROW(with_gbl.make_slice({0, 3}));
-  EXPECT_THROW(with_gbl.make_slice({4}), Error) << "halo element must be rejected";
-
-  const ExecConfig seq{.backend = Backend::Seq};
-  EXPECT_THROW(with_gbl.run_range(seq, 0, edges.exec_size()), Error)
+  EXPECT_NO_THROW((void)with_gbl.make_slice(0, 3));
+  EXPECT_THROW((void)with_gbl.make_slice(4, 5), Error) << "halo element must be rejected";
+  EXPECT_THROW((void)with_gbl.make_slice(0, edges.exec_size()), Error)
       << "halo range must be rejected";
   EXPECT_EQ(g, 0.0) << "a rejected range must not touch the reduction";
-  EXPECT_NO_THROW(with_gbl.run_range(seq, 0, edges.size()));
+  auto owned = with_gbl.make_slice(0, edges.size());
+  with_gbl.run_slice(ExecConfig{.backend = Backend::Seq}, owned);
   EXPECT_EQ(g, 4.0) << "the owned range counts each owned edge once";
 
   Loop no_gbl(DegreeKernel{}, "slice_halo", edges, opv::arg<opv::INC>(r, 0, e2c),
               opv::arg<opv::INC>(r, 1, e2c));
-  EXPECT_NO_THROW(no_gbl.make_slice({4, 5})) << "without a reduction the exec halo is legal";
-  EXPECT_NO_THROW(no_gbl.run_range(seq, 0, edges.exec_size()));
+  EXPECT_NO_THROW((void)no_gbl.make_slice(4, 6)) << "without a reduction the exec halo is legal";
+  auto all = no_gbl.make_slice(0, edges.exec_size());
+  EXPECT_NO_THROW(no_gbl.run_slice(ExecConfig{.backend = Backend::Seq}, all));
 }
 
-TEST(LoopSlice, OutOfRangeSliceElementThrows) {
+TEST(LoopSlice, RangeOutsideTheExecutedRangeThrows) {
   Fixture f;
   Loop loop(ScaleKernel{}, "slice_range", f.cells, opv::arg<opv::READ>(f.q),
             opv::arg<opv::WRITE>(f.r));
-  EXPECT_THROW(loop.make_slice({f.cells.size()}), Error);
-  EXPECT_THROW(loop.make_slice({idx_t(-1)}), Error);
-  EXPECT_NO_THROW(loop.make_slice({}));
-  EXPECT_NO_THROW(loop.make_slice({idx_t(0), f.cells.size() - 1}));
+  const idx_t n = f.cells.size();
+  EXPECT_THROW((void)loop.make_slice(0, n + 1), Error);
+  EXPECT_THROW((void)loop.make_slice(-1, 3), Error);
+  EXPECT_THROW((void)loop.make_slice(5, 4), Error) << "a reversed range is malformed";
+  EXPECT_NO_THROW((void)loop.make_slice(0, n));
+  EXPECT_NO_THROW((void)loop.make_slice(n, n));
+
+  // An empty range runs nothing, on every backend.
+  for (idx_t c = 0; c < n; ++c) f.r.at(c) = -1.0;
+  auto empty = loop.make_slice(7, 7);
+  EXPECT_TRUE(empty.empty());
+  for (Backend b : {Backend::Seq, Backend::OpenMP, Backend::Simd, Backend::Simt})
+    loop.run_slice(ExecConfig{.backend = b, .nthreads = 2}, empty);
+  EXPECT_EQ(empty.plan(), nullptr);
+  for (idx_t c = 0; c < n; ++c) ASSERT_EQ(f.r.at(c), -1.0);
 }
 
 // ---- LocalCtx::make_loop ----------------------------------------------------

@@ -127,7 +127,9 @@ TEST(OnlineTuner, SettlesOnFastestAfterCandidatesTimesReps) {
       ASSERT_EQ(t.propose(), sizes[i]) << "candidates are proposed in order";
       t.observe(sizes[i], cost[pass][i]);
     }
-    if (pass == 0) EXPECT_EQ(t.best(), 128);
+    if (pass == 0) {
+      EXPECT_EQ(t.best(), 128);
+    }
   }
   EXPECT_TRUE(t.settled());
   EXPECT_EQ(t.best(), 256);

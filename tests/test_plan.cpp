@@ -236,8 +236,9 @@ TEST(PlanCache, ConcurrentGetSharesOneBuild) {
   for (auto& th : threads) th.join();
   for (int t = 1; t < kThreads; ++t) {
     ASSERT_NE(got[t], nullptr);
-    if (block_sizes[t] == block_sizes[t - 1])
+    if (block_sizes[t] == block_sizes[t - 1]) {
       EXPECT_EQ(got[t].get(), got[t - 1].get()) << "same key must share one build";
+    }
   }
   EXPECT_EQ(PlanCache::instance().size(), 3u);
 }

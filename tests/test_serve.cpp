@@ -257,9 +257,10 @@ TEST(Ensemble, SameMeshInstancesShareOnePlanBuild) {
   // OpenMP needs coloring plans for the two space_disc call sites (the
   // loops with indirect increments); both share one conflict signature, so
   // TWO instances x two handles = exactly ONE build and three cache hits.
+  // Two threads: a one-thread TwoLevel team takes no plan.
   ExecConfig cfg;
   cfg.backend = Backend::OpenMP;
-  cfg.nthreads = 1;
+  cfg.nthreads = 2;
   cfg.block_size = 256;
 
   PlanCache::instance().clear();
@@ -285,7 +286,7 @@ TEST(Ensemble, DistinctMeshInstancesBuildDistinctPlans) {
   const auto sweep = volna::hazard_sweep(1);
   ExecConfig cfg;
   cfg.backend = Backend::OpenMP;
-  cfg.nthreads = 1;
+  cfg.nthreads = 2;  // a one-thread TwoLevel team takes no plan
   cfg.block_size = 256;
 
   PlanCache::instance().clear();

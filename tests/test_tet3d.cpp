@@ -177,6 +177,16 @@ TEST(Tet3dApp, BackendsMatchSequential) {
   }
 }
 
+/// A one-thread OpenMP team takes no coloring plan and sweeps each loop in
+/// ascending order, so it computes exactly what Seq computes.
+TEST(Tet3dApp, OneThreadOpenMPIsBitwiseSeq) {
+  const auto m = mesh::make_tet_box(4, 4, 3);
+  const auto ref = run_app<double>(m, {.backend = Backend::Seq}, 6);
+  const auto got = run_app<double>(m, {.backend = Backend::OpenMP, .nthreads = 1}, 6);
+  ASSERT_EQ(ref.size(), got.size());
+  EXPECT_EQ(std::memcmp(ref.data(), got.data(), ref.size() * sizeof(double)), 0);
+}
+
 TEST(Tet3dApp, ChainIsBitwiseIdenticalToLoopByLoop) {
   const auto m = mesh::make_tet_box(3, 3, 3);
   const auto plain = run_app<double>(m, {.backend = Backend::Seq}, 8, false);
