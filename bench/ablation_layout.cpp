@@ -1,20 +1,20 @@
 // Ablation: the per-dat memory layout policy (core/layout.hpp) — AoS vs SoA
-// vs AoSoA on the paper's hardest indirect loop (Airfoil res_calc) and the 3D
-// sibling (Tet3D t3d_flux_calc).
+// on the paper's hardest indirect loop (Airfoil res_calc) and the 3D sibling
+// (Tet3D t3d_flux_calc).
 //
 // The vectorized paths of sections 6.1-6.4 pay a strided-access tax on every
 // multi-component dat when storage is locked to AoS: a W-wide gather of
 // component c touches W cache lines dim elements apart. SoA turns those into
-// dense per-plane gathers (and direct accesses into unit-stride plane loads);
-// AoSoA tiles the same idea at the lane-block size. This bench measures that
-// axis per backend on renumbered meshes and doubles as a functional smoke:
+// dense per-plane gathers (and direct accesses into unit-stride plane loads).
+// This bench measures that axis per backend on renumbered meshes and doubles
+// as a functional smoke:
 //
-//   * Seq must be BITWISE identical across all three layouts (the scalar
-//     path stages rows through scratch, so the kernel sees the same values
-//     in the same order regardless of physical layout);
-//   * every vector backend x non-AoS layout must match the Seq/AoS reference
-//     within 1e-12 of the field norm (coloring already reassociates sums,
-//     so bitwise is the wrong bar there).
+//   * Seq must be BITWISE identical across both layouts (the W = 1 argument
+//     state stages an SoA row pre-loaded for every access mode, so the
+//     kernel sees the same values in the same order);
+//   * every backend x layout must match the Seq/AoS reference within 1e-12
+//     of the field norm (coloring already reassociates sums, so bitwise is
+//     the wrong bar there).
 //
 // The bench exits non-zero on any divergence.
 //
@@ -36,7 +36,7 @@ using namespace opv::bench;
 
 namespace {
 
-constexpr Layout kLayouts[3] = {Layout::AoS, Layout::SoA, Layout::AoSoA};
+constexpr Layout kLayouts[2] = {Layout::AoS, Layout::SoA};
 
 const std::vector<std::string>& tet3d_kernels() {
   static const std::vector<std::string> k = {"t3d_save_u",    "t3d_grad_calc",
@@ -123,16 +123,13 @@ bool equivalence_ok() {
 
   const auto q_ref = airfoil_field(m2, seq, Layout::AoS, iters);
   const auto u_ref = tet3d_field(m3, seq, Layout::AoS, iters);
-  for (Layout l : {Layout::SoA, Layout::AoSoA}) {
-    if (!bitwise_equal(q_ref, airfoil_field(m2, seq, l, iters))) {
-      std::fprintf(stderr, "FAIL: Airfoil Seq/%s not bitwise equal to Seq/AoS\n",
-                   layout_name(l));
-      ok = false;
-    }
-    if (!bitwise_equal(u_ref, tet3d_field(m3, seq, l, iters))) {
-      std::fprintf(stderr, "FAIL: Tet3D Seq/%s not bitwise equal to Seq/AoS\n", layout_name(l));
-      ok = false;
-    }
+  if (!bitwise_equal(q_ref, airfoil_field(m2, seq, Layout::SoA, iters))) {
+    std::fprintf(stderr, "FAIL: Airfoil Seq/SoA not bitwise equal to Seq/AoS\n");
+    ok = false;
+  }
+  if (!bitwise_equal(u_ref, tet3d_field(m3, seq, Layout::SoA, iters))) {
+    std::fprintf(stderr, "FAIL: Tet3D Seq/SoA not bitwise equal to Seq/AoS\n");
+    ok = false;
   }
   std::printf("gate: Seq bitwise identity across layouts (Airfoil q, Tet3D u): %s\n",
               ok ? "ok" : "FAILED");
@@ -167,22 +164,15 @@ bool equivalence_ok() {
 struct Row {
   std::string label;
   bool vector_backend = false;
-  double secs[3] = {0, 0, 0};  ///< indexed like kLayouts: AoS, SoA, AoSoA
-  [[nodiscard]] double best_speedup() const {
-    const double best = std::min(secs[1], secs[2]);
-    return best > 0.0 ? secs[0] / best : 0.0;
-  }
-  [[nodiscard]] const char* best_layout() const {
-    return secs[1] <= secs[2] ? layout_name(Layout::SoA) : layout_name(Layout::AoSoA);
-  }
+  double secs[2] = {0, 0};  ///< indexed like kLayouts: AoS, SoA
+  [[nodiscard]] double soa_speedup() const { return secs[1] > 0.0 ? secs[0] / secs[1] : 0.0; }
 };
 
 void print_rows(const char* what, const std::vector<Row>& rows) {
-  perf::Table t({what, "AoS (s)", "SoA (s)", "AoSoA (s)", "best non-AoS"});
+  perf::Table t({what, "AoS (s)", "SoA (s)", "SoA vs AoS"});
   for (const Row& r : rows)
     t.add_row({r.label, perf::Table::num(r.secs[0], 3), perf::Table::num(r.secs[1], 3),
-               perf::Table::num(r.secs[2], 3),
-               std::string(r.best_layout()) + " " + perf::Table::num(r.best_speedup(), 2) + "x"});
+               perf::Table::num(r.soa_speedup(), 2) + "x"});
   t.print();
 }
 
@@ -193,7 +183,7 @@ int main(int argc, char** argv) {
   Sizes sz = Sizes::from_cli(cli);
   if (!cli.has("iters")) sz.airfoil_iters = 8;
   const idx_t tet_n = cli.has("large") ? 56 : (cli.has("small") ? 24 : 40);
-  print_header("Ablation: per-dat memory layout (AoS / SoA / AoSoA)",
+  print_header("Ablation: per-dat memory layout (AoS / SoA)",
                "Reguly et al., sections 6.1-6.4 (strided access of vectorized indirect loops)");
 
   if (!equivalence_ok()) {
@@ -223,7 +213,7 @@ int main(int argc, char** argv) {
   for (const auto& bc : backends) {
     Row af{bc.label, bc.vector_backend};
     Row tet{bc.label, bc.vector_backend};
-    for (int i = 0; i < 3; ++i) {
+    for (int i = 0; i < 2; ++i) {
       af.secs[i] =
           kernel_secs(run_airfoil_layout(m2, bc.cfg, sz.airfoil_iters, kLayouts[i]), "res_calc");
       tet.secs[i] =
@@ -241,15 +231,14 @@ int main(int argc, char** argv) {
   double headline = 0.0;
   const char* headline_backend = "-";
   for (const Row& r : af_rows)
-    if (r.vector_backend && r.best_speedup() > headline) {
-      headline = r.best_speedup();
+    if (r.vector_backend && r.soa_speedup() > headline) {
+      headline = r.soa_speedup();
       headline_backend = r.label.c_str();
     }
-  std::printf("\nShape check: on the vector backends the best non-AoS layout should beat\n"
-              "AoS on res_calc (>= 1.15x on a quiet machine at default sizes) — the\n"
-              "strided-gather tax sections 6.1-6.4 describe, now a per-dat policy.\n");
-  std::printf("headline: res_calc best non-AoS vs AoS = %.2fx (%s)\n", headline,
-              headline_backend);
+  std::printf("\nShape check: on the vector backends SoA should beat AoS on res_calc\n"
+              "(>= 1.15x on a quiet machine at default sizes) — the strided-gather tax\n"
+              "sections 6.1-6.4 describe, now a per-dat policy.\n");
+  std::printf("headline: res_calc SoA vs AoS = %.2fx (%s)\n", headline, headline_backend);
 
   const std::string json = cli.get("json", "");
   if (!json.empty()) {
@@ -268,9 +257,9 @@ int main(int argc, char** argv) {
         const Row& r = rows[i];
         std::fprintf(f,
                      "    {\"backend\": \"%s\", \"aos_s\": %.6f, \"soa_s\": %.6f, "
-                     "\"aosoa_s\": %.6f, \"best_layout\": \"%s\", \"best_speedup\": %.4f}%s\n",
-                     r.label.c_str(), r.secs[0], r.secs[1], r.secs[2], r.best_layout(),
-                     r.best_speedup(), i + 1 < rows.size() ? "," : "");
+                     "\"soa_speedup\": %.4f}%s\n",
+                     r.label.c_str(), r.secs[0], r.secs[1], r.soa_speedup(),
+                     i + 1 < rows.size() ? "," : "");
       }
       std::fprintf(f, "  ]%s\n", last ? "" : ",");
     };

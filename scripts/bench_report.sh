@@ -12,7 +12,7 @@
 #                        seconds per format (MSH v2.2, MSH v4.1, OPVM/OPVT
 #                        binary), gated by the ingest equivalence checks
 #                        (ablation_ingest)
-#   BENCH_layout.json    memory-layout record: AoS vs SoA vs AoSoA seconds
+#   BENCH_layout.json    memory-layout record: AoS vs SoA seconds
 #                        for Airfoil res_calc and Tet3D t3d_flux_calc per
 #                        backend, gated by the layout equivalence checks
 #                        (ablation_layout)

@@ -139,7 +139,7 @@ fi
 
 echo "== memory-layout smoke =="
 # Small meshes, few iterations: exercises the per-dat layout policy (AoS /
-# SoA / AoSoA, core/layout.hpp) end to end and exits non-zero if Seq is not
+# SoA, core/layout.hpp) end to end and exits non-zero if Seq is not
 # bitwise-identical across layouts or any vector backend diverges beyond
 # 1e-12 of the field norm. Speedups at this size are noise;
 # scripts/bench_report.sh does the measurement run.

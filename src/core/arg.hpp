@@ -169,6 +169,12 @@ struct arg_traits<ArgGbl<S, A>> {
 template <class... Args>
 inline constexpr bool has_conflicts_v = (arg_traits<Args>::conflicting || ...);
 
+/// True if any argument reads and writes a dataset through a map: the one
+/// indirect mode whose lanes cannot share a target within a vector chunk.
+template <class... Args>
+inline constexpr bool has_indirect_rw_v =
+    ((arg_traits<Args>::is_indirect && arg_traits<Args>::access == AccessMode::RW) || ...);
+
 /// True if any argument is a global reduction.
 template <class... Args>
 inline constexpr bool has_gbl_reduction_v = (arg_traits<Args>::gbl_reduction || ...);

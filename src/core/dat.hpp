@@ -50,7 +50,7 @@ class DatBase {
 
   /// The physical layout of the storage (AoS until apply_layout runs).
   [[nodiscard]] Layout layout() const { return layout_; }
-  /// Padded row count backing SoA/AoSoA addressing (0 while AoS).
+  /// Padded row count backing SoA addressing (0 while AoS).
   [[nodiscard]] idx_t plane() const { return plane_; }
   /// The layout apply_layout() will install at finalize.
   [[nodiscard]] Layout requested_layout() const { return requested_; }

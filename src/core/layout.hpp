@@ -1,24 +1,20 @@
-// Per-dat memory layout policy (the AoS / SoA / AoSoA axis).
+// Per-dat memory layout policy (the AoS / SoA axis).
 //
 // The paper's vectorized paths (sections 6.1-6.4) pay a strided-access tax
 // on every multi-component dat because storage is locked to AoS: a W-wide
 // gather of component c touches W cache lines dim elements apart. Sulyok et
 // al. (arXiv:1802.03749) show AoS<->SoA selection is a first-order win for
-// exactly these loops, and Sun et al. (arXiv:1903.08243) reach the same
-// conclusion for CPU SIMD via AoSoA at the vector width. This header is the
-// single source of truth for the three addressing schemes; the physical
-// relayout happens at context finalize (reorder::convert_layout_bytes),
-// mirroring how renumbering is applied, and fetch() stays declaration-order
-// AoS-transparent.
+// exactly these loops. This header is the single source of truth for the
+// two addressing schemes; the physical relayout happens at context finalize
+// (reorder::convert_layout_bytes), mirroring how renumbering is applied, and
+// fetch() stays declaration-order AoS-transparent.
 //
 //   AoS    value(e, c) = data[e*dim + c]           (the historical layout)
 //   SoA    value(e, c) = data[c*plane + e]          plane = padded_rows(n)
-//   AoSoA  value(e, c) = data[(e/B)*B*dim + c*B + e%B]   B = kAoSoALanes
 //
-// `plane` is the padded row count (rounded up to kAoSoALanes) so SoA planes
-// stay 64-byte aligned for the widest lane count and AoSoA always owns whole
-// lane-blocks; the padding rows are zero-initialized and never addressed by
-// valid element ids.
+// `plane` is the padded row count (rounded up to kPlaneAlign) so every SoA
+// plane stays 64-byte aligned for the widest lane count; the padding rows
+// are zero-initialized and never addressed by valid element ids.
 #pragma once
 
 #include <cstddef>
@@ -29,44 +25,32 @@ namespace opv {
 
 /// Physical memory layout of a dat's element-major storage.
 enum class Layout {
-  AoS,    ///< array-of-structures: element rows (the default)
-  SoA,    ///< structure-of-arrays: one contiguous plane per component
-  AoSoA,  ///< tiled hybrid: blocks of kAoSoALanes elements, SoA inside
+  AoS,  ///< array-of-structures: element rows (the default)
+  SoA,  ///< structure-of-arrays: one contiguous plane per component
 };
 
 constexpr const char* layout_name(Layout l) {
   switch (l) {
     case Layout::AoS: return "AoS";
     case Layout::SoA: return "SoA";
-    case Layout::AoSoA: return "AoSoA";
   }
   return "?";
 }
 
-/// AoSoA lane-block size: a multiple of every supported vector width
-/// (4/8/16), so a W-chunk aligned to W never straddles two blocks unless it
-/// crosses a block boundary the addressing handles anyway.
-inline constexpr idx_t kAoSoALanes = 16;
-inline constexpr int kAoSoAShift = 4;  ///< log2(kAoSoALanes)
+/// SoA plane row granularity: a multiple of every supported vector width
+/// (4/8/16), so a plane of doubles starts on a 64-byte boundary.
+inline constexpr idx_t kPlaneAlign = 16;
 
-/// Rows of padded storage backing n elements under SoA/AoSoA.
+/// Rows of padded storage backing n elements under SoA.
 constexpr idx_t padded_rows(idx_t n) {
-  return (n + kAoSoALanes - 1) & ~(kAoSoALanes - 1);
+  return (n + kPlaneAlign - 1) & ~(kPlaneAlign - 1);
 }
 
 /// Flat index of (element e, component c) under a layout. `plane` is the
 /// padded row count (padded_rows of the dat's total size); AoS ignores it.
 constexpr std::size_t layout_offset(Layout l, idx_t e, int c, int dim, idx_t plane) {
-  switch (l) {
-    case Layout::AoS: return static_cast<std::size_t>(e) * dim + c;
-    case Layout::SoA:
-      return static_cast<std::size_t>(c) * plane + static_cast<std::size_t>(e);
-    case Layout::AoSoA:
-      return static_cast<std::size_t>(e >> kAoSoAShift) * (kAoSoALanes * dim) +
-             static_cast<std::size_t>(c) * kAoSoALanes +
-             static_cast<std::size_t>(e & (kAoSoALanes - 1));
-  }
-  return 0;
+  if (l == Layout::SoA) return static_cast<std::size_t>(c) * plane + static_cast<std::size_t>(e);
+  return static_cast<std::size_t>(e) * dim + c;
 }
 
 }  // namespace opv

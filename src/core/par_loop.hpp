@@ -72,106 +72,137 @@ inline void for_each_dim(F&& f) {
   }(std::make_integer_sequence<int, Dim>{});
 }
 
-// ===== bound scalar arguments ==============================================
+// ===== bound arguments =========================================================
+// One argument state serves every width: the scalar kernel is the W == 1
+// case of the vector path. At W == 1 a bound argument holds S values and a
+// scalar element index; at W > 1 it holds Vec<S, W> lanes and a
+// Vec<int32_t, W> index. Either way comp(c)[lidx(e)] addresses element e's
+// component c under the dat's layout.
 
-template <class S, AccessMode A, int Dim, bool Ind>
+/// A W-wide value of S: S itself at W == 1.
+template <class S, int W>
+using lanes_t = std::conditional_t<W == 1, S, simd::Vec<S, W>>;
+
+template <class S, int W, AccessMode A, int Dim, bool Ind>
 struct BoundDat {
+  using V = lanes_t<S, W>;
+  using IV = lanes_t<std::int32_t, W>;
   S* data = nullptr;
   const idx_t* map = nullptr;
   int map_dim = 0;
   int map_idx = 0;
-  Layout layout = Layout::AoS;  ///< physical layout of the bound dat
-  idx_t plane = 0;              ///< padded rows (SoA plane stride)
-  idx_t stgt = 0;               ///< staged element target (non-AoS scalar path)
-  S scratch[kMaxDim] = {};      ///< staged element row (non-AoS scalar path)
+  Layout layout = Layout::AoS;
+  idx_t plane = 0;  ///< SoA component-plane stride (padded rows)
+  V buf[Dim] = {};  ///< the kernel's view: staged row (W == 1) or lanes
+  IV sidx = {};     ///< layout-scaled target index, kept for the writeback
+
+  /// Base of component c: AoS interleaves the components (+c), SoA keeps
+  /// one dense plane per component.
+  S* comp(int c) const {
+    return layout == Layout::SoA ? data + static_cast<std::size_t>(plane) * c : data + c;
+  }
+  /// Layout-scaled element index, relative to comp(c): AoS scales by the
+  /// literal Dim, SoA is unit-stride.
+  IV lidx(IV tgt) const { return layout == Layout::SoA ? tgt : tgt * IV(Dim); }
 };
 
-template <class S, AccessMode A>
+template <class S, int W, AccessMode A>
 struct BoundGbl {
   S* target = nullptr;
   int dim = 0;
-  S scratch[kMaxDim] = {};
+  lanes_t<S, W> buf[kMaxDim] = {};  ///< a thread's (or rank's) partial
 };
 
-template <class S, AccessMode A, int Dim, bool Ind>
-inline BoundDat<S, A, Dim, Ind> bind(const Arg<S, A, Dim, Ind>& a) {
+template <int W, class S, AccessMode A, int Dim, bool Ind>
+inline BoundDat<S, W, A, Dim, Ind> bind(const Arg<S, A, Dim, Ind>& a) {
+  BoundDat<S, W, A, Dim, Ind> b;
+  b.data = a.dat->data();
   if constexpr (Ind) {
-    return {a.dat->data(), a.map->data(), a.map->dim(), a.map_idx, a.dat->layout(),
-            a.dat->plane()};
-  } else {
-    return {a.dat->data(), nullptr, 0, 0, a.dat->layout(), a.dat->plane()};
+    b.map = a.map->data();
+    b.map_dim = a.map->dim();
+    b.map_idx = a.map_idx;
+  }
+  b.layout = a.dat->layout();
+  b.plane = a.dat->plane();
+  return b;
+}
+template <int W, class S, AccessMode A>
+inline BoundGbl<S, W, A> bind(const ArgGbl<S, A>& a) {
+  BoundGbl<S, W, A> g;
+  g.target = a.ptr;
+  g.dim = a.dim;
+  return g;
+}
+
+/// Start a partial: READ broadcasts the target into every lane, a
+/// reduction starts from its identity.
+template <class S, int W, AccessMode A, int Dim, bool Ind>
+inline void thread_init(BoundDat<S, W, A, Dim, Ind>&) {}
+template <class S, int W, AccessMode A>
+inline void thread_init(BoundGbl<S, W, A>& g) {
+  for (int c = 0; c < g.dim; ++c) {
+    if constexpr (A == AccessMode::READ) g.buf[c] = lanes_t<S, W>(g.target[c]);
+    else g.buf[c] = lanes_t<S, W>(reduction_identity<A, S>());
   }
 }
-template <class S, AccessMode A>
-inline BoundGbl<S, A> bind(const ArgGbl<S, A>& a) {
-  return {a.ptr, a.dim, {}};
-}
 
-template <class S, AccessMode A, int Dim, bool Ind>
-inline void thread_init(BoundDat<S, A, Dim, Ind>&) {}
-template <class S, AccessMode A>
-inline void thread_init(BoundGbl<S, A>& g) {
-  if constexpr (A != AccessMode::READ)
-    for (int c = 0; c < g.dim; ++c) g.scratch[c] = reduction_identity<A, S>();
-}
-
-template <class S, AccessMode A, int Dim, bool Ind>
-inline void thread_merge(BoundDat<S, A, Dim, Ind>&) {}
-template <class S, AccessMode A>
-inline void thread_merge(BoundGbl<S, A>& g) {
-  if constexpr (A != AccessMode::READ)
-    for (int c = 0; c < g.dim; ++c) g.target[c] = reduction_combine<A>(g.target[c], g.scratch[c]);
-}
-
-template <class Tuple, std::size_t... Is>
-inline void thread_init_all(Tuple& t, std::index_sequence<Is...>) {
-  (thread_init(std::get<Is>(t)), ...);
-}
-template <class Tuple, std::size_t... Is>
-inline void thread_merge_all(Tuple& t, std::index_sequence<Is...>) {
-  (thread_merge(std::get<Is>(t)), ...);
-}
-
-/// Pointer handed to the scalar kernel for element e. The element stride is
-/// the literal Dim, so the multiply strength-reduces.
-/// Under a non-AoS layout the element's components are not contiguous, so
-/// the row is STAGED into the per-arg scratch (current values pre-loaded for
-/// every mode, so an INC/RW kernel sees the same load-add-store order the
-/// AoS path has — Seq stays bitwise-identical across layouts) and kflush()
-/// writes it back after the kernel body.
-template <class S, AccessMode A, int Dim, bool Ind>
-inline S* kptr(BoundDat<S, A, Dim, Ind>& b, idx_t e) {
-  idx_t tgt;
-  if constexpr (Ind) {
-    tgt = b.map[static_cast<std::size_t>(e) * b.map_dim + b.map_idx];
-  } else {
-    tgt = e;
+/// Fold a partial into the target (its lanes first, at W > 1).
+template <class S, int W, AccessMode A, int Dim, bool Ind>
+inline void thread_merge(BoundDat<S, W, A, Dim, Ind>&) {}
+template <class S, int W, AccessMode A>
+inline void thread_merge(BoundGbl<S, W, A>& g) {
+  if constexpr (A == AccessMode::READ) return;
+  for (int c = 0; c < g.dim; ++c) {
+    S part;
+    if constexpr (W == 1) part = g.buf[c];
+    else if constexpr (A == AccessMode::INC) part = simd::hsum(g.buf[c]);
+    else if constexpr (A == AccessMode::MIN) part = simd::hmin(g.buf[c]);
+    else part = simd::hmax(g.buf[c]);
+    g.target[c] = reduction_combine<A>(g.target[c], part);
   }
+}
+
+template <class Tuple>
+inline void thread_init_all(Tuple& t) {
+  std::apply([](auto&... b) { (thread_init(b), ...); }, t);
+}
+template <class Tuple>
+inline void thread_merge_all(Tuple& t) {
+  std::apply([](auto&... b) { (thread_merge(b), ...); }, t);
+}
+
+/// Pointer handed to the scalar kernel for element e. Under AoS it points
+/// at the element's row (the stride is the literal Dim, so the multiply
+/// strength-reduces). Under SoA the components are not contiguous, so the
+/// row is staged into buf through comp(c)[lidx(e)] — current values
+/// pre-loaded for every mode, so an INC/RW kernel sees the load-add-store
+/// order the AoS path has and Seq stays bitwise-identical across layouts —
+/// and kflush() writes it back after the kernel body.
+template <class S, AccessMode A, int Dim, bool Ind>
+inline S* kptr(BoundDat<S, 1, A, Dim, Ind>& b, idx_t e) {
+  idx_t tgt = e;
+  if constexpr (Ind) tgt = b.map[static_cast<std::size_t>(e) * b.map_dim + b.map_idx];
   if (b.layout == Layout::AoS) [[likely]]
     return b.data + static_cast<std::size_t>(tgt) * Dim;
-  b.stgt = tgt;
-  for_each_dim<Dim>(
-      [&](int c) { b.scratch[c] = b.data[layout_offset(b.layout, tgt, c, Dim, b.plane)]; });
-  return b.scratch;
+  b.sidx = b.lidx(tgt);
+  for_each_dim<Dim>([&](int c) { b.buf[c] = b.comp(c)[b.sidx]; });
+  return b.buf;
 }
 template <class S, AccessMode A>
-inline S* kptr(BoundGbl<S, A>& g, idx_t) {
-  if constexpr (A == AccessMode::READ) return g.target;
-  else return g.scratch;
+inline S* kptr(BoundGbl<S, 1, A>& g, idx_t) {
+  return g.buf;
 }
 
-/// Post-kernel writeback of the staged scratch row (non-AoS layouts only;
-/// a no-op for AoS, where the kernel wrote through the returned pointer).
+/// Post-kernel writeback of the staged row (a no-op under AoS, where the
+/// kernel wrote through the returned pointer).
 template <class S, AccessMode A, int Dim, bool Ind>
-inline void kflush(BoundDat<S, A, Dim, Ind>& b) {
-  if constexpr (A == AccessMode::READ) return;
-  if (b.layout == Layout::AoS) [[likely]]
-    return;
-  for_each_dim<Dim>(
-      [&](int c) { b.data[layout_offset(b.layout, b.stgt, c, Dim, b.plane)] = b.scratch[c]; });
+inline void kflush(BoundDat<S, 1, A, Dim, Ind>& b) {
+  if constexpr (A != AccessMode::READ)
+    if (b.layout != Layout::AoS) [[unlikely]]
+      for_each_dim<Dim>([&](int c) { b.comp(c)[b.sidx] = b.buf[c]; });
 }
 template <class S, AccessMode A>
-inline void kflush(BoundGbl<S, A>&) {}
+inline void kflush(BoundGbl<S, 1, A>&) {}
 
 template <class Tuple, std::size_t... Is>
 inline void kflush_all(Tuple& t, std::index_sequence<Is...>) {
@@ -246,128 +277,15 @@ OPV_FLATTEN inline void run_scalar_hint(Kernel& k, Tuple& t, const idx_t* ids, i
   }
 }
 
-// ===== vector-path argument state ==========================================
-
-template <class S, int W, AccessMode A, int Dim, bool Ind>
-struct VDat {
-  using V = simd::Vec<S, W>;
-  using IV = simd::Vec<std::int32_t, W>;
-  S* data = nullptr;
-  const idx_t* map = nullptr;
-  int map_dim = 0;
-  int map_idx = 0;
-  Layout layout = Layout::AoS;
-  idx_t plane = 0;  ///< SoA component-plane stride (padded rows)
-  V buf[kMaxDim];
-  IV sidx;  ///< layout-scaled target index, kept for scatters
-
-  /// Base pointer of component c's "plane": the address sidx (from lidx)
-  /// is relative to. AoS interleaves components (+c), SoA keeps one dense
-  /// plane per component, AoSoA interleaves 16-lane panels per component.
-  S* comp(int c) const {
-    switch (layout) {
-      case Layout::AoS: return data + c;
-      case Layout::SoA: return data + static_cast<std::size_t>(plane) * c;
-      case Layout::AoSoA: return data + static_cast<std::size_t>(kAoSoALanes) * c;
-    }
-    return data + c;
-  }
-  /// Layout-scaled element index: comp(c)[lidx(e)] addresses element e's
-  /// component c for every layout. AoS scales by dim, SoA is unit-stride,
-  /// AoSoA adds a per-16-block skip over the other components' panels.
-  /// The lane strides are compile-time literals.
-  IV lidx(IV tgt) const {
-    switch (layout) {
-      case Layout::AoS: return tgt * IV(Dim);
-      case Layout::SoA: return tgt;
-      case Layout::AoSoA:
-        return tgt + (tgt >> kAoSoAShift) * IV(static_cast<std::int32_t>(kAoSoALanes) * (Dim - 1));
-    }
-    return tgt * IV(Dim);
-  }
-};
-
-template <class S, int W, AccessMode A>
-struct VGbl {
-  using V = simd::Vec<S, W>;
-  S* target = nullptr;
-  int dim = 0;
-  V buf[kMaxDim];
-};
-
-template <int W, class S, AccessMode A, int Dim, bool Ind>
-inline VDat<S, W, A, Dim, Ind> vbind(const Arg<S, A, Dim, Ind>& a) {
-  VDat<S, W, A, Dim, Ind> v;
-  v.data = a.dat->data();
-  if constexpr (Ind) {
-    v.map = a.map->data();
-    v.map_dim = a.map->dim();
-    v.map_idx = a.map_idx;
-  }
-  v.layout = a.dat->layout();
-  v.plane = a.dat->plane();
-  return v;
-}
-template <int W, class S, AccessMode A>
-inline VGbl<S, W, A> vbind(const ArgGbl<S, A>& a) {
-  VGbl<S, W, A> v;
-  v.target = a.ptr;
-  v.dim = a.dim;
-  return v;
-}
-
-template <class S, int W, AccessMode A, int Dim, bool Ind>
-inline void vthread_init(VDat<S, W, A, Dim, Ind>&) {}
-template <class S, int W, AccessMode A>
-inline void vthread_init(VGbl<S, W, A>& g) {
-  using V = simd::Vec<S, W>;
-  for (int c = 0; c < g.dim; ++c) {
-    if constexpr (A == AccessMode::READ) g.buf[c] = V(g.target[c]);
-    else g.buf[c] = V(reduction_identity<A, S>());
-  }
-}
-
-template <class S, int W, AccessMode A, int Dim, bool Ind>
-inline void vthread_merge(VDat<S, W, A, Dim, Ind>&) {}
-template <class S, int W, AccessMode A>
-inline void vthread_merge(VGbl<S, W, A>& g) {
-  if constexpr (A == AccessMode::READ) return;
-  for (int c = 0; c < g.dim; ++c) {
-    S lanes;
-    if constexpr (A == AccessMode::INC) lanes = simd::hsum(g.buf[c]);
-    else if constexpr (A == AccessMode::MIN) lanes = simd::hmin(g.buf[c]);
-    else lanes = simd::hmax(g.buf[c]);
-    g.target[c] = reduction_combine<A>(g.target[c], lanes);
-  }
-}
-
-template <class Tuple, std::size_t... Is>
-inline void vthread_init_all(Tuple& t, std::index_sequence<Is...>) {
-  (vthread_init(std::get<Is>(t)), ...);
-}
-template <class Tuple, std::size_t... Is>
-inline void vthread_merge_all(Tuple& t, std::index_sequence<Is...>) {
-  (vthread_merge(std::get<Is>(t)), ...);
-}
-
-/// Pointer handed to the vector kernel instantiation.
-template <class S, int W, AccessMode A, int Dim, bool Ind>
-inline simd::Vec<S, W>* vkptr(VDat<S, W, A, Dim, Ind>& a) {
-  return a.buf;
-}
-template <class S, int W, AccessMode A>
-inline simd::Vec<S, W>* vkptr(VGbl<S, W, A>& a) {
-  return a.buf;
-}
-
 // ---- gather phase (Fig. 3b "gather data to registers") ---------------------
 // Every access-mode decision below is `if constexpr`, and every
 // per-component loop goes through for_each_dim<Dim>: fully unrolled
-// straight-line gathers/scatters with literal strides.
+// straight-line gathers/scatters with literal strides. Globals have no
+// per-chunk work: their lanes live in buf from thread_init to thread_merge.
 
 /// Load a contiguous chunk of W elements starting at n.
 template <class S, int W, AccessMode A, int Dim, bool Ind>
-inline void vload(VDat<S, W, A, Dim, Ind>& a, idx_t n) {
+inline void vload(BoundDat<S, W, A, Dim, Ind>& a, idx_t n) {
   using V = simd::Vec<S, W>;
   using IV = simd::Vec<std::int32_t, W>;
   if constexpr (Ind) {
@@ -379,163 +297,102 @@ inline void vload(VDat<S, W, A, Dim, Ind>& a, idx_t n) {
     } else {  // INC (indirect WRITE is also accumulated then scattered)
       for_each_dim<Dim>([&](int c) { a.buf[c] = V(S(0)); });
     }
-  } else {
-    if constexpr (A == AccessMode::INC) {
-      for_each_dim<Dim>([&](int c) { a.buf[c] = V(S(0)); });
-    } else if constexpr (A != AccessMode::WRITE) {
-      if constexpr (Dim == 1) {
-        a.buf[0] = V::loadu(a.data + n);
-      } else if (a.layout == Layout::SoA) {
-        // The SoA payoff: what AoS serves with W strided touches per
-        // component is one unit-stride plane load here.
-        for_each_dim<Dim>([&](int c) {
-          a.buf[c] = V::loadu(a.data + static_cast<std::size_t>(a.plane) * c + n);
-        });
-      } else if (a.layout == Layout::AoSoA) {
-        if ((n & (kAoSoALanes - 1)) + W <= kAoSoALanes) {
-          // Chunk lies inside one 16-lane panel: unit-stride per component.
-          for_each_dim<Dim>([&](int c) {
-            a.buf[c] = V::loadu(a.data + layout_offset(Layout::AoSoA, n, c, Dim, a.plane));
-          });
-        } else {
-          const IV li = a.lidx(IV::iota(static_cast<std::int32_t>(n)));
-          for_each_dim<Dim>([&](int c) { a.buf[c] = V::gather(a.comp(c), li); });
-        }
-      } else {
-        for_each_dim<Dim>([&](int c) {
-          a.buf[c] = V::strided(a.data + static_cast<std::size_t>(n) * Dim + c, Dim);
-        });
-      }
+  } else if constexpr (A == AccessMode::INC) {
+    for_each_dim<Dim>([&](int c) { a.buf[c] = V(S(0)); });
+  } else if constexpr (A != AccessMode::WRITE) {
+    if (Dim == 1 || a.layout == Layout::SoA) {
+      // The SoA payoff: what AoS serves with W strided touches per
+      // component is one unit-stride plane load here.
+      for_each_dim<Dim>([&](int c) { a.buf[c] = V::loadu(a.comp(c) + n); });
+    } else {
+      for_each_dim<Dim>([&](int c) {
+        a.buf[c] = V::strided(a.comp(c) + static_cast<std::size_t>(n) * Dim, Dim);
+      });
     }
   }
 }
 template <class S, int W, AccessMode A>
-inline void vload(VGbl<S, W, A>&, idx_t) {}
+inline void vload(BoundGbl<S, W, A>&, idx_t) {}
 
 /// Load a chunk of W permuted elements whose ids are in eidx.
 template <class S, int W, AccessMode A, int Dim, bool Ind>
-inline void vload_perm(VDat<S, W, A, Dim, Ind>& a, simd::Vec<std::int32_t, W> eidx) {
+inline void vload_perm(BoundDat<S, W, A, Dim, Ind>& a, simd::Vec<std::int32_t, W> eidx) {
   using V = simd::Vec<S, W>;
   using IV = simd::Vec<std::int32_t, W>;
-  if constexpr (Ind) {
-    const IV tgt = IV::gather(a.map + a.map_idx, eidx * IV(a.map_dim));
-    a.sidx = a.lidx(tgt);
-    if constexpr (A == AccessMode::READ || A == AccessMode::RW) {
-      for_each_dim<Dim>([&](int c) { a.buf[c] = V::gather(a.comp(c), a.sidx); });
-    } else {
-      for_each_dim<Dim>([&](int c) { a.buf[c] = V(S(0)); });
-    }
-  } else {
-    a.sidx = a.lidx(eidx);
-    if constexpr (A == AccessMode::INC) {
-      for_each_dim<Dim>([&](int c) { a.buf[c] = V(S(0)); });
-    } else if constexpr (A != AccessMode::WRITE) {
-      // Formerly-direct data must now be gathered (paper section 4: the
-      // cost the permute colorings add).
-      for_each_dim<Dim>([&](int c) { a.buf[c] = V::gather(a.comp(c), a.sidx); });
-    }
+  if constexpr (Ind) a.sidx = a.lidx(IV::gather(a.map + a.map_idx, eidx * IV(a.map_dim)));
+  else a.sidx = a.lidx(eidx);
+  if constexpr (A == AccessMode::INC || (Ind && A == AccessMode::WRITE)) {
+    for_each_dim<Dim>([&](int c) { a.buf[c] = V(S(0)); });
+  } else if constexpr (A != AccessMode::WRITE) {
+    // Formerly-direct data must now be gathered too (paper section 4: the
+    // cost the permute colorings add).
+    for_each_dim<Dim>([&](int c) { a.buf[c] = V::gather(a.comp(c), a.sidx); });
   }
 }
 template <class S, int W, AccessMode A>
-inline void vload_perm(VGbl<S, W, A>&, simd::Vec<std::int32_t, W>) {}
+inline void vload_perm(BoundGbl<S, W, A>&, simd::Vec<std::int32_t, W>) {}
 
 // ---- scatter phase ----------------------------------------------------------
 
 /// Flush a contiguous chunk. Lanes of a contiguous chunk may share an
-/// indirect target, so indirect increments scatter serially per lane.
+/// indirect target, so indirect writes scatter serially per lane: correct
+/// for INC and WRITE, while RW would lose all but one lane's update
+/// (Loop::strategy_for never schedules an indirect RW loop this way).
 template <class S, int W, AccessMode A, int Dim, bool Ind>
-inline void vflush(VDat<S, W, A, Dim, Ind>& a, idx_t n) {
+inline void vflush(BoundDat<S, W, A, Dim, Ind>& a, idx_t n) {
   using V = simd::Vec<S, W>;
-  using IV = simd::Vec<std::int32_t, W>;
   if constexpr (Ind) {
     if constexpr (A == AccessMode::INC) {
       for_each_dim<Dim>([&](int c) { simd::scatter_add_serial(a.comp(c), a.sidx, a.buf[c]); });
-    } else if constexpr (A == AccessMode::WRITE || A == AccessMode::RW) {
+    } else if constexpr (A != AccessMode::READ) {
       for_each_dim<Dim>([&](int c) { simd::scatter_serial(a.comp(c), a.sidx, a.buf[c]); });
     }
-  } else {
-    if constexpr (A == AccessMode::WRITE || A == AccessMode::RW) {
-      if constexpr (Dim == 1) {
-        simd::storeu(a.data + n, a.buf[0]);
-      } else if (a.layout == Layout::SoA) {
-        for_each_dim<Dim>([&](int c) {
-          simd::storeu(a.data + static_cast<std::size_t>(a.plane) * c + n, a.buf[c]);
-        });
-      } else if (a.layout == Layout::AoSoA) {
-        if ((n & (kAoSoALanes - 1)) + W <= kAoSoALanes) {
-          for_each_dim<Dim>([&](int c) {
-            simd::storeu(a.data + layout_offset(Layout::AoSoA, n, c, Dim, a.plane), a.buf[c]);
-          });
-        } else {
-          const IV li = a.lidx(IV::iota(static_cast<std::int32_t>(n)));
-          for_each_dim<Dim>([&](int c) { simd::scatter_serial(a.comp(c), li, a.buf[c]); });
-        }
-      } else {
-        for_each_dim<Dim>([&](int c) {
-          simd::store_strided(a.data + static_cast<std::size_t>(n) * Dim + c, Dim, a.buf[c]);
-        });
-      }
-    } else if constexpr (A == AccessMode::INC) {
-      if constexpr (Dim == 1) {
-        const V cur = V::loadu(a.data + n);
-        simd::storeu(a.data + n, cur + a.buf[0]);
-      } else if (a.layout == Layout::SoA) {
-        for_each_dim<Dim>([&](int c) {
-          S* p = a.data + static_cast<std::size_t>(a.plane) * c + n;
-          simd::storeu(p, V::loadu(p) + a.buf[c]);
-        });
-      } else if (a.layout == Layout::AoSoA) {
-        if ((n & (kAoSoALanes - 1)) + W <= kAoSoALanes) {
-          for_each_dim<Dim>([&](int c) {
-            S* p = a.data + layout_offset(Layout::AoSoA, n, c, Dim, a.plane);
-            simd::storeu(p, V::loadu(p) + a.buf[c]);
-          });
-        } else {
-          const IV li = a.lidx(IV::iota(static_cast<std::int32_t>(n)));
-          for_each_dim<Dim>([&](int c) { simd::scatter_add_serial(a.comp(c), li, a.buf[c]); });
-        }
-      } else {
-        for_each_dim<Dim>([&](int c) {
-          S* p = a.data + static_cast<std::size_t>(n) * Dim + c;
-          const V cur = V::strided(p, Dim);
-          simd::store_strided(p, Dim, cur + a.buf[c]);
-        });
-      }
+  } else if constexpr (A != AccessMode::READ) {
+    // Direct increments add onto the current values; WRITE/RW overwrite.
+    if (Dim == 1 || a.layout == Layout::SoA) {
+      for_each_dim<Dim>([&](int c) {
+        S* p = a.comp(c) + n;
+        if constexpr (A == AccessMode::INC) simd::storeu(p, V::loadu(p) + a.buf[c]);
+        else simd::storeu(p, a.buf[c]);
+      });
+    } else {
+      for_each_dim<Dim>([&](int c) {
+        S* p = a.comp(c) + static_cast<std::size_t>(n) * Dim;
+        if constexpr (A == AccessMode::INC)
+          simd::store_strided(p, Dim, V::strided(p, Dim) + a.buf[c]);
+        else
+          simd::store_strided(p, Dim, a.buf[c]);
+      });
     }
   }
 }
 template <class S, int W, AccessMode A>
-inline void vflush(VGbl<S, W, A>&, idx_t) {}
+inline void vflush(BoundGbl<S, W, A>&, idx_t) {}
 
 /// Flush a permuted chunk. Element ids are distinct, so direct writes may
 /// scatter; the lanes of a permuted chunk are one element color (or the loop
 /// has no indirect increment), so indirect increments use the hardware
 /// scatter.
 template <class S, int W, AccessMode A, int Dim, bool Ind>
-inline void vflush_perm(VDat<S, W, A, Dim, Ind>& a) {
-  if constexpr (Ind) {
-    if constexpr (A == AccessMode::INC) {
-      for_each_dim<Dim>([&](int c) { simd::scatter_add_hw(a.comp(c), a.sidx, a.buf[c]); });
-    } else if constexpr (A == AccessMode::WRITE || A == AccessMode::RW) {
-      for_each_dim<Dim>([&](int c) { simd::scatter_serial(a.comp(c), a.sidx, a.buf[c]); });
-    }
-  } else {
-    if constexpr (A == AccessMode::WRITE || A == AccessMode::RW) {
-      for_each_dim<Dim>([&](int c) { simd::scatter_serial(a.comp(c), a.sidx, a.buf[c]); });
-    } else if constexpr (A == AccessMode::INC) {
-      for_each_dim<Dim>([&](int c) { simd::scatter_add_serial(a.comp(c), a.sidx, a.buf[c]); });
-    }
+inline void vflush_perm(BoundDat<S, W, A, Dim, Ind>& a) {
+  if constexpr (A == AccessMode::INC) {
+    for_each_dim<Dim>([&](int c) {
+      if constexpr (Ind) simd::scatter_add_hw(a.comp(c), a.sidx, a.buf[c]);
+      else simd::scatter_add_serial(a.comp(c), a.sidx, a.buf[c]);
+    });
+  } else if constexpr (A != AccessMode::READ) {
+    for_each_dim<Dim>([&](int c) { simd::scatter_serial(a.comp(c), a.sidx, a.buf[c]); });
   }
 }
 template <class S, int W, AccessMode A>
-inline void vflush_perm(VGbl<S, W, A>&) {}
+inline void vflush_perm(BoundGbl<S, W, A>&) {}
 
 /// SIMT colored increment (Fig. 3a): indirect increments are applied
 /// color-by-color with a lane mask, serializing conflicting work-items
 /// exactly like the generated OpenCL kernel does. `colors` holds the W
 /// element colors of the chunk starting at element n.
 template <class S, int W, AccessMode A, int Dim, bool Ind>
-inline void vflush_simt(VDat<S, W, A, Dim, Ind>& a, idx_t n, const std::int32_t* colors,
+inline void vflush_simt(BoundDat<S, W, A, Dim, Ind>& a, idx_t n, const std::int32_t* colors,
                         int ncolors) {
   using V = simd::Vec<S, W>;
   using IV = simd::Vec<std::int32_t, W>;
@@ -554,7 +411,7 @@ inline void vflush_simt(VDat<S, W, A, Dim, Ind>& a, idx_t n, const std::int32_t*
   }
 }
 template <class S, int W, AccessMode A>
-inline void vflush_simt(VGbl<S, W, A>&, idx_t, const std::int32_t*, int) {}
+inline void vflush_simt(BoundGbl<S, W, A>&, idx_t, const std::int32_t*, int) {}
 
 template <class Tuple, std::size_t... Is>
 inline void vload_all(Tuple& t, idx_t n, std::index_sequence<Is...>) {
@@ -580,7 +437,7 @@ inline void vflush_simt_all(Tuple& t, idx_t n, const std::int32_t* ec, int ncolo
 
 template <class Kernel, class Tuple, std::size_t... Is>
 inline void vcall(Kernel& k, Tuple& t, std::index_sequence<Is...>) {
-  k(vkptr(std::get<Is>(t))...);
+  k(std::get<Is>(t).buf...);
 }
 
 // ===== footprint collection ===================================================
@@ -646,10 +503,9 @@ namespace detail {
 /// in ascending order.
 template <class Kernel, class Tuple>
 void exec_seq(Kernel& k, Tuple t, idx_t lo, idx_t hi) {
-  constexpr auto seq = std::make_index_sequence<std::tuple_size_v<Tuple>>{};
-  thread_init_all(t, seq);
-  run_scalar(k, t, nullptr, lo, hi, seq);
-  thread_merge_all(t, seq);
+  thread_init_all(t);
+  run_scalar(k, t, nullptr, lo, hi, std::make_index_sequence<std::tuple_size_v<Tuple>>{});
+  thread_merge_all(t);
 }
 
 /// How the parallel skeleton runs an element range: the scalar kernel
@@ -745,7 +601,7 @@ inline void walk_block_colors(Body& body, const Plan& plan, std::atomic<idx_t>* 
 }
 
 /// The parallel skeleton: open the team, copy the bound argument tuples per
-/// thread (scalar state, plus W-wide state on the vector modes; `VT` is
+/// thread (W = 1 state, plus W-wide state on the vector modes; `VT` is
 /// empty otherwise), walk the elements [lo, hi) — in ascending order
 /// without a plan, else the plan's colors over them (global colors for
 /// FullPermute, block colors otherwise) — and, for loops with a global
@@ -755,7 +611,6 @@ template <Mode M, int W, bool Reduce, class Kernel, class ST, class VT>
 void sweep(Kernel& k, const ST& sproto, const VT& vproto, idx_t lo, idx_t hi, const Plan* plan,
            int nthreads) {
   constexpr auto seq = std::make_index_sequence<std::tuple_size_v<ST>>{};
-  constexpr bool vec = M == Mode::Simd || M == Mode::Simt;
   const std::int32_t* ecol = plan ? plan->elem_color.data() : nullptr;
   std::vector<std::atomic<idx_t>> queue(M == Mode::Simt && plan ? plan->nblock_colors : 0);
   for (auto& q : queue) q.store(0, std::memory_order_relaxed);
@@ -763,8 +618,8 @@ void sweep(Kernel& k, const ST& sproto, const VT& vproto, idx_t lo, idx_t hi, co
   {
     ST st = sproto;
     VT vt = vproto;
-    thread_init_all(st, seq);
-    if constexpr (vec) vthread_init_all(vt, seq);
+    thread_init_all(st);
+    thread_init_all(vt);
     auto body = [&](const idx_t* ids, idx_t lo, idx_t hi, int ncol = 1) {
       const std::int32_t* colors = nullptr;  // element colors are indexed from the range start
       if constexpr (M == Mode::Simt) colors = ecol + (lo - plan->first);
@@ -783,8 +638,8 @@ void sweep(Kernel& k, const ST& sproto, const VT& vproto, idx_t lo, idx_t hi, co
       for (int t = 0; t < nth; ++t) {
 #pragma omp ordered
         {
-          if constexpr (vec) vthread_merge_all(vt, seq);
-          thread_merge_all(st, seq);
+          thread_merge_all(vt);
+          thread_merge_all(st);
         }
       }
     }
@@ -811,6 +666,7 @@ class Loop {
  public:
   static constexpr bool has_inc = has_conflicts_v<Args...>;
   static constexpr bool has_gbl_reduction = has_gbl_reduction_v<Args...>;
+  static constexpr bool has_indirect_rw = has_indirect_rw_v<Args...>;
 
   Loop(Kernel kernel, std::string name, const Set& set, Args... args)
       : kernel_(std::move(kernel)), name_(std::move(name)), set_(&set), args_(args...) {
@@ -828,11 +684,12 @@ class Loop {
                            << "': global reductions combined with indirect increments are not "
                               "supported under halo execution");
     }
+    const auto strat = strategy_for(cfg);  // rejects what the backend cannot run
     const idx_t n = exec_limit();
     if (n == 0) return;
 
     WallTimer timer;
-    execute(cfg, 0, n, plan(cfg));
+    execute(cfg, 0, n, plan_for(strat, cfg));
     const double secs = timer.seconds();
     if (cfg.collect_stats) {
       // Slot bound on first recording run: loops that never collect stats
@@ -891,8 +748,8 @@ class Loop {
   /// business (a phased or chained caller owns the aggregate timing), so
   /// nothing is recorded.
   void run_slice(const ExecConfig& cfg, Slice& s) {
-    if (s.empty()) return;
     const auto strat = strategy_for(cfg);
+    if (s.empty()) return;
     execute(cfg, s.lo_, s.hi_, strat ? &slice_plan(s, *strat, cfg) : nullptr);
   }
 
@@ -915,7 +772,7 @@ class Loop {
   /// appearance order ("AoS", "SoA+AoS", ...) — the stats-table layout tag.
   [[nodiscard]] std::string layout_tag() const {
     std::string tag;
-    bool seen[3] = {false, false, false};
+    bool seen[2] = {false, false};
     for (const auto& a : footprint_.args) {
       if (a.is_gbl || a.dat == nullptr) continue;
       const Layout l = a.dat->layout();
@@ -935,11 +792,7 @@ class Loop {
   /// The pinned plan this loop would use under `cfg` (nullptr if the
   /// configuration needs no plan). Exposed so callers/tests can verify plan
   /// reuse across run() calls.
-  [[nodiscard]] const Plan* plan(const ExecConfig& cfg) {
-    const auto strat = strategy_for(cfg);
-    if (!strat) return nullptr;
-    return &plan_for(*strat, cfg.block_size, detail::resolve_threads(cfg.nthreads));
-  }
+  [[nodiscard]] const Plan* plan(const ExecConfig& cfg) { return plan_for(strategy_for(cfg), cfg); }
 
   /// Cumulative wall seconds this handle spent acquiring coloring plans
   /// (cache lookups + builds, including range plans for slices). The
@@ -961,15 +814,25 @@ class Loop {
  private:
   /// The single source of truth for backend -> coloring-strategy selection
   /// (used by run(), run_slice() and plan()). nullopt = no plan needed.
-  [[nodiscard]] static std::optional<ColoringStrategy> strategy_for(const ExecConfig& cfg) {
+  [[nodiscard]] std::optional<ColoringStrategy> strategy_for(const ExecConfig& cfg) const {
     // Simt always schedules work-groups through a TwoLevel plan, conflicts
-    // or not (the dynamic block queue lives in the plan).
-    if (cfg.backend == Backend::Simt) return ColoringStrategy::TwoLevel;
+    // or not (the dynamic block queue lives in the plan). Its contiguous
+    // chunks scatter an indirect RW argument lane by lane, so lanes that
+    // share a target would lose updates.
+    if (cfg.backend == Backend::Simt) {
+      OPV_REQUIRE(!has_indirect_rw, "loop '" << name_
+                                             << "': Simt cannot run an indirect RW argument "
+                                                "(lanes sharing a target would lose updates); "
+                                                "use Simd or OpenMP");
+      return ColoringStrategy::TwoLevel;
+    }
     if (!has_inc || cfg.backend == Backend::Seq) return std::nullopt;
     // AutoVec requires lane independence: TwoLevel cannot provide it, so
     // fall back to BlockPermute (the paper's scheme for enabling compiler
-    // vectorization of gather-scatter loops).
-    if (cfg.backend == Backend::AutoVec && cfg.coloring == ColoringStrategy::TwoLevel)
+    // vectorization of gather-scatter loops). Simd needs it for an indirect
+    // RW argument, for the same reason Simt rejects one.
+    if ((cfg.backend == Backend::AutoVec || (cfg.backend == Backend::Simd && has_indirect_rw)) &&
+        cfg.coloring == ColoringStrategy::TwoLevel)
       return ColoringStrategy::BlockPermute;
     // Scalar OpenMP races are handled at block granularity only.
     const ColoringStrategy strat =
@@ -985,18 +848,21 @@ class Loop {
   /// Memoized plan lookup: one pinned shared_ptr per coloring strategy.
   /// Acquisition wall time (the cache lookup plus any build it triggers)
   /// accumulates into plan_build_secs_ — the ROADMAP's plan-construction
-  /// cost, reported through the stats `plan` column. `nthreads` is this
-  /// loop's thread budget, bounding the build's internal parallelism (a
-  /// dist rank loop with nthreads=1 must not spawn a full-machine team).
-  const Plan& plan_for(ColoringStrategy strat, int block_size, int nthreads) {
-    PlanSlot& s = plans_[static_cast<int>(strat)];
-    if (!s.plan || s.block_size != block_size) {
+  /// cost, reported through the stats `plan` column. The build's internal
+  /// parallelism is bounded by cfg's thread budget (a dist rank loop with
+  /// nthreads=1 must not spawn a full-machine team). nullptr without a
+  /// strategy.
+  const Plan* plan_for(std::optional<ColoringStrategy> strat, const ExecConfig& cfg) {
+    if (!strat) return nullptr;
+    PlanSlot& s = plans_[static_cast<int>(*strat)];
+    if (!s.plan || s.block_size != cfg.block_size) {
       WallTimer t;
-      s.plan = PlanCache::instance().get(*set_, conflicts_, block_size, strat, nthreads);
+      s.plan = PlanCache::instance().get(*set_, conflicts_, cfg.block_size, *strat,
+                                         detail::resolve_threads(cfg.nthreads));
       plan_build_secs_ += t.seconds();
-      s.block_size = block_size;
+      s.block_size = cfg.block_size;
     }
-    return *s.plan;
+    return s.plan.get();
   }
 
   /// Range plan for a Slice, built once and pinned (slices are per-handle
@@ -1011,16 +877,11 @@ class Loop {
     return *s.plan_;
   }
 
-  /// The bound argument tuple every thread copies: scalar state (W == 1)
-  /// or W-wide vector state.
+  /// The bound argument tuple every thread copies, W lanes wide.
   template <int W>
   auto bound() const {
-    return std::apply(
-        [](const auto&... a) {
-          if constexpr (W == 1) return std::make_tuple(detail::bind(a)...);
-          else return std::make_tuple(detail::vbind<W>(a)...);
-        },
-        args_);
+    return std::apply([](const auto&... a) { return std::make_tuple(detail::bind<W>(a)...); },
+                      args_);
   }
 
   /// The one backend switch (and, for the vector backends, the one width

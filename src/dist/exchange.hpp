@@ -48,7 +48,7 @@ struct DatHaloView {
   std::size_t value_bytes = 0; ///< sizeof one scalar value
   Layout layout = Layout::AoS; ///< physical layout of every rank replica
   std::vector<unsigned char*> rank_base;  ///< per-rank replica base pointer
-  std::vector<idx_t> rank_plane;          ///< per-rank SoA/AoSoA plane stride
+  std::vector<idx_t> rank_plane;          ///< per-rank SoA plane stride
 };
 
 /// Address of value c of local element e in rank r's replica.

@@ -72,21 +72,17 @@ template <class DA>
 using rank_arg_t = typename rank_arg<DA>::type;
 
 /// Pinned per-argument state: dat args need none (they are bound into the
-/// rank loops); globals get per-rank scratch merged after the rank barrier.
+/// rank loops); each global keeps one engine partial per rank, whose buf
+/// the rank loop binds as its global and which run() resets before the
+/// ranks start and merges into the target in rank order after the barrier.
 struct NoPin {};
-template <class T, AccessMode A>
-struct GblPin {
-  T* target = nullptr;
-  int dim = 0;
-  aligned_vector<T> buf;  ///< nranks * dim, pinned for the Loop's lifetime
-};
 template <class DA>
 struct pin {
   using type = NoPin;
 };
 template <class T, AccessMode A>
 struct pin<DistArgGbl<T, A>> {
-  using type = GblPin<T, A>;
+  using type = std::vector<opv::detail::BoundGbl<T, 1, A>>;
 };
 template <class DA>
 using pin_t = typename pin<DA>::type;
@@ -361,10 +357,9 @@ class Loop {
   template <class T, AccessMode A, int Dim, bool Ind>
   void setup_pin(detail::NoPin&, const DistArgDat<T, A, Dim, Ind>&) {}
   template <class T, AccessMode A>
-  void setup_pin(detail::GblPin<T, A>& g, const DistArgGbl<T, A>& a) {
-    g.target = a.ptr;
-    g.dim = a.dim;
-    g.buf.assign(static_cast<std::size_t>(ctx_->nranks_) * a.dim, T{});
+  void setup_pin(detail::pin_t<DistArgGbl<T, A>>& g, const DistArgGbl<T, A>& a) {
+    g.assign(static_cast<std::size_t>(ctx_->nranks_),
+             opv::detail::bind<1>(opv::ArgGbl<T, A>{a.ptr, a.dim}));
   }
 
   template <std::size_t... Is>
@@ -380,31 +375,22 @@ class Loop {
     else return opv::arg<A, Dim>(d);
   }
   template <class T, AccessMode A>
-  auto bind_rank(int r, const DistArgGbl<T, A>& a, detail::GblPin<T, A>& g) {
-    return opv::arg_gbl<A>(g.buf.data() + static_cast<std::size_t>(r) * a.dim, a.dim);
+  auto bind_rank(int r, const DistArgGbl<T, A>& a, detail::pin_t<DistArgGbl<T, A>>& g) {
+    return opv::arg_gbl<A>(g[static_cast<std::size_t>(r)].buf, a.dim);
   }
 
   // ---- per-run global scratch ----------------------------------------------
 
-  void reset_pin(detail::NoPin&) {}
-  template <class T, AccessMode A>
-  void reset_pin(detail::GblPin<T, A>& g) {
-    for (int r = 0; r < ctx_->nranks_; ++r)
-      for (int c = 0; c < g.dim; ++c) {
-        T& v = g.buf[static_cast<std::size_t>(r) * g.dim + c];
-        if constexpr (A == AccessMode::READ) v = g.target[c];
-        else v = reduction_identity<A, T>();
-      }
+  static void reset_pin(detail::NoPin&) {}
+  template <class G>
+  static void reset_pin(std::vector<G>& g) {
+    for (G& rank : g) opv::detail::thread_init(rank);
   }
 
-  void merge_pin(detail::NoPin&) {}
-  template <class T, AccessMode A>
-  void merge_pin(detail::GblPin<T, A>& g) {
-    if constexpr (A != AccessMode::READ)
-      for (int r = 0; r < ctx_->nranks_; ++r)
-        for (int c = 0; c < g.dim; ++c)
-          g.target[c] =
-              reduction_combine<A>(g.target[c], g.buf[static_cast<std::size_t>(r) * g.dim + c]);
+  static void merge_pin(detail::NoPin&) {}
+  template <class G>
+  static void merge_pin(std::vector<G>& g) {
+    for (G& rank : g) opv::detail::thread_merge(rank);
   }
 
   DistCtx* ctx_;

@@ -57,6 +57,11 @@ aligned_vector<int> partition_rcb(const double* coords, idx_t n, int nparts, int
   OPV_REQUIRE(nparts >= 1, "partition_rcb: nparts must be >= 1, got " << nparts);
   OPV_REQUIRE(n >= 0, "partition_rcb: negative element count");
   OPV_REQUIRE(ndims == 2 || ndims == 3, "partition_rcb: ndims must be 2 or 3, got " << ndims);
+  // The bisection's ordering is not a strict weak ordering under NaN.
+  for (std::size_t i = 0; i < static_cast<std::size_t>(n) * ndims; ++i)
+    OPV_REQUIRE(std::isfinite(coords[i]),
+                "partition_rcb: coordinate " << i % ndims << " of element " << i / ndims
+                                             << " is not finite");
   aligned_vector<int> owner(static_cast<std::size_t>(n), 0);
   if (n == 0 || nparts == 1) return owner;
   std::vector<idx_t> ids(static_cast<std::size_t>(n));

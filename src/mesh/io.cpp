@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -432,6 +433,8 @@ class Tok {
     const auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), v);
     if (ec != std::errc{} || p != t.data() + t.size())
       fail("expected a number for " + std::string(what) + ", got '" + t + "'");
+    // from_chars accepts nan/inf; no mesh quantity may be non-finite.
+    if (!std::isfinite(v)) fail("non-finite " + std::string(what) + " '" + t + "'");
     return v;
   }
 

@@ -167,7 +167,6 @@ struct I32x4 {
   friend I32x4 operator+(I32x4 a, I32x4 b) { return I32x4{_mm_add_epi32(a.v, b.v)}; }
   friend I32x4 operator-(I32x4 a, I32x4 b) { return I32x4{_mm_sub_epi32(a.v, b.v)}; }
   friend I32x4 operator*(I32x4 a, I32x4 b) { return I32x4{_mm_mullo_epi32(a.v, b.v)}; }
-  friend I32x4 operator>>(I32x4 a, int s) { return I32x4{_mm_srai_epi32(a.v, s)}; }
   I32x4& operator+=(I32x4 o) {
     v = _mm_add_epi32(v, o.v);
     return *this;
@@ -225,7 +224,6 @@ struct I32x8 {
   friend I32x8 operator+(I32x8 a, I32x8 b) { return I32x8{_mm256_add_epi32(a.v, b.v)}; }
   friend I32x8 operator-(I32x8 a, I32x8 b) { return I32x8{_mm256_sub_epi32(a.v, b.v)}; }
   friend I32x8 operator*(I32x8 a, I32x8 b) { return I32x8{_mm256_mullo_epi32(a.v, b.v)}; }
-  friend I32x8 operator>>(I32x8 a, int s) { return I32x8{_mm256_srai_epi32(a.v, s)}; }
   I32x8& operator+=(I32x8 o) {
     v = _mm256_add_epi32(v, o.v);
     return *this;

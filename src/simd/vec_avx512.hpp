@@ -284,9 +284,6 @@ struct I32x16 {
   friend I32x16 operator+(I32x16 a, I32x16 b) { return I32x16{_mm512_add_epi32(a.v, b.v)}; }
   friend I32x16 operator-(I32x16 a, I32x16 b) { return I32x16{_mm512_sub_epi32(a.v, b.v)}; }
   friend I32x16 operator*(I32x16 a, I32x16 b) { return I32x16{_mm512_mullo_epi32(a.v, b.v)}; }
-  friend I32x16 operator>>(I32x16 a, int s) {
-    return I32x16{_mm512_maskz_srai_epi32(0xFFFF, a.v, static_cast<unsigned>(s))};
-  }
   I32x16& operator+=(I32x16 o) {
     v = _mm512_add_epi32(v, o.v);
     return *this;

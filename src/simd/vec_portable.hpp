@@ -167,13 +167,6 @@ struct VecP {
   friend VecP operator-(VecP a, VecP b) { return a -= b; }
   friend VecP operator*(VecP a, VecP b) { return a *= b; }
   friend VecP operator/(VecP a, VecP b) { return a /= b; }
-  /// Lane-wise arithmetic shift right (integer lanes only; AoSoA block-index
-  /// math in the engine's gather paths). Instantiated only when called.
-  friend VecP operator>>(VecP a, int s) {
-    VecP r;
-    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] >> s;
-    return r;
-  }
   friend VecP operator-(VecP a) {
     VecP r;
     for (int i = 0; i < W; ++i) r.v[i] = -a.v[i];

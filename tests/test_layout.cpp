@@ -2,16 +2,17 @@
 //
 // The policy's contract, pinned here:
 //  1. addressing — layout_offset is a bijection into the padded storage for
-//     every layout, and the per-backend default heuristic is stable;
-//  2. value transparency — a Seq run is BITWISE identical across AoS, SoA
-//     and AoSoA for all three applications (the scalar path stages element
-//     rows through scratch, so the kernel sees identical values in
-//     identical order regardless of physical layout), and fetch() keeps
-//     returning declaration-order AoS values after renumber + relayout;
+//     both layouts, and the per-backend default heuristic is stable;
+//  2. value transparency — a Seq run is BITWISE identical across AoS and
+//     SoA for all three applications (the W = 1 argument state stages an
+//     SoA element row through comp(c)[lidx(e)], pre-loaded for every access
+//     mode, so the kernel sees identical values in identical order), and
+//     fetch() keeps returning declaration-order AoS values after renumber +
+//     relayout;
 //  3. distributed transport — rank replicas inherit the layout policy and
-//     the halo exchange honors non-AoS strides: a DistCtx run under SoA or
-//     AoSoA is bitwise identical to the AoS run across every exchange mode
-//     and both exchanger implementations;
+//     the halo exchange honors SoA strides: a DistCtx run under SoA is
+//     bitwise identical to the AoS run across every exchange mode and both
+//     exchanger implementations;
 //  4. lifecycle — layout requests after finalize (or the first tracked loop
 //     execution) throw instead of silently never applying;
 //  5. 3D partitioning — partition_rcb with ndims == 3 bisects the true 3D
@@ -39,7 +40,7 @@ namespace {
 
 using namespace opv;
 
-constexpr Layout kAll[3] = {Layout::AoS, Layout::SoA, Layout::AoSoA};
+constexpr Layout kAll[2] = {Layout::AoS, Layout::SoA};
 
 template <class Real>
 void expect_bitwise(const aligned_vector<Real>& a, const aligned_vector<Real>& b,
@@ -77,7 +78,7 @@ mesh::TetMesh tet_mesh() { return mesh::make_tet_box(6, 6, 5); }
 // ===== addressing ===========================================================
 
 TEST(LayoutOffset, BijectionIntoPaddedStorage) {
-  const idx_t n = 37;  // deliberately not a multiple of kAoSoALanes
+  const idx_t n = 37;  // deliberately not a multiple of kPlaneAlign
   const int dim = 3;
   const idx_t plane = padded_rows(n);
   for (Layout l : kAll) {
@@ -98,8 +99,7 @@ TEST(LayoutOffset, AgreesWithDocumentedFormulas) {
   EXPECT_EQ(layout_offset(Layout::AoS, 7, 2, 4, plane), 7u * 4 + 2);
   EXPECT_EQ(layout_offset(Layout::SoA, 7, 2, 4, plane),
             2u * static_cast<std::size_t>(plane) + 7);
-  EXPECT_EQ(layout_offset(Layout::AoSoA, 18, 2, 4, plane),
-            1u * (kAoSoALanes * 4) + 2u * kAoSoALanes + 2);
+  EXPECT_EQ(plane, 48);
 }
 
 TEST(LayoutDefault, PerBackendHeuristic) {
@@ -162,7 +162,7 @@ TEST_P(SeqBitwiseP, Tet3DMatchesAoS) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Layouts, SeqBitwiseP,
-                         ::testing::Values(Layout::SoA, Layout::AoSoA),
+                         ::testing::Values(Layout::SoA),
                          [](const auto& info) { return layout_name(info.param); });
 
 // ===== fetch round-trip under renumber + relayout ===========================
@@ -180,13 +180,13 @@ TEST(LocalLayout, FetchRoundTripsDeclarationOrder) {
   auto cdat = ctx.decl_dat<double>("cdat", cells, 3, cv);
   auto edat = ctx.decl_dat<float>("edat", edges, 2, ev);
   ctx.set_layout(cdat, Layout::SoA);
-  ctx.set_layout(edat, Layout::AoSoA);
+  ctx.set_layout(edat, Layout::SoA);
 
   ctx.renumber(cells);  // permutes AoS rows first...
   ctx.finalize();       // ...then materializes the physical relayout
 
   EXPECT_EQ(cdat->layout(), Layout::SoA);
-  EXPECT_EQ(edat->layout(), Layout::AoSoA);
+  EXPECT_EQ(edat->layout(), Layout::SoA);
   EXPECT_EQ(cdat->plane(), padded_rows(m.ncells));
 
   aligned_vector<double> cout;
@@ -212,12 +212,12 @@ TEST(LocalLayout, DefaultSkipsScalarAndExplicitDats) {
   auto scalar = ctx.decl_dat<double>("scalar", cells, 1);
   auto vec = ctx.decl_dat<double>("vec", cells, 4);
   auto pinned = ctx.decl_dat<double>("pinned", cells, 4);
-  ctx.set_layout(pinned, Layout::AoSoA);
+  ctx.set_layout(pinned, Layout::AoS);
   ctx.set_default_layout(Layout::SoA);
   ctx.finalize();
   EXPECT_EQ(scalar->layout(), Layout::AoS) << "dim-1 dats gain nothing from SoA";
   EXPECT_EQ(vec->layout(), Layout::SoA);
-  EXPECT_EQ(pinned->layout(), Layout::AoSoA) << "explicit request beats the default";
+  EXPECT_EQ(pinned->layout(), Layout::AoS) << "explicit request beats the default";
 }
 
 // ===== lifecycle: layout requests freeze at finalize / first run ============
@@ -246,7 +246,7 @@ TEST(LocalLayout, RequestsThrowAfterFirstLoopRan) {
   auto d = ctx.decl_dat<double>("d", cells, 2);
   ctx.loop(SetOneKernel{}, "set_one", cells, ctx.arg<opv::WRITE, 2>(d));
   EXPECT_THROW(ctx.set_layout(d, Layout::SoA), Error);
-  EXPECT_THROW(ctx.set_default_layout(Layout::AoSoA), Error);
+  EXPECT_THROW(ctx.set_default_layout(Layout::SoA), Error);
 }
 
 TEST(DistLayout, RequestsThrowAfterFinalize) {
@@ -285,7 +285,7 @@ TEST_P(DistLayoutP, AirfoilMatchesAoSBitwise) {
     app.run(3, 0);
     return app.fetch_q();
   };
-  // The scalar path stages rows through scratch and the halo transport is
+  // The scalar path stages SoA rows and the halo transport is
   // layout-transparent, so the layout policy must not change a single bit.
   expect_bitwise(run(Layout::AoS), run(layout), "dist airfoil q");
 }
@@ -314,7 +314,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(dist::ExchangeMode::Blocking,
                                          dist::ExchangeMode::Phased,
                                          dist::ExchangeMode::Overlap),
-                       ::testing::Values(Layout::SoA, Layout::AoSoA),
+                       ::testing::Values(Layout::SoA),
                        ::testing::Bool()),
     [](const auto& info) {
       return std::string(dist::exchange_mode_name(std::get<0>(info.param))) +
@@ -348,7 +348,7 @@ INSTANTIATE_TEST_SUITE_P(
     BackendsLayouts, VectorLayoutP,
     ::testing::Combine(::testing::Values(Backend::OpenMP, Backend::AutoVec, Backend::Simd,
                                          Backend::Simt),
-                       ::testing::Values(Layout::SoA, Layout::AoSoA)),
+                       ::testing::Values(Layout::SoA)),
     [](const auto& info) {
       return std::string(backend_name(std::get<0>(info.param))) +
              layout_name(std::get<1>(info.param));
@@ -406,6 +406,15 @@ TEST(Partition3D, RcbRejectsUnsupportedDimensionality) {
   const auto xyz = z_elongated_points(2, 2, 2);
   EXPECT_THROW(dist::partition_rcb(xyz.data(), 8, 2, 4), Error);
   EXPECT_THROW(dist::partition_rcb(xyz.data(), 8, 2, 1), Error);
+}
+
+TEST(Partition3D, RcbRejectsNonFiniteCoordinates) {
+  for (double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    auto xyz = z_elongated_points(2, 2, 2);
+    xyz[13] = bad;  // element 4, y
+    EXPECT_THROW(dist::partition_rcb(xyz.data(), 8, 2, 3), Error) << bad;
+    EXPECT_THROW(dist::partition_rcb(xyz.data(), 8, 1, 3), Error) << bad;
+  }
 }
 
 }  // namespace

@@ -348,7 +348,7 @@ TEST(MshMalformed, EveryCorpusFileThrowsOpvError) {
     ++n;
     EXPECT_THROW(read_msh(entry.path().string()), Error) << entry.path();
   }
-  EXPECT_GE(n, 7u) << "malformed corpus went missing";
+  EXPECT_GE(n, 8u) << "malformed corpus went missing";
 }
 
 TEST(MshMalformed, LineNumbersInErrors) {
@@ -365,6 +365,15 @@ TEST(MshMalformed, LineNumbersInErrors) {
     FAIL() << "expected opv::Error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("undeclared node tag 99"), std::string::npos)
+        << e.what();
+  }
+  try {
+    read_msh(kBad + "nonfinite_coordinate.msh");
+    FAIL() << "expected opv::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("nonfinite_coordinate.msh:7"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("non-finite node y 'nan'"), std::string::npos)
         << e.what();
   }
 }

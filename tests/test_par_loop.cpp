@@ -1,10 +1,13 @@
 // par_loop engine tests: cross-backend equivalence for every access-pattern
-// combination (direct/indirect x READ/WRITE/RW/INC, global INC/MIN/MAX,
+// combination (direct/indirect x READ/WRITE/RW/INC, global READ/INC/MIN/MAX,
 // integer datasets), all vector widths, all coloring strategies, ragged
-// sizes, and the engine's argument-validation behavior.
+// sizes, both dat layouts (AoS, SoA), and the engine's argument-validation
+// behavior. Seq under SoA must be bitwise equal to Seq under AoS: the W = 1
+// argument state stages an SoA row pre-loaded for every access mode.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "core/context.hpp"
@@ -66,17 +69,45 @@ struct GblReadKernel {  // uses a broadcast global (qinf-shaped)
   }
 };
 
+struct TwiceIncKernel {  // one component incremented twice: a staged SoA row
+  template <class T>     // must start from the current value to stay bitwise
+  void operator()(const T* w, T* c) const {
+    const T d = w[0];
+    c[0] += d;
+    c[0] += d * T(0.5);
+    c[1] -= d;
+  }
+};
+
+struct IndirectRwKernel {  // the same update on a target several elements share:
+  template <class T>       // every schedule that loses none gives Seq's result
+  void operator()(T* c) const {
+    c[0] = c[0] * T(0.5) + T(1.0);
+    c[1] = c[1] + c[0];
+  }
+};
+
 // ---- fixture -----------------------------------------------------------------
+
+/// Edges 4k..4k+3 all map to cell k (mod ncells): every vector chunk holds
+/// lanes that share a target.
+aligned_vector<idx_t> quad_share(idx_t nedges, idx_t ncells) {
+  aligned_vector<idx_t> v(static_cast<std::size_t>(nedges));
+  for (idx_t e = 0; e < nedges; ++e) v[static_cast<std::size_t>(e)] = (e / 4) % ncells;
+  return v;
+}
 
 struct Fixture {
   mesh::UnstructuredMesh m;
   Set nodes, cells, edges;
-  Map e2n, e2c, c2n;
-  FixedDat<double, 2> x, acc, direct_a, direct_b;
+  Map e2n, e2c, c2n, e2q;
+  FixedDat<double, 2> x, acc, direct_a, direct_b, twice, rw;
   FixedDat<double, 1> w, direct_c, adt;
   FixedDat<std::int32_t, 1> flag;
 
-  explicit Fixture(idx_t ni = 19, idx_t nj = 13)
+  /// Every dat is relaid to `layout` before the first loop (dim-1 dats
+  /// too, so the vector paths' unit-stride branch runs under SoA).
+  explicit Fixture(idx_t ni = 19, idx_t nj = 13, Layout layout = Layout::AoS)
       : m(mesh::make_quad_box(ni, nj)),
         nodes("nodes", m.nnodes),
         cells("cells", m.ncells),
@@ -84,6 +115,7 @@ struct Fixture {
         e2n("e2n", edges, nodes, 2, m.edge_nodes),
         e2c("e2c", edges, cells, 2, m.edge_cells),
         c2n("c2n", cells, nodes, 4, m.cell_nodes),
+        e2q("e2q", edges, cells, 1, quad_share(m.nedges, m.ncells)),
         x("x", nodes, [this] {
           aligned_vector<double> v(std::size_t(m.nnodes) * 2);
           for (std::size_t i = 0; i < v.size(); ++i) v[i] = m.node_xy[i];
@@ -92,6 +124,8 @@ struct Fixture {
         acc("acc", cells),
         direct_a("da", cells),
         direct_b("db", cells),
+        twice("twice", cells),
+        rw("rw", cells),
         w("w", edges),
         direct_c("dc", cells),
         adt("adt", cells),
@@ -103,11 +137,24 @@ struct Fixture {
       direct_a.at(c, 1) = rng.uniform(-1.0, 1.0);
       flag.at(c) = rng.next_below(2) ? 2 : 1;
     }
+    for (DatBase* d : std::initializer_list<DatBase*>{&x, &acc, &direct_a, &direct_b, &twice, &rw,
+                                                      &w, &direct_c, &adt, &flag}) {
+      d->set_layout(layout);
+      d->apply_layout();
+    }
   }
 };
 
+/// A dat's values in element-major AoS order, whatever its layout.
+aligned_vector<double> values(const Dat<double>& d) {
+  aligned_vector<double> v;
+  for (idx_t e = 0; e < d.set().size(); ++e)
+    for (int c = 0; c < d.dim(); ++c) v.push_back(d.at(e, c));
+  return v;
+}
+
 struct Result {
-  aligned_vector<double> acc, b, c, adtv;
+  aligned_vector<double> acc, b, c, adtv, twice, rw;
   double gsum = 0, gmin = 0, gmax = 0;
 };
 
@@ -116,6 +163,8 @@ Result run_all(Fixture& f, const ExecConfig& cfg) {
   f.direct_b.fill(0.0);
   f.direct_c.fill(1.0);
   f.adt.fill(0.0);
+  f.twice.fill(1.0);
+  f.rw.fill(0.0);
   Result r;
   r.gsum = 0.0;
   r.gmin = 1e300;
@@ -141,11 +190,39 @@ Result run_all(Fixture& f, const ExecConfig& cfg) {
   par_loop(GblReadKernel{}, "t_gblread", f.cells, cfg, arg<opv::READ>(f.direct_a),
            arg<opv::RW>(f.direct_b), arg_gbl<opv::READ>(coef, 2));
 
-  r.acc.assign(f.acc.data(), f.acc.data() + f.acc.size());
-  r.b.assign(f.direct_b.data(), f.direct_b.data() + f.direct_b.size());
-  r.c.assign(f.direct_c.data(), f.direct_c.data() + f.direct_c.size());
-  r.adtv.assign(f.adt.data(), f.adt.data() + f.adt.size());
+  par_loop(TwiceIncKernel{}, "t_twice", f.edges, cfg, arg<opv::READ>(f.w),
+           arg<opv::INC>(f.twice, 1, f.e2c));
+
+  // Simt scatters its contiguous lanes one by one and rejects the loop.
+  const auto rw_loop = [&] {
+    par_loop(IndirectRwKernel{}, "t_rw", f.edges, cfg, arg<opv::RW>(f.rw, 0, f.e2q));
+  };
+  if (cfg.backend == Backend::Simt) {
+    EXPECT_THROW(rw_loop(), Error);
+  } else {
+    rw_loop();
+    r.rw = values(f.rw);
+  }
+
+  r.acc = values(f.acc);
+  r.b = values(f.direct_b);
+  r.c = values(f.direct_c);
+  r.adtv = values(f.adt);
+  r.twice = values(f.twice);
   return r;
+}
+
+void expect_bitwise(const Result& a, const Result& b) {
+  const auto same = [](const aligned_vector<double>& x, const aligned_vector<double>& y) {
+    return x.size() == y.size() && std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(same(a.acc, b.acc));
+  EXPECT_TRUE(same(a.b, b.b));
+  EXPECT_TRUE(same(a.c, b.c));
+  EXPECT_TRUE(same(a.adtv, b.adtv));
+  EXPECT_TRUE(same(a.twice, b.twice));
+  EXPECT_TRUE(same(a.rw, b.rw));
+  EXPECT_TRUE(same({a.gsum, a.gmin, a.gmax}, {b.gsum, b.gmin, b.gmax}));
 }
 
 void expect_close(const Result& a, const Result& b, double tol) {
@@ -157,6 +234,14 @@ void expect_close(const Result& a, const Result& b, double tol) {
   for (std::size_t i = 0; i < a.c.size(); ++i) ASSERT_NEAR(a.c[i], b.c[i], tol);
   for (std::size_t i = 0; i < a.adtv.size(); ++i)
     ASSERT_NEAR(a.adtv[i], b.adtv[i], tol * (std::abs(a.adtv[i]) + 1));
+  ASSERT_EQ(a.twice.size(), b.twice.size());
+  for (std::size_t i = 0; i < a.twice.size(); ++i)
+    ASSERT_NEAR(a.twice[i], b.twice[i], tol * (std::abs(a.twice[i]) + 1)) << "twice[" << i << "]";
+  if (!b.rw.empty()) {  // empty where the backend rejects the RW loop (Simt)
+    ASSERT_EQ(a.rw.size(), b.rw.size());
+    for (std::size_t i = 0; i < a.rw.size(); ++i)
+      ASSERT_NEAR(a.rw[i], b.rw[i], tol * (std::abs(a.rw[i]) + 1)) << "rw[" << i << "]";
+  }
   EXPECT_NEAR(a.gsum, b.gsum, tol * (std::abs(a.gsum) + 1));
   EXPECT_NEAR(a.gmin, b.gmin, tol);
   EXPECT_NEAR(a.gmax, b.gmax, tol);
@@ -190,36 +275,58 @@ std::vector<NamedConfig> sweep_configs() {
     out.push_back({"simt_w" + std::to_string(w),
                    {.backend = Backend::Simt, .simd_width = w}});
   }
+  out.push_back({"simd_t1", {.backend = Backend::Simd, .simd_width = 8, .nthreads = 1}});
   out.push_back({"simd_block64",
                  {.backend = Backend::Simd, .simd_width = 8, .block_size = 64}});
   out.push_back({"simt_block48x", {.backend = Backend::Simt, .simd_width = 8, .block_size = 48}});
   return out;
 }
 
-class BackendSweep : public ::testing::TestWithParam<int> {};
+/// Seq over the AoS fixture: the reference every layout and config meets.
+Result seq_aos(idx_t ni = 19, idx_t nj = 13) {
+  Fixture f(ni, nj);
+  return run_all(f, {.backend = Backend::Seq});
+}
+
+const auto kLayouts = ::testing::Values(Layout::AoS, Layout::SoA);
+
+TEST(SeqLayouts, SoAIsBitwiseAoS) {
+  Fixture f(19, 13, Layout::SoA);
+  expect_bitwise(seq_aos(), run_all(f, {.backend = Backend::Seq}));
+}
+
+class BackendSweep : public ::testing::TestWithParam<std::tuple<Layout, int>> {};
 
 TEST_P(BackendSweep, MatchesSequentialReference) {
-  Fixture f;
-  const Result ref = run_all(f, {.backend = Backend::Seq});
+  const auto [layout, i] = GetParam();
+  const Result ref = seq_aos();
+  Fixture f(19, 13, layout);
   const auto cfgs = sweep_configs();
-  const auto& nc = cfgs[GetParam()];
+  const auto& nc = cfgs[static_cast<std::size_t>(i)];
   SCOPED_TRACE(nc.name);
   const Result got = run_all(f, nc.cfg);
   expect_close(ref, got, 1e-9);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllConfigs, BackendSweep,
-                         ::testing::Range(0, static_cast<int>(sweep_configs().size())),
-                         [](const auto& info) { return sweep_configs()[info.param].name; });
+INSTANTIATE_TEST_SUITE_P(
+    AllConfigs, BackendSweep,
+    ::testing::Combine(kLayouts, ::testing::Range(0, static_cast<int>(sweep_configs().size()))),
+    [](const auto& info) {
+      return std::string(layout_name(std::get<0>(info.param))) + "_" +
+             sweep_configs()[static_cast<std::size_t>(std::get<1>(info.param))].name;
+    });
 
 // ---- ragged / edge-case sizes ------------------------------------------------
 
-class RaggedSizes : public ::testing::TestWithParam<std::pair<idx_t, idx_t>> {};
+class RaggedSizes
+    : public ::testing::TestWithParam<std::tuple<Layout, std::pair<idx_t, idx_t>>> {};
 
 TEST_P(RaggedSizes, VectorTailsAreCorrect) {
-  const auto [ni, nj] = GetParam();
-  Fixture f(ni, nj);
-  const Result ref = run_all(f, {.backend = Backend::Seq});
+  const auto [layout, size] = GetParam();
+  const auto [ni, nj] = size;
+  const Result ref = seq_aos(ni, nj);
+  Fixture f(ni, nj, layout);
+  expect_bitwise(ref, run_all(f, {.backend = Backend::Seq}));
   for (int w : {4, 8}) {
     const Result got = run_all(f, {.backend = Backend::Simd, .simd_width = w});
     SCOPED_TRACE("w=" + std::to_string(w));
@@ -231,12 +338,36 @@ TEST_P(RaggedSizes, VectorTailsAreCorrect) {
 
 // Sizes chosen so edge/cell counts are NOT multiples of any vector width.
 INSTANTIATE_TEST_SUITE_P(Sizes, RaggedSizes,
-                         ::testing::Values(std::pair<idx_t, idx_t>{1, 1},
-                                           std::pair<idx_t, idx_t>{3, 1},
-                                           std::pair<idx_t, idx_t>{5, 3},
-                                           std::pair<idx_t, idx_t>{7, 7},
-                                           std::pair<idx_t, idx_t>{13, 3},
-                                           std::pair<idx_t, idx_t>{17, 11}));
+                         ::testing::Combine(kLayouts,
+                                            ::testing::Values(std::pair<idx_t, idx_t>{1, 1},
+                                                              std::pair<idx_t, idx_t>{3, 1},
+                                                              std::pair<idx_t, idx_t>{5, 3},
+                                                              std::pair<idx_t, idx_t>{7, 7},
+                                                              std::pair<idx_t, idx_t>{13, 3},
+                                                              std::pair<idx_t, idx_t>{17, 11})));
+
+// ---- indirect RW: lanes that share a target ----------------------------------
+
+TEST(IndirectRw, SimdSchedulesBlockPermuteForTwoLevel) {
+  Fixture f;
+  Loop loop(IndirectRwKernel{}, "t_rw", f.edges, arg<opv::RW>(f.rw, 0, f.e2q));
+  for (int nth : {1, 4}) {
+    const Plan* plan = loop.plan({.backend = Backend::Simd, .nthreads = nth});
+    ASSERT_NE(plan, nullptr) << nth;
+    EXPECT_EQ(plan->strategy, ColoringStrategy::BlockPermute) << nth;
+  }
+}
+
+TEST(IndirectRw, SimtRejectsTheLoopByName) {
+  Fixture f;
+  try {
+    par_loop(IndirectRwKernel{}, "t_rw", f.edges, {.backend = Backend::Simt},
+             arg<opv::RW>(f.rw, 0, f.e2q));
+    FAIL() << "expected opv::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("'t_rw'"), std::string::npos) << e.what();
+  }
+}
 
 // ---- float precision ----------------------------------------------------------
 
