@@ -18,8 +18,14 @@
 //
 // The bench exits non-zero on any divergence.
 //
+// Each (app, backend, layout) cell is timed kSamples times, alternating AoS
+// and SoA runs so host drift hits both layouts alike; the table and the JSON
+// record the median and the min-max per cell, and the SoA-vs-AoS column and
+// the headline compare medians.
+//
 //   ./ablation_layout [--small|--large] [--iters=N] [--threads=N] [--json=FILE]
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -37,6 +43,7 @@ using namespace opv::bench;
 namespace {
 
 constexpr Layout kLayouts[2] = {Layout::AoS, Layout::SoA};
+constexpr int kSamples = 5;  ///< timed runs per (app, backend, layout) cell
 
 const std::vector<std::string>& tet3d_kernels() {
   static const std::vector<std::string> k = {"t3d_save_u",    "t3d_grad_calc",
@@ -160,18 +167,37 @@ bool equivalence_ok() {
   return ok;
 }
 
-/// One perf row: a backend's kernel seconds per layout.
+/// One perf row: a backend's kernel seconds per layout, kSamples each.
 struct Row {
   std::string label;
   bool vector_backend = false;
-  double secs[2] = {0, 0};  ///< indexed like kLayouts: AoS, SoA
-  [[nodiscard]] double soa_speedup() const { return secs[1] > 0.0 ? secs[0] / secs[1] : 0.0; }
+  std::vector<double> secs[2];  ///< indexed like kLayouts: AoS, SoA
+
+  [[nodiscard]] double median(int l) const {
+    std::vector<double> s = secs[l];
+    std::sort(s.begin(), s.end());
+    return s[s.size() / 2];
+  }
+  [[nodiscard]] double min(int l) const {
+    return *std::min_element(secs[l].begin(), secs[l].end());
+  }
+  [[nodiscard]] double max(int l) const {
+    return *std::max_element(secs[l].begin(), secs[l].end());
+  }
+  [[nodiscard]] double soa_speedup() const {
+    return median(1) > 0.0 ? median(0) / median(1) : 0.0;
+  }
 };
 
 void print_rows(const char* what, const std::vector<Row>& rows) {
-  perf::Table t({what, "AoS (s)", "SoA (s)", "SoA vs AoS"});
+  perf::Table t({what, "AoS median (s)", "AoS min-max", "SoA median (s)", "SoA min-max",
+                 "SoA vs AoS"});
+  const auto range = [](double lo, double hi) {
+    return perf::Table::num(lo, 3) + "-" + perf::Table::num(hi, 3);
+  };
   for (const Row& r : rows)
-    t.add_row({r.label, perf::Table::num(r.secs[0], 3), perf::Table::num(r.secs[1], 3),
+    t.add_row({r.label, perf::Table::num(r.median(0), 3), range(r.min(0), r.max(0)),
+               perf::Table::num(r.median(1), 3), range(r.min(1), r.max(1)),
                perf::Table::num(r.soa_speedup(), 2) + "x"});
   t.print();
 }
@@ -206,19 +232,21 @@ int main(int argc, char** argv) {
 
   const auto m2 = mesh::make_airfoil_omesh(sz.airfoil_ni, sz.airfoil_nj);
   const mesh::TetMesh m3 = mesh::make_tet_box(tet_n, tet_n, tet_n);
-  std::printf("airfoil %d cells x %d iters, tet box %d cells x %d steps, %d threads\n\n",
-              m2.ncells, sz.airfoil_iters, m3.ncells, sz.volna_steps, nthreads);
+  std::printf("airfoil %d cells x %d iters, tet box %d cells x %d steps, %d threads, "
+              "%d samples per cell\n\n",
+              m2.ncells, sz.airfoil_iters, m3.ncells, sz.volna_steps, nthreads, kSamples);
 
   std::vector<Row> af_rows, tet_rows;
   for (const auto& bc : backends) {
-    Row af{bc.label, bc.vector_backend};
-    Row tet{bc.label, bc.vector_backend};
-    for (int i = 0; i < 2; ++i) {
-      af.secs[i] =
-          kernel_secs(run_airfoil_layout(m2, bc.cfg, sz.airfoil_iters, kLayouts[i]), "res_calc");
-      tet.secs[i] =
-          kernel_secs(run_tet3d_layout(m3, bc.cfg, sz.volna_steps, kLayouts[i]), "t3d_flux_calc");
-    }
+    Row af{bc.label, bc.vector_backend, {}};
+    Row tet{bc.label, bc.vector_backend, {}};
+    for (int s = 0; s < kSamples; ++s)
+      for (int i = 0; i < 2; ++i) {
+        af.secs[i].push_back(kernel_secs(
+            run_airfoil_layout(m2, bc.cfg, sz.airfoil_iters, kLayouts[i]), "res_calc"));
+        tet.secs[i].push_back(kernel_secs(
+            run_tet3d_layout(m3, bc.cfg, sz.volna_steps, kLayouts[i]), "t3d_flux_calc"));
+      }
     af_rows.push_back(af);
     tet_rows.push_back(tet);
   }
@@ -249,17 +277,20 @@ int main(int argc, char** argv) {
     }
     std::fprintf(f, "{\n  \"bench\": \"ablation_layout\",\n");
     std::fprintf(f, "  \"airfoil_cells\": %d,\n  \"tet_cells\": %d,\n", m2.ncells, m3.ncells);
-    std::fprintf(f, "  \"iters\": %d,\n  \"threads\": %d,\n  \"gate\": \"pass\",\n",
-                 sz.airfoil_iters, nthreads);
+    std::fprintf(f,
+                 "  \"iters\": %d,\n  \"threads\": %d,\n  \"samples\": %d,\n"
+                 "  \"gate\": \"pass\",\n",
+                 sz.airfoil_iters, nthreads, kSamples);
     const auto dump = [&](const char* key, const std::vector<Row>& rows, bool last) {
       std::fprintf(f, "  \"%s\": [\n", key);
       for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row& r = rows[i];
         std::fprintf(f,
-                     "    {\"backend\": \"%s\", \"aos_s\": %.6f, \"soa_s\": %.6f, "
-                     "\"soa_speedup\": %.4f}%s\n",
-                     r.label.c_str(), r.secs[0], r.secs[1], r.soa_speedup(),
-                     i + 1 < rows.size() ? "," : "");
+                     "    {\"backend\": \"%s\", \"aos_s\": %.6f, \"aos_min_s\": %.6f, "
+                     "\"aos_max_s\": %.6f, \"soa_s\": %.6f, \"soa_min_s\": %.6f, "
+                     "\"soa_max_s\": %.6f, \"soa_speedup\": %.4f}%s\n",
+                     r.label.c_str(), r.median(0), r.min(0), r.max(0), r.median(1), r.min(1),
+                     r.max(1), r.soa_speedup(), i + 1 < rows.size() ? "," : "");
       }
       std::fprintf(f, "  ]%s\n", last ? "" : ",");
     };

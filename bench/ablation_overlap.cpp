@@ -77,15 +77,15 @@ Result run_mode(const mesh::UnstructuredMesh& m, const aligned_vector<double>& c
   auto e2c = ctx.decl_map("e2c", edges, cells, 2, m.edge_cells);
   aligned_vector<double> qi(m.ncells);
   for (idx_t c = 0; c < m.ncells; ++c) qi[c] = 1.0 + 0.01 * (c % 37);
-  auto q = ctx.decl_dat<double>("q", cells, 1, qi);
-  auto acc = ctx.decl_dat<double>("acc", cells, 1);
-  auto w = ctx.decl_dat<double>("w", edges, 1, aligned_vector<double>(m.nedges, 0.3));
+  auto q = ctx.decl_dat<double, 1>("q", cells, qi);
+  auto acc = ctx.decl_dat<double, 1>("acc", cells);
+  auto w = ctx.decl_dat<double, 1>("w", edges, aligned_vector<double>(m.nedges, 0.3));
 
-  dist::Loop edge(ctx, EdgeK{}, "ov_edge", edges, ctx.arg<opv::READ, 1>(q, 0, e2c),
-                  ctx.arg<opv::READ, 1>(q, 1, e2c), ctx.arg<opv::READ, 1>(w),
-                  ctx.arg<opv::INC, 1>(acc, 0, e2c), ctx.arg<opv::INC, 1>(acc, 1, e2c));
-  dist::Loop cell(ctx, CellK{}, "ov_cell", cells, ctx.arg<opv::RW, 1>(q),
-                  ctx.arg<opv::RW, 1>(acc));
+  dist::Loop edge(ctx, EdgeK{}, "ov_edge", edges, ctx.arg<opv::READ>(q, 0, e2c),
+                  ctx.arg<opv::READ>(q, 1, e2c), ctx.arg<opv::READ>(w),
+                  ctx.arg<opv::INC>(acc, 0, e2c), ctx.arg<opv::INC>(acc, 1, e2c));
+  dist::Loop cell(ctx, CellK{}, "ov_cell", cells, ctx.arg<opv::RW>(q),
+                  ctx.arg<opv::RW>(acc));
 
   // Warmup: plan + staging construction, first-touch. Runs under the same
   // mode, so Phased and Overlap stay bitwise-comparable end to end.

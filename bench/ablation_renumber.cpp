@@ -53,7 +53,9 @@ PlanColors plan_colors(const mesh::UnstructuredMesh& m, bool renumber) {
   auto cells = ctx.decl_set("cells", m.ncells);
   auto edges = ctx.decl_set("edges", m.nedges);
   auto pecell = ctx.decl_map("pecell", edges, cells, 2, m.edge_cells);
-  if (renumber) ctx.renumber(cells);
+  ctx.set_partition_coords(cells, nullptr);  // the primary set; LocalCtx ignores coordinates
+  ctx.set_renumber(renumber);
+  ctx.finalize();
   const std::vector<IncRef> conflicts = {{pecell, 0}, {pecell, 1}};
   const auto two =
       build_plan(m.nedges, conflicts, ExecConfig::kDefaultBlockSize, ColoringStrategy::TwoLevel);

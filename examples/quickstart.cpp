@@ -7,7 +7,11 @@
 //   4. run it under different backends and compare.
 //
 // Build & run:  ./quickstart [--n=256] [--iters=100]
+//
+// Exits non-zero when a backend's final max|change| differs from Seq's by
+// more than 1e-9 relative — the cross-backend equivalence this example shows.
 
+#include <cmath>
 #include <cstdio>
 
 #include "common/cli.hpp"
@@ -53,6 +57,8 @@ int main(int argc, char** argv) {
   m.validate();
   std::printf("mesh: %d cells, %d edges, %d nodes\n", m.ncells, m.nedges, m.nnodes);
 
+  double ref = 0.0;  // Seq's final max|change|, from the first run
+  int failed = 0;
   auto run = [&](opv::ExecConfig cfg, const char* label) {
     // 2. Declare the mesh through an execution context.
     opv::LocalCtx ctx(cfg);
@@ -62,35 +68,42 @@ int main(int argc, char** argv) {
 
     opv::aligned_vector<double> init(m.ncells, 0.0);
     for (opv::idx_t c = 0; c < m.ncells; ++c) init[c] = (c % 17) * 0.1;
-    auto q = ctx.decl_dat<double>("q", cells, 1, init);
-    auto r = ctx.decl_dat<double>("r", cells, 1);
-    auto w = ctx.decl_dat<double>("w", edges, 1,
-                                  opv::aligned_vector<double>(m.nedges, 0.25));
+    auto q = ctx.decl_dat<double, 1>("q", cells, init);
+    auto r = ctx.decl_dat<double, 1>("r", cells);
+    auto w = ctx.decl_dat<double, 1>("w", edges, opv::aligned_vector<double>(m.nedges, 0.25));
 
     // 3./4. Run the loops; coloring and vectorization are the runtime's job.
-    // Each loop is a reusable handle: conflict analysis happens once here,
+    // Each loop is a reusable handle: the first make_loop closes the
+    // declarations (ctx.finalize()), conflict analysis happens once here,
     // the coloring plan and stats slot are pinned on the first run(), and
     // the steady-state iterations below do zero per-call setup. The access
-    // mode AND the arity are template parameters (opv::READ, 1), so the
-    // engine's gather/scatter code is specialized — and fully unrolled per
-    // component — for each argument at compile time.
+    // mode is a template parameter and the arity comes from each dat's
+    // declared type (decl_dat<double, 1>), so the engine's gather/scatter
+    // code is specialized — and fully unrolled per component — for each
+    // argument at compile time.
     double change = 0.0;
-    opv::Loop smooth(Smooth{}, "smooth", *edges, opv::arg<opv::READ, 1>(*q, 0, *e2c),
-                     opv::arg<opv::READ, 1>(*q, 1, *e2c), opv::arg<opv::READ, 1>(*w),
-                     opv::arg<opv::INC, 1>(*r, 0, *e2c), opv::arg<opv::INC, 1>(*r, 1, *e2c));
-    opv::Loop apply(Apply{}, "apply", *cells, opv::arg<opv::RW, 1>(*q),
-                    opv::arg<opv::READ, 1>(*r), opv::arg_gbl<opv::MAX>(&change, 1));
-    opv::Loop clear([](auto* rr) { rr[0] = std::decay_t<decltype(rr[0])>(0.0); }, "clear",
-                    *cells, opv::arg<opv::WRITE, 1>(*r));
+    auto smooth = ctx.make_loop(Smooth{}, "smooth", edges, ctx.arg<opv::READ>(q, 0, e2c),
+                                ctx.arg<opv::READ>(q, 1, e2c), ctx.arg<opv::READ>(w),
+                                ctx.arg<opv::INC>(r, 0, e2c), ctx.arg<opv::INC>(r, 1, e2c));
+    auto apply = ctx.make_loop(Apply{}, "apply", cells, ctx.arg<opv::RW>(q),
+                               ctx.arg<opv::READ>(r), ctx.arg_gbl<opv::MAX>(&change, 1));
+    auto clear = ctx.make_loop([](auto* rr) { rr[0] = std::decay_t<decltype(rr[0])>(0.0); },
+                               "clear", cells, ctx.arg<opv::WRITE>(r));
     opv::WallTimer t;
     for (int it = 0; it < iters; ++it) {
-      smooth.run(cfg);
+      smooth.run();
       change = 0.0;
-      apply.run(cfg);
-      clear.run(cfg);
+      apply.run();
+      clear.run();
     }
     std::printf("%-28s %8.3f ms   final max|change| = %.6e\n", label, t.seconds() * 1e3,
                 change);
+    if (cfg.backend == opv::Backend::Seq) {
+      ref = change;
+    } else if (std::abs(change - ref) > 1e-9 * std::abs(ref)) {
+      std::printf("FAIL: %s differs from Seq (%.17g vs %.17g)\n", label, change, ref);
+      ++failed;
+    }
   };
 
   using opv::Backend;
@@ -101,5 +114,5 @@ int main(int argc, char** argv) {
   run({.backend = Backend::Simd, .coloring = opv::ColoringStrategy::BlockPermute},
       "Simd + block permute");
   run({.backend = Backend::Simt}, "Simt (OpenCL model)");
-  return 0;
+  return failed == 0 ? 0 : 1;
 }

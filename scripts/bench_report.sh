@@ -14,8 +14,10 @@
 #                        (ablation_ingest)
 #   BENCH_layout.json    memory-layout record: AoS vs SoA seconds
 #                        for Airfoil res_calc and Tet3D t3d_flux_calc per
-#                        backend, gated by the layout equivalence checks
-#                        (ablation_layout)
+#                        backend (median and min-max of 5 alternating
+#                        samples per cell; soa_speedup and the headline
+#                        from the medians), gated by the layout
+#                        equivalence checks (ablation_layout)
 #   BENCH_resilience.json  fault-tolerance record: checkpoint overhead %,
 #                        OPVK write/read seconds, restore counts — gated by
 #                        the bitwise recovery/resume checks

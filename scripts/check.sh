@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local verification: the tier-1 sequence (configure + build + ctest) plus a
+# Local verification: the tier-1 sequence (configure + build + ctest) plus
+# the quickstart example (cross-backend agreement at the CLI surface) and a
 # smoke run of the dispatch-path microbench, so regressions in the par_loop
 # dispatch path are caught before review.
 #
@@ -103,6 +104,16 @@ cmake --build "$BUILD" -j
 
 echo "== ctest =="
 ctest --test-dir "$BUILD" --output-on-failure -j "$(nproc)"
+
+echo "== quickstart =="
+# The declare / make_loop / run workflow on all six backend configurations;
+# exits non-zero if a backend's final max|change| differs from Seq's by
+# more than 1e-9 relative.
+if [ -x "$BUILD/quickstart" ]; then
+  "$BUILD/quickstart" --n=32 --iters=5
+else
+  echo "quickstart not built (OPV_BUILD_EXAMPLES=OFF?) - skipped"
+fi
 
 echo "== dispatch-path smoke =="
 if [ -x "$BUILD/ablation_dispatch" ]; then

@@ -177,20 +177,12 @@ class Airfoil {
   ///   k=1: rms_=0; [          adt_calc res_calc bres_calc update]
   void build_loops() {
     auto loops = std::make_shared<decltype(make_loops())>(make_loops());
-    if constexpr (requires {
-                    std::get<0>(*loops).inner();
-                    ctx_.config();
-                    ctx_.note_loops_ran();
-                  }) {
+    // Local handles are opv::Loops and join a chain as they are.
+    if constexpr (requires(LoopChain& c) { c.add(std::get<0>(*loops)); }) {
       if (chain_) {
-        // Chains drive the engine handles directly, bypassing CtxLoop::run's
-        // bookkeeping — close the renumbering window explicitly.
-        ctx_.note_loops_ran();
         auto& [save, adt, res, bres, upd] = *loops;
-        auto first = std::make_shared<LoopChain>("airfoil_step0", save.inner(), adt.inner(),
-                                                 res.inner(), bres.inner(), upd.inner());
-        auto second = std::make_shared<LoopChain>("airfoil_step1", adt.inner(), res.inner(),
-                                                  bres.inner(), upd.inner());
+        auto first = std::make_shared<LoopChain>("airfoil_step0", save, adt, res, bres, upd);
+        auto second = std::make_shared<LoopChain>("airfoil_step1", adt, res, bres, upd);
         step_ = [this, loops, first, second] {
           rms_ = Real(0);
           first->run(ctx_.config());

@@ -236,17 +236,12 @@ class Tet3D {
   /// the target, nothing reads rms_ mid-chain).
   void build_loops() {
     auto loops = std::make_shared<decltype(make_loops())>(make_loops());
-    if constexpr (requires {
-                    std::get<0>(*loops).inner();
-                    ctx_.config();
-                    ctx_.note_loops_ran();
-                  }) {
+    // Local handles are opv::Loops and join a chain as they are.
+    if constexpr (requires(LoopChain& c) { c.add(std::get<0>(*loops)); }) {
       if (chain_) {
-        ctx_.note_loops_ran();
         auto& [save, grad, bgrad, flux, bflux, upd] = *loops;
-        auto step = std::make_shared<LoopChain>("tet3d_step", save.inner(), grad.inner(),
-                                                bgrad.inner(), flux.inner(), bflux.inner(),
-                                                upd.inner());
+        auto step =
+            std::make_shared<LoopChain>("tet3d_step", save, grad, bgrad, flux, bflux, upd);
         step_ = [this, loops, step] {
           rms_ = Real(0);
           step->run(ctx_.config());

@@ -199,18 +199,12 @@ class Volna {
   ///   dt_=dt_arg_=dtmin_; [space_disc RK_1 compute_flux space_disc RK_2]
   void build_loops() {
     auto loops = std::make_shared<decltype(make_loops())>(make_loops());
-    if constexpr (requires {
-                    std::get<0>(*loops).inner();
-                    ctx_.config();
-                    ctx_.note_loops_ran();
-                  }) {
+    // Local handles are opv::Loops and join a chain as they are.
+    if constexpr (requires(LoopChain& c) { c.add(std::get<0>(*loops)); }) {
       if (chain_) {
-        ctx_.note_loops_ran();  // chains bypass CtxLoop::run's bookkeeping
         auto& [sim1, flux_u, numflux, space1, rk1, flux_ut, space2, rk2] = *loops;
-        auto cfl = std::make_shared<LoopChain>("volna_cfl", sim1.inner(), flux_u.inner(),
-                                               numflux.inner());
-        auto rk = std::make_shared<LoopChain>("volna_rk", space1.inner(), rk1.inner(),
-                                              flux_ut.inner(), space2.inner(), rk2.inner());
+        auto cfl = std::make_shared<LoopChain>("volna_cfl", sim1, flux_u, numflux);
+        auto rk = std::make_shared<LoopChain>("volna_rk", space1, rk1, flux_ut, space2, rk2);
         step_ = [this, loops, cfl, rk] {
           dtmin_ = std::numeric_limits<Real>::max();
           cfl->run(ctx_.config());

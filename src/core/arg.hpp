@@ -5,25 +5,20 @@
 // at compile time — the template analog of OP2's generated per-loop stubs,
 // which substitute literal constants for modes AND arities (paper section 5):
 //
-//   arg<opv::READ, 4>(dat, idx, map)  dataset of arity 4 through map index idx
-//   arg<opv::INC, 4>(dat)             arity-4 dataset on the iteration set
-//   arg<opv::READ>(fixed, idx, map)   arity deduced from a FixedDat<T, N>
-//   arg_gbl<opv::MIN>(ptr, dim)       global scalar/array (constant, reduction)
+//   arg<opv::READ>(dat, idx, map)   FixedDat<T, N> through map index idx
+//   arg<opv::INC>(dat)              FixedDat<T, N> on the iteration set
+//   arg_gbl<opv::MIN>(ptr, dim)     global scalar/array (constant, reduction)
 //
-// Every dataset descriptor carries a compile-time Dim. A FixedDat<T, N>
-// argument supplies it with no explicit spelling, and an explicit Dim that
-// contradicts the FixedDat's N fails to COMPILE. A plain Dat needs the
-// explicit Dim, which is checked against dat.dim() when the descriptor is
-// constructed (opv::Error).
+// Every dataset a loop binds is a FixedDat<T, N>, whose N IS the
+// descriptor's compile-time Dim: there is nothing to spell at the loop site
+// and nothing that could contradict the dat.
 //
-// Invalid combinations (MIN/MAX on a dataset, WRITE/RW on a global, Dim
-// outside [1,kMaxDim], Dim mismatching a FixedDat, no Dim on a plain Dat)
-// are rejected at COMPILE TIME via constraints — `requires { arg<opv::MIN>(d); }`
-// is false — while data-dependent errors (map index range, set mismatch,
-// Dim vs a runtime dat dim) remain runtime opv::Error throws.
+// Invalid combinations (MIN/MAX on a dataset, WRITE/RW on a global, a dat
+// without a compile-time arity) are rejected at COMPILE TIME via
+// constraints — `requires { arg<opv::MIN>(d); }` is false — while
+// data-dependent errors (map index range, set mismatch) remain runtime
+// opv::Error throws.
 #pragma once
-
-#include <type_traits>
 
 #include "core/access.hpp"
 #include "core/dat.hpp"
@@ -33,32 +28,6 @@ namespace opv {
 
 /// Valid compile-time Dim for a dataset descriptor.
 constexpr bool arg_dim_ok(int dim) { return dim >= 1 && dim <= kMaxDim; }
-
-namespace detail {
-
-/// Anything deriving from Dat<T> (Dat itself or FixedDat) is bindable.
-template <class D>
-concept DatLike = std::is_base_of_v<Dat<typename D::value_type>, D>;
-
-/// A dat whose TYPE carries its arity (FixedDat): the only kind a Dim-less
-/// descriptor spelling accepts.
-template <class D>
-concept FixedDatLike = DatLike<D> && dat_static_dim_v<D> != 0;
-
-/// Explicit Dim must agree with a statically-dimensioned dat type; a plain
-/// Dat (static dim 0) accepts any valid Dim.
-template <int Dim, class D>
-inline constexpr bool dim_matches_dat_v = dat_static_dim_v<D> == 0 || dat_static_dim_v<D> == Dim;
-
-/// Construction-time check that the descriptor Dim matches the
-/// (runtime-dimensioned) dat it binds — shared by both arg() overloads.
-template <int Dim, class D>
-inline void check_rdim(const D& dat) {
-  OPV_REQUIRE(dat.dim() == Dim, "arg: descriptor Dim " << Dim << " != dat '" << dat.name()
-                                                       << "' dim " << dat.dim());
-}
-
-}  // namespace detail
 
 /// Dataset argument. Indirect == false means direct access (OP_ID). Dim IS
 /// the arity: the engine unrolls per-component code at instantiation time.
@@ -90,11 +59,10 @@ struct ArgGbl {
 
 // ===== typed builders =======================================================
 
-/// Indirect dataset argument through map index `idx`. Pass Dim explicitly
-/// (`arg<opv::READ, 4>(...)`), or bind a FixedDat and omit it.
-template <AccessMode A, int Dim, detail::DatLike D>
-  requires(dat_access_ok(A) && arg_dim_ok(Dim) && detail::dim_matches_dat_v<Dim, D>)
-inline Arg<typename D::value_type, A, Dim, true> arg(D& dat, int idx, const Map& map) {
+/// Indirect dataset argument through map index `idx`.
+template <AccessMode A, class T, int N>
+  requires(dat_access_ok(A))
+inline Arg<T, A, N, true> arg(FixedDat<T, N>& dat, int idx, const Map& map) {
   OPV_REQUIRE(idx >= 0 && idx < map.dim(),
               "arg: map index " << idx << " out of range for map '" << map.name() << "' (dim "
                                 << map.dim() << ")");
@@ -102,28 +70,14 @@ inline Arg<typename D::value_type, A, Dim, true> arg(D& dat, int idx, const Map&
                                                     << map.to().name() << "' but dat '"
                                                     << dat.name() << "' lives on '"
                                                     << dat.set().name() << "'");
-  detail::check_rdim<Dim>(dat);
   return {&dat, &map, idx};
 }
 
 /// Direct dataset argument (defined on the iteration set).
-template <AccessMode A, int Dim, detail::DatLike D>
-  requires(dat_access_ok(A) && arg_dim_ok(Dim) && detail::dim_matches_dat_v<Dim, D>)
-inline Arg<typename D::value_type, A, Dim, false> arg(D& dat) {
-  detail::check_rdim<Dim>(dat);
+template <AccessMode A, class T, int N>
+  requires(dat_access_ok(A))
+inline Arg<T, A, N, false> arg(FixedDat<T, N>& dat) {
   return {&dat, nullptr, -1};
-}
-
-/// Dim-less spellings: the FixedDat's N is the descriptor Dim.
-template <AccessMode A, detail::FixedDatLike D>
-  requires(dat_access_ok(A))
-inline auto arg(D& dat, int idx, const Map& map) {
-  return arg<A, dat_static_dim_v<D>>(dat, idx, map);
-}
-template <AccessMode A, detail::FixedDatLike D>
-  requires(dat_access_ok(A))
-inline auto arg(D& dat) {
-  return arg<A, dat_static_dim_v<D>>(dat);
 }
 
 /// Global argument.

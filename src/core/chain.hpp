@@ -86,10 +86,11 @@ std::vector<int> tile_candidates(const std::vector<LoopSpec>& specs);
 
 }  // namespace chain_detail
 
-/// A handle over an ordered list of existing persistent Loop handles,
+/// A handle over an ordered list of existing persistent Loop handles
+/// (opv::Loop, or the LocalCtx::make_loop handles derived from it),
 /// executing them as one fused sparse-tiled chain:
 ///
-///   LoopChain chain("airfoil_step", save.inner(), adt.inner(), ...);
+///   LoopChain chain("airfoil_step", save, adt, ...);
 ///   for (int it = 0; it < n; ++it) chain.run(cfg);
 ///
 /// The chain only REFERENCES its members (they must outlive it) and owns

@@ -1,4 +1,10 @@
 // op_dat: data attached to every element of a set, with fixed arity (dim).
+//
+// Dat<T> is the storage: a runtime dim, a layout policy and the typed
+// values. FixedDat<T, N> is what an application declares and a loop binds:
+// its arity is part of the TYPE, so every descriptor built from it carries
+// a compile-time Dim (core/arg.hpp). Plain Dat<T> storage backs contexts
+// internally (e.g. the dist rank replicas) and the type-erased machinery.
 #pragma once
 
 #include <cstring>
@@ -43,10 +49,9 @@ class DatBase {
   // set_layout() records the REQUESTED layout; the physical relayout happens
   // at context finalize (apply_layout), after renumbering — exactly like the
   // renumbering pass itself, declarations first, transform once. After the
-  // layout is frozen (finalize, or the first loop execution the context
-  // tracks) any further set_layout throws: the engine's bound access paths
-  // and pinned plans read the physical layout, so changing it underneath a
-  // running loop would corrupt every subsequent gather.
+  // layout is applied any further set_layout throws: the engine's bound
+  // access paths and pinned plans read the physical layout, so changing it
+  // underneath a running loop would corrupt every subsequent gather.
 
   /// The physical layout of the storage (AoS until apply_layout runs).
   [[nodiscard]] Layout layout() const { return layout_; }
@@ -58,12 +63,12 @@ class DatBase {
   /// overrides an explicit per-dat request).
   [[nodiscard]] bool layout_explicit() const { return layout_explicit_; }
 
-  /// Request a layout for this dat. Legal until the owning context freezes
-  /// layouts (finalize / first loop execution).
+  /// Request a layout for this dat. Legal until apply_layout() (the owning
+  /// context's finalize).
   void set_layout(Layout l) {
     OPV_REQUIRE(!layout_frozen_, "dat '" << name_
                                          << "': layout is frozen (set_layout must happen "
-                                            "before finalize / the first loop execution)");
+                                            "before the context is finalized)");
     requested_ = l;
     layout_explicit_ = true;
   }
@@ -79,11 +84,6 @@ class DatBase {
     layout_ = requested_;
     plane_ = padded_rows(set_->total_size());
   }
-
-  /// Freeze without converting (contexts freeze every dat at finalize so a
-  /// late set_layout fails loudly instead of silently never applying).
-  void freeze_layout() { layout_frozen_ = true; }
-  [[nodiscard]] bool layout_frozen() const { return layout_frozen_; }
 
  protected:
   /// Typed storage conversion AoS -> l, implemented by Dat<T>.
@@ -153,27 +153,16 @@ class Dat : public DatBase {
   aligned_vector<T> data_;
 };
 
-/// Dataset whose arity is part of the TYPE. `arg<A>(fixed)` deduces the
-/// descriptor's compile-time Dim from it, and `arg<A, D>(fixed)` with
-/// D != N is rejected at compile time — the static counterpart of the
-/// runtime dim check plain Dat arguments get at descriptor construction.
+/// Dataset whose arity is part of the TYPE: `arg<A>(fixed)` takes the
+/// descriptor's compile-time Dim from N (core/arg.hpp).
 template <class T, int N>
 class FixedDat final : public Dat<T> {
   static_assert(N >= 1 && N <= kMaxDim, "FixedDat: dim must be in [1,kMaxDim]");
 
  public:
-  static constexpr int static_dim = N;
-
   FixedDat(std::string name, const Set& set) : Dat<T>(std::move(name), set, N) {}
   FixedDat(std::string name, const Set& set, aligned_vector<T> init)
       : Dat<T>(std::move(name), set, N, std::move(init)) {}
 };
-
-/// Compile-time arity of a dataset TYPE: N for FixedDat<T, N>, 0 (unknown
-/// until runtime) for plain Dat<T>.
-template <class D>
-inline constexpr int dat_static_dim_v = 0;
-template <class T, int N>
-inline constexpr int dat_static_dim_v<FixedDat<T, N>> = N;
 
 }  // namespace opv

@@ -83,21 +83,13 @@ class DistCtx {
  public:
   using SetHandle = int;
   using MapHandle = int;
-  template <class T>
-  struct DatHandleT {
+  /// Dataset handle: carries the compile-time arity N, so arg builders
+  /// produce Dim == N descriptors without a per-argument Dim spelling (the
+  /// dist counterpart of LocalCtx's FixedDat handles).
+  template <class T, int N>
+  struct FixedDatHandle {
     int id = -1;
   };
-  template <class T>
-  using DatHandle = DatHandleT<T>;
-  /// Statically-dimensioned handle (the dist counterpart of LocalCtx's
-  /// FixedDat handles): carries the compile-time arity N so arg builders
-  /// produce Dim == N descriptors without a per-argument Dim spelling.
-  template <class T, int N>
-  struct FixedDatHandleT {
-    int id = -1;
-  };
-  template <class T, int N>
-  using FixedDatHandle = FixedDatHandleT<T, N>;
 
   DistCtx(int nranks, ExecConfig cfg) : nranks_(nranks), cfg_(cfg), pool_(nranks) {
     OPV_REQUIRE(nranks >= 1, "DistCtx: need at least one rank");
@@ -134,43 +126,24 @@ class DistCtx {
     return spec_.add_map(name, from, to, dim, data.data());
   }
 
-  template <class T>
-  DatHandle<T> decl_dat(const std::string& name, SetHandle set, int dim,
-                        const aligned_vector<T>& init) {
+  /// Declaration mirroring LocalCtx::decl_dat<T, N>: the handle carries the
+  /// arity in its type, so arg<A>(d, ...) builds compile-time-Dim
+  /// descriptors on every rank with no Dim at the loop sites. An empty
+  /// `init` means zero-initialized.
+  template <class T, int N>
+  FixedDatHandle<T, N> decl_dat(const std::string& name, SetHandle set,
+                                const aligned_vector<T>& init = {}) {
+    static_assert(arg_dim_ok(N), "decl_dat: dim must be in [1,kMaxDim]");
     require_open("decl_dat");
-    OPV_REQUIRE(init.size() == static_cast<std::size_t>(spec_.sets[set].size) * dim,
+    OPV_REQUIRE(init.empty() || init.size() == static_cast<std::size_t>(spec_.sets[set].size) * N,
                 "decl_dat '" << name << "': init size mismatch");
     auto e = std::make_unique<DatEntry<T>>();
     e->name = name;
     e->set = set;
-    e->dim = dim;
+    e->dim = N;
     e->init = init;
     dats_.push_back(std::move(e));
     return {static_cast<int>(dats_.size()) - 1};
-  }
-  template <class T>
-  DatHandle<T> decl_dat(const std::string& name, SetHandle set, int dim) {
-    require_open("decl_dat");
-    auto e = std::make_unique<DatEntry<T>>();
-    e->name = name;
-    e->set = set;
-    e->dim = dim;
-    dats_.push_back(std::move(e));
-    return {static_cast<int>(dats_.size()) - 1};
-  }
-
-  /// Statically-dimensioned declaration, mirroring LocalCtx::decl_dat<T, N>:
-  /// the handle carries the arity in its type, so arg<A>(d, ...) builds
-  /// compile-time-Dim descriptors on every rank with no Dim at the loop
-  /// sites.
-  template <class T, int N>
-  FixedDatHandle<T, N> decl_dat(const std::string& name, SetHandle set,
-                                const aligned_vector<T>& init) {
-    return {decl_dat<T>(name, set, N, init).id};
-  }
-  template <class T, int N>
-  FixedDatHandle<T, N> decl_dat(const std::string& name, SetHandle set) {
-    return {decl_dat<T>(name, set, N).id};
   }
 
   /// Request a memory layout for one dataset (core/layout.hpp): every rank
@@ -270,23 +243,23 @@ class DistCtx {
   [[nodiscard]] ExchangeMode exchange_mode() const { return exchange_mode_; }
 
   // ---- typed argument builders --------------------------------------------
+  // The handle's compile-time arity N is the descriptor Dim, so loop sites
+  // spell no Dim at all.
 
-  template <AccessMode A, int Dim, class T>
-    requires(dat_access_ok(A) && arg_dim_ok(Dim))
-  DistArgDat<T, A, Dim, true> arg(DatHandle<T> d, int idx, MapHandle m) {
+  template <AccessMode A, class T, int N>
+    requires(dat_access_ok(A))
+  DistArgDat<T, A, N, true> arg(FixedDatHandle<T, N> d, int idx, MapHandle m) {
     OPV_REQUIRE(idx >= 0 && idx < spec_.maps[m].dim,
                 "arg: map index " << idx << " out of range for map '" << spec_.maps[m].name
                                   << "'");
     OPV_REQUIRE(spec_.maps[m].to == dats_[d.id]->set,
                 "arg: map '" << spec_.maps[m].name << "' does not target dat '"
                              << dats_[d.id]->name << "'s set");
-    check_dim<Dim>(d);
     return {d.id, m, idx};
   }
-  template <AccessMode A, int Dim, class T>
-    requires(dat_access_ok(A) && arg_dim_ok(Dim))
-  DistArgDat<T, A, Dim, false> arg(DatHandle<T> d) {
-    check_dim<Dim>(d);
+  template <AccessMode A, class T, int N>
+    requires(dat_access_ok(A))
+  DistArgDat<T, A, N, false> arg(FixedDatHandle<T, N> d) {
     return {d.id, -1, -1};
   }
   template <AccessMode A, class T>
@@ -295,30 +268,6 @@ class DistCtx {
     OPV_REQUIRE(dim >= 1 && dim <= kMaxDim,
                 "arg_gbl: dim must be in [1," << kMaxDim << "]");
     return {p, dim};
-  }
-
-  // FixedDat handles: the handle's compile-time arity N is the descriptor
-  // Dim (an explicit Dim must agree — the static counterpart of check_dim),
-  // so loop sites spell no Dim at all.
-  template <AccessMode A, int Dim, class T, int N>
-    requires(dat_access_ok(A) && Dim == N)
-  DistArgDat<T, A, N, true> arg(FixedDatHandleT<T, N> d, int idx, MapHandle m) {
-    return arg<A, N>(DatHandle<T>{d.id}, idx, m);
-  }
-  template <AccessMode A, int Dim, class T, int N>
-    requires(dat_access_ok(A) && Dim == N)
-  DistArgDat<T, A, N, false> arg(FixedDatHandleT<T, N> d) {
-    return arg<A, N>(DatHandle<T>{d.id});
-  }
-  template <AccessMode A, class T, int N>
-    requires(dat_access_ok(A))
-  DistArgDat<T, A, N, true> arg(FixedDatHandleT<T, N> d, int idx, MapHandle m) {
-    return arg<A, N>(DatHandle<T>{d.id}, idx, m);
-  }
-  template <AccessMode A, class T, int N>
-    requires(dat_access_ok(A))
-  DistArgDat<T, A, N, false> arg(FixedDatHandleT<T, N> d) {
-    return arg<A, N>(DatHandle<T>{d.id});
   }
 
   // ---- execution -----------------------------------------------------------
@@ -341,42 +290,28 @@ class DistCtx {
   /// Copy a dataset's owned values into an array in the ORIGINAL declaration
   /// order (the global renumbering, when applied, is inverted here — the
   /// caller never observes the internal numbering).
-  template <class T>
-  void fetch(DatHandle<T> d, aligned_vector<T>& out) {
+  template <class T, int N>
+  void fetch(FixedDatHandle<T, N> d, aligned_vector<T>& out) {
     finalize();
     auto& e = entry<T>(d.id);
     const aligned_vector<idx_t>* inv =
         static_cast<std::size_t>(e.set) < inv_.size() && !inv_[e.set].empty() ? &inv_[e.set]
                                                                               : nullptr;
-    out.assign(static_cast<std::size_t>(spec_.sets[e.set].size) * e.dim, T{});
+    out.assign(static_cast<std::size_t>(spec_.sets[e.set].size) * N, T{});
     for (int r = 0; r < nranks_; ++r) {
       const LocalLayout& L = part_->layout(r, e.set);
       const Dat<T>& dat = e.rank[r];
       for (idx_t l = 0; l < L.nowned; ++l) {
         const idx_t g = L.local_to_global[l];
         const idx_t orig = inv ? (*inv)[static_cast<std::size_t>(g)] : g;
-        for (int c = 0; c < e.dim; ++c)
-          out[static_cast<std::size_t>(orig) * e.dim + c] = dat.at(l, c);
+        for (int c = 0; c < N; ++c) out[static_cast<std::size_t>(orig) * N + c] = dat.at(l, c);
       }
     }
-  }
-  template <class T, int N>
-  void fetch(FixedDatHandleT<T, N> d, aligned_vector<T>& out) {
-    fetch(DatHandle<T>{d.id}, out);
   }
 
  private:
   template <class Kernel, class... DArgs>
   friend class Loop;
-
-  /// Construction-time check that a compile-time descriptor Dim matches the
-  /// declared dat (the dist analog of opv::arg's check against dat.dim()).
-  template <int Dim, class T>
-  void check_dim(DatHandle<T> d) const {
-    OPV_REQUIRE(dats_[d.id]->dim == Dim, "arg: descriptor Dim " << Dim << " != dat '"
-                                                               << dats_[d.id]->name << "' dim "
-                                                               << dats_[d.id]->dim);
-  }
 
   // ---- dataset storage -----------------------------------------------------
 

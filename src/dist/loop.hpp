@@ -368,11 +368,13 @@ class Loop {
     rank_loops_.emplace_back(kernel, name_, ctx_->part_->set(r, set_),
                              bind_rank(r, dargs, std::get<Is>(pins_))...);
   }
+  /// The rank's opv::Arg over its replica (the DistArg was validated
+  /// against the declarations when it was built).
   template <class T, AccessMode A, int Dim, bool Ind>
   auto bind_rank(int r, const DistArgDat<T, A, Dim, Ind>& a, detail::NoPin&) {
     Dat<T>& d = ctx_->template entry<T>(a.dat).rank[static_cast<std::size_t>(r)];
-    if constexpr (Ind) return opv::arg<A, Dim>(d, a.idx, ctx_->part_->map(r, a.map));
-    else return opv::arg<A, Dim>(d);
+    if constexpr (Ind) return opv::Arg<T, A, Dim, true>{&d, &ctx_->part_->map(r, a.map), a.idx};
+    else return opv::Arg<T, A, Dim, false>{&d, nullptr, -1};
   }
   template <class T, AccessMode A>
   auto bind_rank(int r, const DistArgGbl<T, A>& a, detail::pin_t<DistArgGbl<T, A>>& g) {

@@ -64,6 +64,12 @@ void UnstructuredMesh::validate() const {
   OPV_REQUIRE(bedge_bound.size() == static_cast<std::size_t>(nbedges),
               "bedge_bound size mismatch");
 
+  for (idx_t n = 0; n < nnodes; ++n) {
+    const double* xy = &node_xy[static_cast<std::size_t>(n) * 2];
+    const double x = xy[0], y = xy[1];
+    OPV_REQUIRE(std::isfinite(x) && std::isfinite(y),
+                "node " << n << " has a non-finite coordinate (" << x << ", " << y << ")");
+  }
   check_range(cell_nodes, nnodes, "cell_nodes");
   check_range(edge_nodes, nnodes, "edge_nodes");
   check_range(edge_cells, ncells, "edge_cells");

@@ -99,6 +99,12 @@ void TetMesh::validate() const {
   OPV_REQUIRE(bface_bound.size() == static_cast<std::size_t>(nbfaces),
               "bface_bound size mismatch");
 
+  for (idx_t n = 0; n < nnodes; ++n) {
+    const double* x = &node_xyz[static_cast<std::size_t>(n) * 3];
+    OPV_REQUIRE(std::isfinite(x[0]) && std::isfinite(x[1]) && std::isfinite(x[2]),
+                "node " << n << " has a non-finite coordinate (" << x[0] << ", " << x[1] << ", "
+                        << x[2] << ")");
+  }
   check_range(cell_nodes, nnodes, "cell_nodes");
   check_range(face_nodes, nnodes, "face_nodes");
   check_range(face_cells, ncells, "face_cells");

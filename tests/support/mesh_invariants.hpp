@@ -149,10 +149,10 @@ void check_fetch_roundtrip(Ctx& ctx, const mesh::UnstructuredMesh& m) {
   ctx.decl_map("pcell", cells, nodes, m.nodes_per_cell, m.cell_nodes);
   ctx.decl_map("pecell", edges, cells, 2, m.edge_cells);
   ctx.decl_map("pbecell", bedges, cells, 1, m.bedge_cell);
-  const auto oc = ctx.template decl_dat<idx_t>("orig_cell", cells, 1, iota_ids(m.ncells));
-  const auto oe = ctx.template decl_dat<idx_t>("orig_edge", edges, 1, iota_ids(m.nedges));
-  const auto on = ctx.template decl_dat<idx_t>("orig_node", nodes, 1, iota_ids(m.nnodes));
-  const auto ob = ctx.template decl_dat<idx_t>("orig_bedge", bedges, 1, iota_ids(m.nbedges));
+  const auto oc = ctx.template decl_dat<idx_t, 1>("orig_cell", cells, iota_ids(m.ncells));
+  const auto oe = ctx.template decl_dat<idx_t, 1>("orig_edge", edges, iota_ids(m.nedges));
+  const auto on = ctx.template decl_dat<idx_t, 1>("orig_node", nodes, iota_ids(m.nnodes));
+  const auto ob = ctx.template decl_dat<idx_t, 1>("orig_bedge", bedges, iota_ids(m.nbedges));
   ctx.finalize();
   expect_identity_fetch(ctx, oc, m.ncells, "cells");
   expect_identity_fetch(ctx, oe, m.nedges, "edges");
@@ -177,10 +177,10 @@ void check_fetch_roundtrip_tet(Ctx& ctx, const mesh::TetMesh& m) {
   ctx.decl_map("pcell", cells, nodes, 4, m.cell_nodes);
   ctx.decl_map("pfcell", faces, cells, 2, m.face_cells);
   ctx.decl_map("pbfcell", bfaces, cells, 1, m.bface_cell);
-  const auto oc = ctx.template decl_dat<idx_t>("orig_cell", cells, 1, iota_ids(m.ncells));
-  const auto of = ctx.template decl_dat<idx_t>("orig_face", faces, 1, iota_ids(m.nfaces));
-  const auto on = ctx.template decl_dat<idx_t>("orig_node", nodes, 1, iota_ids(m.nnodes));
-  const auto ob = ctx.template decl_dat<idx_t>("orig_bface", bfaces, 1, iota_ids(m.nbfaces));
+  const auto oc = ctx.template decl_dat<idx_t, 1>("orig_cell", cells, iota_ids(m.ncells));
+  const auto of = ctx.template decl_dat<idx_t, 1>("orig_face", faces, iota_ids(m.nfaces));
+  const auto on = ctx.template decl_dat<idx_t, 1>("orig_node", nodes, iota_ids(m.nnodes));
+  const auto ob = ctx.template decl_dat<idx_t, 1>("orig_bface", bfaces, iota_ids(m.nbfaces));
   ctx.finalize();
   expect_identity_fetch(ctx, oc, m.ncells, "cells");
   expect_identity_fetch(ctx, of, m.nfaces, "faces");

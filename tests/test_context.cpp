@@ -1,7 +1,13 @@
 // Context-layer tests: the LocalCtx/DistCtx API contract that the
 // application drivers are written against (declaration ordering, zero-init
-// dats, fetch semantics, handle stability, config plumbing).
+// dats, fetch semantics, handle stability, config plumbing) and the one
+// lifecycle both contexts share: declarations until finalize(), which the
+// first loop performs implicitly.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <numeric>
+#include <type_traits>
 
 #include "apps/airfoil/airfoil.hpp"
 #include "core/context.hpp"
@@ -15,7 +21,7 @@ using namespace opv;
 TEST(LocalCtx, DeclZeroInitializedDat) {
   LocalCtx ctx;
   auto s = ctx.decl_set("s", 10);
-  auto d = ctx.decl_dat<double>("d", s, 3);
+  auto d = ctx.decl_dat<double, 3>("d", s);
   for (idx_t e = 0; e < 10; ++e)
     for (int c = 0; c < 3; ++c) EXPECT_EQ(d->at(e, c), 0.0);
 }
@@ -24,7 +30,7 @@ TEST(LocalCtx, FetchReturnsOwnedValues) {
   LocalCtx ctx;
   auto s = ctx.decl_set("s", 5);
   aligned_vector<float> init = {1, 2, 3, 4, 5};
-  auto d = ctx.decl_dat<float>("d", s, 1, init);
+  auto d = ctx.decl_dat<float, 1>("d", s, init);
   aligned_vector<float> out;
   ctx.fetch(d, out);
   EXPECT_EQ(out, init);
@@ -34,10 +40,10 @@ TEST(LocalCtx, HandlesStayValidAcrossManyDecls) {
   // deque storage must not invalidate earlier handles on growth.
   LocalCtx ctx;
   auto s = ctx.decl_set("s", 4);
-  auto first = ctx.decl_dat<double>("first", s, 1);
-  std::vector<LocalCtx::DatHandle<double>> handles;
+  auto first = ctx.decl_dat<double, 1>("first", s);
+  std::vector<LocalCtx::FixedDatHandle<double, 1>> handles;
   for (int i = 0; i < 100; ++i)
-    handles.push_back(ctx.decl_dat<double>("d" + std::to_string(i), s, 1));
+    handles.push_back(ctx.decl_dat<double, 1>("d" + std::to_string(i), s));
   first->fill(7.0);
   EXPECT_EQ(first->at(2), 7.0);
   handles[50]->fill(3.0);
@@ -56,16 +62,6 @@ TEST(DistCtx, RequiresPartitionCoords) {
   dist::DistCtx ctx(2, ExecConfig{.backend = Backend::Seq, .nthreads = 1});
   ctx.decl_set("cells", 10);
   EXPECT_THROW(ctx.finalize(), Error);
-}
-
-TEST(DistCtx, DeclAfterFinalizeThrows) {
-  auto m = mesh::make_quad_box(4, 4);
-  const auto cent = airfoil::cell_centroids(m);
-  dist::DistCtx ctx(2, ExecConfig{.backend = Backend::Seq, .nthreads = 1});
-  auto cells = ctx.decl_set("cells", m.ncells);
-  ctx.set_partition_coords(cells, cent.data());
-  ctx.finalize();
-  EXPECT_THROW(ctx.decl_set("more", 5), Error);
 }
 
 TEST(DistCtx, FinalizeIsIdempotentAndImplicit) {
@@ -99,6 +95,124 @@ TEST(DistCtx, PartitionedExposesLayouts) {
   idx_t owned_total = 0;
   for (int r = 0; r < 4; ++r) owned_total += part.layout(r, 0).nowned;
   EXPECT_EQ(owned_total, m.ncells);
+}
+
+// ===== one lifecycle contract, typed over both contexts =====================
+
+template <class Ctx>
+std::unique_ptr<Ctx> make_ctx() {
+  const ExecConfig cfg{.backend = Backend::Seq, .nthreads = 1};
+  if constexpr (std::is_same_v<Ctx, LocalCtx>) return std::make_unique<LocalCtx>(cfg);
+  else return std::make_unique<Ctx>(2, cfg);
+}
+
+struct Double {
+  template <class T>
+  void operator()(T* x) const {
+    x[0] *= T(2);
+  }
+};
+
+struct CountDegree {
+  template <class T>
+  void operator()(T* a, T* b) const {
+    a[0] += T(1);
+    b[0] += T(1);
+  }
+};
+
+template <class Ctx>
+class ContextLifecycle : public ::testing::Test {
+ protected:
+  /// Declare cells (the primary set) and edges, the edge->cell map, a cell
+  /// dat holding each cell's declaration id and a zeroed degree counter,
+  /// with renumbering requested — nothing finalized yet.
+  void declare() {
+    ctx = make_ctx<Ctx>();
+    cells = ctx->decl_set("cells", m.ncells);
+    edges = ctx->decl_set("edges", m.nedges);
+    ctx->set_partition_coords(cells, centroids.data());
+    e2c = ctx->decl_map("e2c", edges, cells, 2, m.edge_cells);
+    aligned_vector<double> ids(static_cast<std::size_t>(m.ncells));
+    std::iota(ids.begin(), ids.end(), 0.0);
+    id = ctx->template decl_dat<double, 1>("id", cells, ids);
+    deg = ctx->template decl_dat<double, 1>("deg", cells);
+    ctx->set_renumber(true);
+  }
+
+  mesh::UnstructuredMesh m = [] {
+    auto mesh = mesh::make_airfoil_omesh(24, 8);
+    mesh::shuffle_edges(mesh, 7);
+    return mesh;
+  }();
+  aligned_vector<double> centroids = airfoil::cell_centroids(m);
+  std::unique_ptr<Ctx> ctx;
+  typename Ctx::SetHandle cells{}, edges{};
+  typename Ctx::MapHandle e2c{};
+  typename Ctx::template FixedDatHandle<double, 1> id{}, deg{};
+};
+
+struct ContextName {
+  template <class Ctx>
+  static std::string GetName(int) {
+    return std::is_same_v<Ctx, LocalCtx> ? "Local" : "Dist";
+  }
+};
+using Contexts = ::testing::Types<LocalCtx, dist::DistCtx>;
+TYPED_TEST_SUITE(ContextLifecycle, Contexts, ContextName);
+
+TYPED_TEST(ContextLifecycle, FirstLoopFinalizesAndRenumbers) {
+  this->declare();
+  auto& ctx = *this->ctx;
+  auto count = ctx.make_loop(CountDegree{}, "lc_degree", this->edges,
+                             ctx.template arg<opv::INC>(this->deg, 0, this->e2c),
+                             ctx.template arg<opv::INC>(this->deg, 1, this->e2c));
+  count.run();
+  ASSERT_NE(ctx.permutation(this->cells), nullptr) << "no finalize() call, yet renumbered";
+
+  aligned_vector<double> id, deg;
+  ctx.fetch(this->id, id);
+  ctx.fetch(this->deg, deg);
+  std::vector<double> want(static_cast<std::size_t>(this->m.ncells), 0.0);
+  for (idx_t c : this->m.edge_cells) want[static_cast<std::size_t>(c)] += 1.0;
+  for (idx_t c = 0; c < this->m.ncells; ++c) {
+    const auto i = static_cast<std::size_t>(c);
+    ASSERT_EQ(id[i], static_cast<double>(c)) << "fetch is in declaration order";
+    ASSERT_EQ(deg[i], want[i]) << "cell " << c;
+  }
+}
+
+TYPED_TEST(ContextLifecycle, DeclarationsCloseAtTheFirstLoop) {
+  for (const bool one_shot : {false, true}) {
+    SCOPED_TRACE(one_shot ? "one-shot loop" : "make_loop");
+    this->declare();
+    auto& ctx = *this->ctx;
+    if (one_shot) ctx.loop(Double{}, "lc_once", this->cells, ctx.template arg<opv::RW>(this->id));
+    else (void)ctx.make_loop(Double{}, "lc_handle", this->cells,
+                             ctx.template arg<opv::RW>(this->id));
+    EXPECT_THROW(ctx.decl_set("late", 4), Error);
+    EXPECT_THROW(ctx.decl_map("late", this->edges, this->cells, 2, this->m.edge_cells), Error);
+    EXPECT_THROW((ctx.template decl_dat<double, 1>("late", this->cells)), Error);
+    EXPECT_THROW(ctx.set_partition_coords(this->cells, this->centroids.data()), Error);
+    EXPECT_THROW(ctx.set_layout(this->id, Layout::SoA), Error);
+    EXPECT_THROW(ctx.set_default_layout(Layout::SoA), Error);
+    EXPECT_THROW(ctx.set_renumber(false), Error);
+  }
+}
+
+TYPED_TEST(ContextLifecycle, FinalizeIsIdempotent) {
+  this->declare();
+  auto& ctx = *this->ctx;
+  ctx.finalize();
+  const auto perms = ctx.applied_permutations();
+  ASSERT_FALSE(perms.empty());
+  ctx.finalize();
+  ctx.loop(Double{}, "lc_after", this->cells, ctx.template arg<opv::RW>(this->id));
+  EXPECT_EQ(ctx.applied_permutations(), perms) << "renumbered once, not again";
+  aligned_vector<double> id;
+  ctx.fetch(this->id, id);
+  for (idx_t c = 0; c < this->m.ncells; ++c)
+    ASSERT_EQ(id[static_cast<std::size_t>(c)], 2.0 * static_cast<double>(c));
 }
 
 // The same app driver source must compile and agree across both contexts —

@@ -392,7 +392,7 @@ TEST(DistCtx, FetchReturnsGlobalOrder) {
   // secondary sets; cells is primary so a self-contained universe is fine.
   aligned_vector<double> init(m.ncells);
   for (idx_t c = 0; c < m.ncells; ++c) init[c] = 1000.0 + c;
-  auto q = dc.decl_dat<double>("q", cells, 1, init);
+  auto q = dc.decl_dat<double, 1>("q", cells, init);
   dc.finalize();
   aligned_vector<double> out;
   dc.fetch(q, out);

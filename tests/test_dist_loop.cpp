@@ -64,28 +64,18 @@ static_assert(!dist::Loop<int, DistArgDat<double, opv::READ, 1, true>,
 static_assert(std::is_same_v<dist::detail::rank_arg_t<DistArgDat<double, opv::INC, 4, true>>,
                              opv::Arg<double, opv::INC, 4, true>>);
 template <int Dim>
-concept DistDimOk =
-    requires(DistCtx& c, DistCtx::DatHandle<double> d) { c.arg<opv::READ, Dim>(d); };
-static_assert(DistDimOk<1> && DistDimOk<kMaxDim>);
-static_assert(!DistDimOk<0>, "Dim 0 (no compile-time arity) must not compile");
-static_assert(!DistDimOk<-2> && !DistDimOk<kMaxDim + 1>, "Dim bounded by [1,kMaxDim]");
-template <int Dim>
 concept DistArgTypeOk = requires { typename DistArgDat<double, opv::READ, Dim, false>; };
 static_assert(DistArgTypeOk<1> && !DistArgTypeOk<0> && !DistArgTypeOk<kMaxDim + 1>);
 
-// A Dim-less spelling compiles only on a FixedDatHandle, which supplies the
-// arity; a plain DatHandle needs the explicit Dim.
-template <class H>
-concept DistDimlessOk = requires(DistCtx& c, H d, DistCtx::MapHandle m) {
-  c.arg<opv::READ>(d);
-  c.arg<opv::READ>(d, 0, m);
-};
-static_assert(DistDimlessOk<DistCtx::FixedDatHandle<double, 3>>);
-static_assert(!DistDimlessOk<DistCtx::DatHandle<double>>, "a plain handle needs a Dim");
+// The handle's N is the descriptor Dim; no explicit-Dim spelling compiles.
+template <int Dim, class H>
+concept DistExplicitDimOk = requires(DistCtx& c, H d, DistCtx::MapHandle m) {
+  c.arg<opv::READ, Dim>(d);
+} || requires(DistCtx& c, H d, DistCtx::MapHandle m) { c.arg<opv::READ, Dim>(d, 0, m); };
+static_assert(!DistExplicitDimOk<3, DistCtx::FixedDatHandle<double, 3>>);
 static_assert(std::is_same_v<decltype(std::declval<DistCtx&>().arg<opv::INC>(
                                  std::declval<DistCtx::FixedDatHandle<double, 3>>(), 0, 0)),
-                             decltype(std::declval<DistCtx&>().arg<opv::INC, 3>(
-                                 std::declval<DistCtx::DatHandle<double>>(), 0, 0))>);
+                             DistArgDat<double, opv::INC, 3, true>>);
 
 // ---- fixture: airfoil-style edge/cell pipeline ------------------------------
 
@@ -305,20 +295,6 @@ TEST(DistLoop, RecordsRankImbalance) {
       perf::loop_stats_table(StatsRegistry::instance().all()).to_string();
   EXPECT_NE(table.find("max/mean imb"), std::string::npos);
   EXPECT_NE(table.find("imb_edge"), std::string::npos);
-}
-
-// ---- compile-time Dim through the dist layer --------------------------------
-
-/// A compile-time descriptor Dim contradicting the declared dat throws at
-/// descriptor construction (the dist analog of opv::arg's runtime check).
-TEST(DistLoop, DimMismatchThrowsAtConstruction) {
-  Universe u(2, ExecConfig{.backend = Backend::Seq, .nthreads = 1});
-  // Plain handles to the same dats: the arity is a runtime property there.
-  const DistCtx::DatHandle<double> x{u.x.id}, q{u.q.id};
-  EXPECT_THROW((u.ctx.arg<opv::READ, 3>(x, 0, u.e2n)), Error);  // x has dim 2
-  EXPECT_THROW((u.ctx.arg<opv::RW, 4>(q)), Error);              // q has dim 1
-  EXPECT_NO_THROW((u.ctx.arg<opv::READ, 2>(x, 0, u.e2n)));
-  EXPECT_NO_THROW((u.ctx.arg<opv::RW, 1>(q)));
 }
 
 // ---- phased execution: the interior is the core range -----------------------

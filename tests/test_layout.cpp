@@ -13,8 +13,8 @@
 //     the halo exchange honors SoA strides: a DistCtx run under SoA is
 //     bitwise identical to the AoS run across every exchange mode and both
 //     exchanger implementations;
-//  4. lifecycle — layout requests after finalize (or the first tracked loop
-//     execution) throw instead of silently never applying;
+//  4. lifecycle — layout requests after finalize (explicit, or implicit in
+//     the first loop) throw instead of silently never applying;
 //  5. 3D partitioning — partition_rcb with ndims == 3 bisects the true 3D
 //     bounding box (a z-elongated mesh splits into z bands, which an xy
 //     projection could never produce).
@@ -177,13 +177,14 @@ TEST(LocalLayout, FetchRoundTripsDeclarationOrder) {
   for (std::size_t i = 0; i < cv.size(); ++i) cv[i] = 0.5 + static_cast<double>(i);
   aligned_vector<float> ev(static_cast<std::size_t>(m.nedges) * 2);
   for (std::size_t i = 0; i < ev.size(); ++i) ev[i] = 0.25f + static_cast<float>(i);
-  auto cdat = ctx.decl_dat<double>("cdat", cells, 3, cv);
-  auto edat = ctx.decl_dat<float>("edat", edges, 2, ev);
+  auto cdat = ctx.decl_dat<double, 3>("cdat", cells, cv);
+  auto edat = ctx.decl_dat<float, 2>("edat", edges, ev);
   ctx.set_layout(cdat, Layout::SoA);
   ctx.set_layout(edat, Layout::SoA);
 
-  ctx.renumber(cells);  // permutes AoS rows first...
-  ctx.finalize();       // ...then materializes the physical relayout
+  ctx.set_partition_coords(cells, nullptr);
+  ctx.set_renumber(true);
+  ctx.finalize();  // permutes AoS rows first, then materializes the relayout
 
   EXPECT_EQ(cdat->layout(), Layout::SoA);
   EXPECT_EQ(edat->layout(), Layout::SoA);
@@ -209,9 +210,9 @@ TEST(LocalLayout, FetchRoundTripsDeclarationOrder) {
 TEST(LocalLayout, DefaultSkipsScalarAndExplicitDats) {
   LocalCtx ctx;
   auto cells = ctx.decl_set("cells", 24);
-  auto scalar = ctx.decl_dat<double>("scalar", cells, 1);
-  auto vec = ctx.decl_dat<double>("vec", cells, 4);
-  auto pinned = ctx.decl_dat<double>("pinned", cells, 4);
+  auto scalar = ctx.decl_dat<double, 1>("scalar", cells);
+  auto vec = ctx.decl_dat<double, 4>("vec", cells);
+  auto pinned = ctx.decl_dat<double, 4>("pinned", cells);
   ctx.set_layout(pinned, Layout::AoS);
   ctx.set_default_layout(Layout::SoA);
   ctx.finalize();
@@ -220,7 +221,7 @@ TEST(LocalLayout, DefaultSkipsScalarAndExplicitDats) {
   EXPECT_EQ(pinned->layout(), Layout::AoS) << "explicit request beats the default";
 }
 
-// ===== lifecycle: layout requests freeze at finalize / first run ============
+// ===== lifecycle: layout requests close at finalize / the first loop ========
 
 struct SetOneKernel {
   template <class T>
@@ -232,7 +233,7 @@ struct SetOneKernel {
 TEST(LocalLayout, RequestsThrowAfterFinalize) {
   LocalCtx ctx;
   auto cells = ctx.decl_set("cells", 8);
-  auto d = ctx.decl_dat<double>("d", cells, 2);
+  auto d = ctx.decl_dat<double, 2>("d", cells);
   ctx.finalize();
   EXPECT_THROW(ctx.set_layout(d, Layout::SoA), Error);
   EXPECT_THROW(ctx.set_default_layout(Layout::SoA), Error);
@@ -243,8 +244,8 @@ TEST(LocalLayout, RequestsThrowAfterFirstLoopRan) {
   // underneath a pinned plan would corrupt every subsequent gather.
   LocalCtx ctx;
   auto cells = ctx.decl_set("cells", 8);
-  auto d = ctx.decl_dat<double>("d", cells, 2);
-  ctx.loop(SetOneKernel{}, "set_one", cells, ctx.arg<opv::WRITE, 2>(d));
+  auto d = ctx.decl_dat<double, 2>("d", cells);
+  ctx.loop(SetOneKernel{}, "set_one", cells, ctx.arg<opv::WRITE>(d));
   EXPECT_THROW(ctx.set_layout(d, Layout::SoA), Error);
   EXPECT_THROW(ctx.set_default_layout(Layout::SoA), Error);
 }
@@ -257,7 +258,7 @@ TEST(DistLayout, RequestsThrowAfterFinalize) {
   auto edges = ctx.decl_set("edges", m.nedges);
   ctx.set_partition_coords(cells, centroids.data());
   ctx.decl_map("pecell", edges, cells, 2, m.edge_cells);
-  auto d = ctx.decl_dat<double>("d", cells, 2);
+  auto d = ctx.decl_dat<double, 2>("d", cells);
   ctx.finalize();
   EXPECT_THROW(ctx.set_layout(d, Layout::SoA), Error);
   EXPECT_THROW(ctx.set_default_layout(Layout::SoA), Error);

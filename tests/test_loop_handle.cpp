@@ -1,6 +1,6 @@
 // Tests for the typed-argument API and the reusable Loop handle:
 // compile-time rejection of invalid access/argument combinations and of
-// Dim/dat mismatches, Loop::run() equivalence with one-shot par_loop across
+// any Dim not taken from a FixedDat, Loop::run() equivalence with one-shot par_loop across
 // backends, plan pinning (pointer stability across runs), the one-thread
 // plan-free TwoLevel rule, stats accumulation through the pre-bound slot,
 // and range (Slice) execution.
@@ -44,45 +44,46 @@ static_assert(GblArgOk<opv::READ> && GblArgOk<opv::INC> && GblArgOk<opv::MIN> &&
 static_assert(!GblArgOk<opv::WRITE>, "globals cannot be element-wise written");
 static_assert(!GblArgOk<opv::RW>, "globals cannot be read-modify-written");
 
-// ---- compile-time Dim validation -------------------------------------------
-// Every descriptor carries a compile-time Dim in [1,kMaxDim]. A Dim outside
-// it, a Dim contradicting a statically-dimensioned dat, and a Dim-less
-// spelling with no FixedDat to supply one must all fail to COMPILE.
+// ---- compile-time Dim: the FixedDat's arity ---------------------------------
+// A dataset descriptor takes its compile-time Dim from the FixedDat<T, N> it
+// binds. A plain Dat (no compile-time arity) cannot be bound, and no
+// explicit-Dim spelling compiles — not even one agreeing with N — on the
+// free builders or on either context.
 
-template <int Dim, class D = Dat<double>>
-concept DimArgOk = requires(D& d) { opv::arg<opv::READ, Dim>(d); };
-static_assert(DimArgOk<1> && DimArgOk<4> && DimArgOk<kMaxDim>);
-static_assert(!DimArgOk<0>, "Dim 0 (no compile-time arity) must not compile");
-static_assert(!DimArgOk<-1> && !DimArgOk<kMaxDim + 1>, "Dim bounded by [1,kMaxDim]");
-static_assert(DimArgOk<4, FixedDat<double, 4>>, "matching explicit Dim is fine");
-static_assert(!DimArgOk<3, FixedDat<double, 4>>,
-              "Dim mismatching the dat's static arity must not compile");
-static_assert(!DimArgOk<1, FixedDat<double, 4>>);
-
-template <int Dim>
-concept ArgTypeOk = requires { typename Arg<double, opv::READ, Dim, false>; };
-static_assert(ArgTypeOk<1> && ArgTypeOk<kMaxDim>);
-static_assert(!ArgTypeOk<0> && !ArgTypeOk<kMaxDim + 1>, "Arg accepts only Dim in [1,kMaxDim]");
-
-// A Dim-less spelling compiles only where a FixedDat supplies the arity...
 template <class D>
 concept DimlessArgOk = requires(D& d, const Map& m) {
   opv::arg<opv::READ>(d);
   opv::arg<opv::READ>(d, 0, m);
 };
 static_assert(DimlessArgOk<FixedDat<double, 3>>);
-static_assert(!DimlessArgOk<Dat<double>>, "a plain Dat needs an explicit Dim");
+static_assert(!DimlessArgOk<Dat<double>>, "a plain Dat has no compile-time arity");
 
-// ...and a FixedDat deduces exactly the explicit-Dim descriptor type.
+template <int Dim, class D>
+concept ExplicitDimArgOk = requires(D& d, const Map& m) { opv::arg<opv::READ, Dim>(d); } ||
+                           requires(D& d, const Map& m) { opv::arg<opv::READ, Dim>(d, 0, m); };
+static_assert(!ExplicitDimArgOk<4, FixedDat<double, 4>>, "no explicit Dim, even a matching one");
+static_assert(!ExplicitDimArgOk<3, FixedDat<double, 4>> && !ExplicitDimArgOk<4, Dat<double>>);
+
+template <int Dim, class H>
+concept CtxExplicitDimArgOk = requires(LocalCtx& c, H d, LocalCtx::MapHandle m) {
+  c.arg<opv::READ, Dim>(d);
+} || requires(LocalCtx& c, H d, LocalCtx::MapHandle m) { c.arg<opv::READ, Dim>(d, 0, m); };
+static_assert(!CtxExplicitDimArgOk<2, LocalCtx::FixedDatHandle<double, 2>>);
+
+template <int Dim>
+concept ArgTypeOk = requires { typename Arg<double, opv::READ, Dim, false>; };
+static_assert(ArgTypeOk<1> && ArgTypeOk<kMaxDim>);
+static_assert(!ArgTypeOk<0> && !ArgTypeOk<kMaxDim + 1>, "Arg accepts only Dim in [1,kMaxDim]");
+
 static_assert(std::is_same_v<decltype(opv::arg<opv::READ>(std::declval<FixedDat<double, 4>&>())),
-                             decltype(opv::arg<opv::READ, 4>(std::declval<Dat<double>&>()))>);
+                             Arg<double, opv::READ, 4, false>>);
 static_assert(
     std::is_same_v<decltype(opv::arg<opv::INC>(std::declval<FixedDat<double, 2>&>(), 0,
                                                std::declval<const Map&>())),
-                   decltype(opv::arg<opv::INC, 2>(std::declval<Dat<double>&>(), 0,
-                                                  std::declval<const Map&>()))>);
-static_assert(std::is_same_v<decltype(opv::arg<opv::READ>(std::declval<FixedDat<double, 4>&>())),
-                             Arg<double, opv::READ, 4, false>>);
+                   Arg<double, opv::INC, 2, true>>);
+static_assert(std::is_same_v<decltype(std::declval<LocalCtx&>().arg<opv::RW>(
+                                 std::declval<LocalCtx::FixedDatHandle<float, 3>>())),
+                             Arg<float, opv::RW, 3, false>>);
 
 // ---- compile-time conflict classification ----------------------------------
 
@@ -282,11 +283,6 @@ TEST(LoopHandle, RuntimeValidationStillThrows) {
   EXPECT_THROW(arg<opv::READ>(f.w, 0, f.e2c), Error);   // dat not on target set
   EXPECT_THROW(arg_gbl<opv::INC>(&f.gsum, 0), Error);   // dim < 1
   EXPECT_THROW(arg_gbl<opv::INC>(&f.gsum, 9), Error);   // dim > 8
-  // Descriptor Dim vs a runtime-dimensioned dat is checked at construction.
-  Dat<double> q("q", f.cells, 1);
-  EXPECT_THROW((arg<opv::READ, 2>(q)), Error);  // q has dim 1
-  EXPECT_THROW((arg<opv::READ, 3>(q, 0, f.e2c)), Error);
-  EXPECT_NO_THROW((arg<opv::READ, 1>(q)));
 }
 
 // ---- range (Slice) execution ----------------------------------------------

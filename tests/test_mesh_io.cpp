@@ -18,6 +18,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -340,6 +341,40 @@ TEST(OpvtRobust, TruncationAndBadMagic) {
   EXPECT_NO_THROW(read_tet_mesh(good));
 }
 
+// Binary containers carry raw doubles, so a non-finite coordinate reaches
+// the reader unless validate() looks at every node.
+TEST(OpvmRobust, NonFiniteNodeCoordinateRejected) {
+  UnstructuredMesh m = make_quad_box(4, 3);
+  m.node_xy[3] = std::numeric_limits<double>::quiet_NaN();  // node 1, y
+  const std::string path = tmp_path("opv_nonfinite.opvm");
+  write_mesh(m, path);
+  try {
+    read_mesh(path);
+    FAIL() << "expected opv::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("node 1 has a non-finite coordinate"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(OpvtRobust, NonFiniteNodeCoordinateRejected) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    TetMesh m = make_tet_box(1, 1, 2);
+    m.node_xyz[3 * 2 + 2] = bad;  // node 2, z
+    const std::string path = tmp_path("opv_nonfinite.opvt");
+    write_tet_mesh(m, path);
+    try {
+      read_tet_mesh(path);
+      FAIL() << "expected opv::Error for " << bad;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("node 2 has a non-finite coordinate"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ===== malformed corpus + mini-fuzz =========================================
 
 TEST(MshMalformed, EveryCorpusFileThrowsOpvError) {
@@ -445,23 +480,22 @@ std::pair<aligned_vector<double>, double> run_diffusion(Ctx& ctx, const Unstruct
   }
   ctx.set_partition_coords(cells, cent.data());
   const auto e2c = ctx.decl_map("e2c", edges, cells, 2, m.edge_cells);
-  const auto u = ctx.template decl_dat<double>("u", cells, 1, u0);
-  const auto r = ctx.template decl_dat<double>("r", cells, 1);
+  const auto u = ctx.template decl_dat<double, 1>("u", cells, u0);
+  const auto r = ctx.template decl_dat<double, 1>("r", cells);
   ctx.finalize();
 
   double s = 0.0;
   auto ed = ctx.make_loop(EdgeDiff{}, "mio_edge_diff", edges,
-                          ctx.template arg<opv::READ, 1>(u, 0, e2c),
-                          ctx.template arg<opv::READ, 1>(u, 1, e2c),
-                          ctx.template arg<opv::INC, 1>(r, 0, e2c),
-                          ctx.template arg<opv::INC, 1>(r, 1, e2c));
-  auto up = ctx.make_loop(CellUpd{}, "mio_cell_upd", cells, ctx.template arg<opv::RW, 1>(u),
-                          ctx.template arg<opv::RW, 1>(r),
+                          ctx.template arg<opv::READ>(u, 0, e2c),
+                          ctx.template arg<opv::READ>(u, 1, e2c),
+                          ctx.template arg<opv::INC>(r, 0, e2c),
+                          ctx.template arg<opv::INC>(r, 1, e2c));
+  auto up = ctx.make_loop(CellUpd{}, "mio_cell_upd", cells, ctx.template arg<opv::RW>(u),
+                          ctx.template arg<opv::RW>(r),
                           ctx.template arg_gbl<opv::INC>(&s, 1));
-  if constexpr (requires { ed.inner(); ctx.config(); ctx.note_loops_ran(); }) {
+  if constexpr (requires(LoopChain& c) { c.add(ed); }) {
     if (chain) {
-      ctx.note_loops_ran();
-      LoopChain step("mio_step", ed.inner(), up.inner());
+      LoopChain step("mio_step", ed, up);
       for (int it = 0; it < 6; ++it) {
         s = 0.0;
         step.run(ctx.config());

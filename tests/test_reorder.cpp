@@ -45,12 +45,6 @@ class ManualRelayoutCtx {
  public:
   using SetHandle = typename Inner::SetHandle;
   using MapHandle = typename Inner::MapHandle;
-  template <class T>
-  struct DatHandle {
-    typename Inner::template DatHandle<T> inner{};
-    const aligned_vector<idx_t>* perm = nullptr;  ///< old->new of the dat's set
-    idx_t set_size = 0;
-  };
   template <class T, int N>
   struct FixedDatHandle {
     typename Inner::template FixedDatHandle<T, N> inner{};
@@ -60,6 +54,8 @@ class ManualRelayoutCtx {
 
   ManualRelayoutCtx(Inner& inner, std::map<std::string, aligned_vector<idx_t>> perms)
       : inner_(&inner), perms_(std::move(perms)) {}
+
+  ExecConfig& config() { return inner_->config(); }
 
   SetHandle decl_set(const std::string& name, idx_t size) {
     const SetHandle h = inner_->decl_set(name, size);
@@ -87,46 +83,24 @@ class ManualRelayoutCtx {
     return inner_->decl_map(name, from, to, dim, std::move(data));
   }
 
-  template <class T>
-  DatHandle<T> decl_dat(const std::string& name, SetHandle set, int dim,
-                        aligned_vector<T> init) {
-    if (const auto* p = set_perm_.at(set)) reorder::permute_rows(*p, init.data(), dim);
-    return {inner_->template decl_dat<T>(name, set, dim, init), set_perm_.at(set),
-            set_size_.at(set)};
-  }
-  template <class T>
-  DatHandle<T> decl_dat(const std::string& name, SetHandle set, int dim) {
-    return {inner_->template decl_dat<T>(name, set, dim), set_perm_.at(set), set_size_.at(set)};
-  }
-
   template <class T, int N>
-  FixedDatHandle<T, N> decl_dat(const std::string& name, SetHandle set, aligned_vector<T> init) {
-    if (const auto* p = set_perm_.at(set)) reorder::permute_rows(*p, init.data(), N);
+  FixedDatHandle<T, N> decl_dat(const std::string& name, SetHandle set,
+                                aligned_vector<T> init = {}) {
+    if (const auto* p = set_perm_.at(set); p && !init.empty())
+      reorder::permute_rows(*p, init.data(), N);
     return {inner_->template decl_dat<T, N>(name, set, init), set_perm_.at(set),
             set_size_.at(set)};
-  }
-  template <class T, int N>
-  FixedDatHandle<T, N> decl_dat(const std::string& name, SetHandle set) {
-    return {inner_->template decl_dat<T, N>(name, set), set_perm_.at(set), set_size_.at(set)};
   }
 
   void finalize() { inner_->finalize(); }
 
-  template <AccessMode A, int Dim, class T>
-  auto arg(DatHandle<T> d, int idx, MapHandle m) {
-    return inner_->template arg<A, Dim>(d.inner, idx, m);
-  }
-  template <AccessMode A, int Dim, class T>
-  auto arg(DatHandle<T> d) {
-    return inner_->template arg<A, Dim>(d.inner);
-  }
   template <AccessMode A, class T, int N>
   auto arg(FixedDatHandle<T, N> d, int idx, MapHandle m) {
-    return inner_->template arg<A, N>(d.inner, idx, m);
+    return inner_->template arg<A>(d.inner, idx, m);
   }
   template <AccessMode A, class T, int N>
   auto arg(FixedDatHandle<T, N> d) {
-    return inner_->template arg<A, N>(d.inner);
+    return inner_->template arg<A>(d.inner);
   }
   template <AccessMode A, class T>
   auto arg_gbl(T* p, int dim) {
@@ -138,12 +112,6 @@ class ManualRelayoutCtx {
     return inner_->make_loop(std::move(k), name, set, args...);
   }
 
-  template <class T>
-  void fetch(DatHandle<T> d, aligned_vector<T>& out) {
-    aligned_vector<T> raw;
-    inner_->fetch(d.inner, raw);
-    unpermute(std::move(raw), d.perm, d.set_size, out);
-  }
   template <class T, int N>
   void fetch(FixedDatHandle<T, N> d, aligned_vector<T>& out) {
     aligned_vector<T> raw;
@@ -196,6 +164,14 @@ mesh::UnstructuredMesh volna_mesh() {
 
 // ===== validity: bijections and fetch round-trips ===========================
 
+/// Close the declarations and renumber around `cells` (LocalCtx takes the
+/// primary set from set_partition_coords and ignores the coordinates).
+void renumber_around(LocalCtx& ctx, LocalCtx::SetHandle cells) {
+  ctx.set_partition_coords(cells, nullptr);
+  ctx.set_renumber(true);
+  ctx.finalize();
+}
+
 TEST(ReorderCompute, PermutationsAreBijections) {
   auto m = airfoil_mesh();
   LocalCtx ctx;
@@ -207,7 +183,7 @@ TEST(ReorderCompute, PermutationsAreBijections) {
   ctx.decl_map("pecell", edges, cells, 2, m.edge_cells);
   ctx.decl_map("pcell", cells, nodes, 4, m.cell_nodes);
   ctx.decl_map("pbecell", bedges, cells, 1, m.bedge_cell);
-  ctx.renumber(cells);
+  renumber_around(ctx, cells);
 
   ASSERT_NE(ctx.permutation(cells), nullptr);
   ASSERT_NE(ctx.permutation(edges), nullptr);
@@ -224,7 +200,7 @@ TEST(ReorderCompute, EdgesSortLexicographicallyByRenumberedCells) {
   auto cells = ctx.decl_set("cells", m.ncells);
   auto edges = ctx.decl_set("edges", m.nedges);
   auto pecell = ctx.decl_map("pecell", edges, cells, 2, m.edge_cells);
-  ctx.renumber(cells);
+  renumber_around(ctx, cells);
   // After the pass, consecutive edges touch non-decreasing (min, max) cell
   // pairs — the generalization of sort_edges_by_cell the locality bench
   // showed matters.
@@ -248,10 +224,10 @@ TEST(LocalRenumber, FetchRoundTripsDeclarationOrder) {
   for (std::size_t i = 0; i < cv.size(); ++i) cv[i] = 0.5 + static_cast<double>(i);
   aligned_vector<float> ev(static_cast<std::size_t>(m.nedges) * 2);
   for (std::size_t i = 0; i < ev.size(); ++i) ev[i] = 0.25f + static_cast<float>(i);
-  auto cdat = ctx.decl_dat<double>("cdat", cells, 3, cv);
-  auto edat = ctx.decl_dat<float>("edat", edges, 2, ev);
+  auto cdat = ctx.decl_dat<double, 3>("cdat", cells, cv);
+  auto edat = ctx.decl_dat<float, 2>("edat", edges, ev);
 
-  ctx.renumber(cells);
+  renumber_around(ctx, cells);
 
   aligned_vector<double> cout;
   ctx.fetch(cdat, cout);
@@ -262,38 +238,6 @@ TEST(LocalRenumber, FetchRoundTripsDeclarationOrder) {
 
   // The internal layout really moved (the round-trip is not vacuous).
   EXPECT_NE(std::memcmp(cdat->data(), cv.data(), cv.size() * sizeof(double)), 0);
-}
-
-TEST(LocalRenumber, DeclarationsCloseAfterRenumber) {
-  auto m = mesh::make_quad_box(4, 3);
-  LocalCtx ctx;
-  auto cells = ctx.decl_set("cells", m.ncells);
-  auto edges = ctx.decl_set("edges", m.nedges);
-  ctx.decl_map("pecell", edges, cells, 2, m.edge_cells);
-  ctx.renumber(cells);
-  EXPECT_THROW(ctx.decl_set("late", 4), Error);
-  EXPECT_THROW(ctx.decl_dat<double>("late", cells, 1), Error);
-  EXPECT_THROW(ctx.renumber(cells), Error) << "renumber is single-shot";
-}
-
-struct SetOneKernel {
-  template <class T>
-  void operator()(T* x) const {
-    x[0] = T(1);
-  }
-};
-
-TEST(LocalRenumber, RejectedOnceALoopRan) {
-  // A loop handle pins its coloring plan against the map contents it first
-  // ran with; renumbering underneath it would leave a stale, racy schedule.
-  auto m = mesh::make_quad_box(4, 3);
-  LocalCtx ctx;
-  auto cells = ctx.decl_set("cells", m.ncells);
-  auto edges = ctx.decl_set("edges", m.nedges);
-  ctx.decl_map("pecell", edges, cells, 2, m.edge_cells);
-  auto d = ctx.decl_dat<double>("d", cells, 1);
-  ctx.loop(SetOneKernel{}, "set_one", cells, ctx.arg<opv::WRITE, 1>(d));
-  EXPECT_THROW(ctx.renumber(cells), Error);
 }
 
 TEST(LocalRenumber, OptInRequiresPrimarySet) {
@@ -316,8 +260,8 @@ TEST(DistRenumber, FetchRoundTripsDeclarationOrder) {
   for (std::size_t i = 0; i < cv.size(); ++i) cv[i] = 1.5 + static_cast<double>(i);
   aligned_vector<std::int32_t> ev(static_cast<std::size_t>(m.nedges));
   for (std::size_t i = 0; i < ev.size(); ++i) ev[i] = static_cast<std::int32_t>(7 * i + 1);
-  auto cdat = ctx.decl_dat<double>("cdat", cells, 2, cv);
-  auto edat = ctx.decl_dat<std::int32_t>("edat", edges, 1, ev);
+  auto cdat = ctx.decl_dat<double, 2>("cdat", cells, cv);
+  auto edat = ctx.decl_dat<std::int32_t, 1>("edat", edges, ev);
   ctx.finalize();
 
   ASSERT_NE(ctx.permutation(cells), nullptr);
