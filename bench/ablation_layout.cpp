@@ -1,6 +1,7 @@
-// Ablation: the per-dat memory layout policy (core/layout.hpp) — AoS vs SoA
-// on the paper's hardest indirect loop (Airfoil res_calc) and the 3D sibling
-// (Tet3D t3d_flux_calc).
+// Ablation: the context's memory layout (core/layout.hpp) — AoS vs SoA per
+// Airfoil and Tet3D step (the summed seconds of every loop), beside the
+// paper's hardest indirect loop (Airfoil res_calc) and its 3D sibling (Tet3D
+// t3d_flux_calc).
 //
 // The vectorized paths of sections 6.1-6.4 pay a strided-access tax on every
 // multi-component dat when storage is locked to AoS: a W-wide gather of
@@ -21,7 +22,9 @@
 // Each (app, backend, layout) cell is timed kSamples times, alternating AoS
 // and SoA runs so host drift hits both layouts alike; the table and the JSON
 // record the median and the min-max per cell, and the SoA-vs-AoS column and
-// the headline compare medians.
+// the headline compare medians. The headline is the per-step ratio on the
+// vector backends, where default_layout() picks SoA: a layout that loses
+// one loop can still win the step.
 //
 //   ./ablation_layout [--small|--large] [--iters=N] [--threads=N] [--json=FILE]
 
@@ -30,6 +33,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/tet3d/tet3d.hpp"
@@ -52,15 +56,23 @@ const std::vector<std::string>& tet3d_kernels() {
   return k;
 }
 
-double kernel_secs(const std::vector<KernelRow>& rows, const char* name) {
+/// One timed run: the headline loop's seconds over the run, and the summed
+/// seconds of every loop per step (in ms).
+struct Timing {
+  double loop_s = 0.0;
+  double step_ms = 0.0;
+};
+
+Timing timing(const std::vector<KernelRow>& rows, const char* loop, int steps) {
+  Timing t;
   for (const auto& r : rows)
-    if (r.name == name) return r.seconds;
-  return 0.0;
+    if (r.name == loop) t.loop_s = r.seconds;
+  t.step_ms = 1e3 * total_seconds(rows) / steps;
+  return t;
 }
 
-/// Airfoil under a layout policy (renumbered, warmup excluded).
-std::vector<KernelRow> run_airfoil_layout(const mesh::UnstructuredMesh& m, ExecConfig cfg,
-                                          int iters, Layout l) {
+/// Airfoil under a layout (renumbered, warmup excluded).
+Timing run_airfoil_layout(const mesh::UnstructuredMesh& m, ExecConfig cfg, int iters, Layout l) {
   LocalCtx ctx(cfg);
   ctx.set_renumber(true);
   ctx.set_default_layout(l);
@@ -68,12 +80,11 @@ std::vector<KernelRow> run_airfoil_layout(const mesh::UnstructuredMesh& m, ExecC
   app.run(1, 0);  // warmup
   clear_stats();
   app.run(iters, 0);
-  return collect_rows(airfoil_kernels(), sizeof(double));
+  return timing(collect_rows(airfoil_kernels(), sizeof(double)), "res_calc", iters);
 }
 
-/// Tet3D under a layout policy (renumbered, warmup excluded).
-std::vector<KernelRow> run_tet3d_layout(const mesh::TetMesh& m, ExecConfig cfg, int steps,
-                                        Layout l) {
+/// Tet3D under a layout (renumbered, warmup excluded).
+Timing run_tet3d_layout(const mesh::TetMesh& m, ExecConfig cfg, int steps, Layout l) {
   LocalCtx ctx(cfg);
   ctx.set_renumber(true);
   ctx.set_default_layout(l);
@@ -81,7 +92,7 @@ std::vector<KernelRow> run_tet3d_layout(const mesh::TetMesh& m, ExecConfig cfg, 
   app.run(1, 0);  // warmup
   clear_stats();
   app.run(steps, 0);
-  return collect_rows(tet3d_kernels(), sizeof(double));
+  return timing(collect_rows(tet3d_kernels(), sizeof(double)), "t3d_flux_calc", steps);
 }
 
 aligned_vector<double> airfoil_field(const mesh::UnstructuredMesh& m, const ExecConfig& cfg,
@@ -167,11 +178,11 @@ bool equivalence_ok() {
   return ok;
 }
 
-/// One perf row: a backend's kernel seconds per layout, kSamples each.
+/// One perf row: a backend's timings per layout, kSamples each.
 struct Row {
   std::string label;
   bool vector_backend = false;
-  std::vector<double> secs[2];  ///< indexed like kLayouts: AoS, SoA
+  std::vector<double> secs[2];  ///< s (or ms per step), indexed like kLayouts
 
   [[nodiscard]] double median(int l) const {
     std::vector<double> s = secs[l];
@@ -189,9 +200,10 @@ struct Row {
   }
 };
 
-void print_rows(const char* what, const std::vector<Row>& rows) {
-  perf::Table t({what, "AoS median (s)", "AoS min-max", "SoA median (s)", "SoA min-max",
-                 "SoA vs AoS"});
+void print_rows(const std::vector<Row>& rows, const char* unit) {
+  const std::string u = unit;
+  perf::Table t({"backend", "AoS median (" + u + ")", "AoS min-max", "SoA median (" + u + ")",
+                 "SoA min-max", "SoA vs AoS"});
   const auto range = [](double lo, double hi) {
     return perf::Table::num(lo, 3) + "-" + perf::Table::num(hi, 3);
   };
@@ -209,7 +221,7 @@ int main(int argc, char** argv) {
   Sizes sz = Sizes::from_cli(cli);
   if (!cli.has("iters")) sz.airfoil_iters = 8;
   const idx_t tet_n = cli.has("large") ? 56 : (cli.has("small") ? 24 : 40);
-  print_header("Ablation: per-dat memory layout (AoS / SoA)",
+  print_header("Ablation: memory layout (AoS / SoA), per step and per loop",
                "Reguly et al., sections 6.1-6.4 (strided access of vectorized indirect loops)");
 
   if (!equivalence_ok()) {
@@ -236,37 +248,50 @@ int main(int argc, char** argv) {
               "%d samples per cell\n\n",
               m2.ncells, sz.airfoil_iters, m3.ncells, sz.volna_steps, nthreads, kSamples);
 
-  std::vector<Row> af_rows, tet_rows;
+  // Per app: the headline loop (seconds over the run) and the step (summed
+  // loop ms per step), one Row per backend each.
+  std::vector<Row> af_loop, af_step, tet_loop, tet_step;
   for (const auto& bc : backends) {
-    Row af{bc.label, bc.vector_backend, {}};
-    Row tet{bc.label, bc.vector_backend, {}};
+    for (auto* rows : {&af_loop, &af_step, &tet_loop, &tet_step})
+      rows->push_back({bc.label, bc.vector_backend, {}});
     for (int s = 0; s < kSamples; ++s)
       for (int i = 0; i < 2; ++i) {
-        af.secs[i].push_back(kernel_secs(
-            run_airfoil_layout(m2, bc.cfg, sz.airfoil_iters, kLayouts[i]), "res_calc"));
-        tet.secs[i].push_back(kernel_secs(
-            run_tet3d_layout(m3, bc.cfg, sz.volna_steps, kLayouts[i]), "t3d_flux_calc"));
+        const Timing af = run_airfoil_layout(m2, bc.cfg, sz.airfoil_iters, kLayouts[i]);
+        const Timing tet = run_tet3d_layout(m3, bc.cfg, sz.volna_steps, kLayouts[i]);
+        af_loop.back().secs[i].push_back(af.loop_s);
+        af_step.back().secs[i].push_back(af.step_ms);
+        tet_loop.back().secs[i].push_back(tet.loop_s);
+        tet_step.back().secs[i].push_back(tet.step_ms);
       }
-    af_rows.push_back(af);
-    tet_rows.push_back(tet);
   }
 
-  std::printf("Airfoil res_calc (renumbered mesh):\n");
-  print_rows("backend", af_rows);
-  std::printf("\nTet3D t3d_flux_calc (renumbered mesh):\n");
-  print_rows("backend", tet_rows);
+  std::printf("Airfoil step, every loop (renumbered mesh):\n");
+  print_rows(af_step, "ms/step");
+  std::printf("\nAirfoil res_calc:\n");
+  print_rows(af_loop, "s");
+  std::printf("\nTet3D step, every loop (renumbered mesh):\n");
+  print_rows(tet_step, "ms/step");
+  std::printf("\nTet3D t3d_flux_calc:\n");
+  print_rows(tet_loop, "s");
 
+  // Headline: the vector backends' step ratios (where default_layout picks
+  // SoA); the headline value is the lowest of them, the ratio SoA reaches
+  // on every vector backend and app.
   double headline = 0.0;
-  const char* headline_backend = "-";
-  for (const Row& r : af_rows)
-    if (r.vector_backend && r.soa_speedup() > headline) {
-      headline = r.soa_speedup();
-      headline_backend = r.label.c_str();
-    }
-  std::printf("\nShape check: on the vector backends SoA should beat AoS on res_calc\n"
-              "(>= 1.15x on a quiet machine at default sizes) — the strided-gather tax\n"
-              "sections 6.1-6.4 describe, now a per-dat policy.\n");
-  std::printf("headline: res_calc SoA vs AoS = %.2fx (%s)\n", headline, headline_backend);
+  std::string headline_at;
+  std::printf("\nMeasured per step, SoA vs AoS (median ratio) on the vector backends:\n");
+  for (std::size_t b = 0; b < af_step.size(); ++b) {
+    if (!af_step[b].vector_backend) continue;
+    const double a = af_step[b].soa_speedup(), t = tet_step[b].soa_speedup();
+    std::printf("  %-6s Airfoil %.2fx, Tet3D %.2fx\n", af_step[b].label.c_str(), a, t);
+    for (const auto& [ratio, app] : {std::pair{a, "Airfoil"}, std::pair{t, "Tet3D"}})
+      if (headline_at.empty() || ratio < headline) {
+        headline = ratio;
+        headline_at = af_step[b].label + " " + app;
+      }
+  }
+  std::printf("headline: step SoA vs AoS on the vector backends >= %.2fx (lowest: %s)\n",
+              headline, headline_at.c_str());
 
   const std::string json = cli.get("json", "");
   if (!json.empty()) {
@@ -281,23 +306,29 @@ int main(int argc, char** argv) {
                  "  \"iters\": %d,\n  \"threads\": %d,\n  \"samples\": %d,\n"
                  "  \"gate\": \"pass\",\n",
                  sz.airfoil_iters, nthreads, kSamples);
-    const auto dump = [&](const char* key, const std::vector<Row>& rows, bool last) {
+    // unit: "s" (seconds over the run) or "ms" (ms per step).
+    const auto dump = [&](const char* key, const std::vector<Row>& rows, const char* unit) {
       std::fprintf(f, "  \"%s\": [\n", key);
       for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row& r = rows[i];
         std::fprintf(f,
-                     "    {\"backend\": \"%s\", \"aos_s\": %.6f, \"aos_min_s\": %.6f, "
-                     "\"aos_max_s\": %.6f, \"soa_s\": %.6f, \"soa_min_s\": %.6f, "
-                     "\"soa_max_s\": %.6f, \"soa_speedup\": %.4f}%s\n",
-                     r.label.c_str(), r.median(0), r.min(0), r.max(0), r.median(1), r.min(1),
-                     r.max(1), r.soa_speedup(), i + 1 < rows.size() ? "," : "");
+                     "    {\"backend\": \"%s\", \"aos_%s\": %.6f, \"aos_min_%s\": %.6f, "
+                     "\"aos_max_%s\": %.6f, \"soa_%s\": %.6f, \"soa_min_%s\": %.6f, "
+                     "\"soa_max_%s\": %.6f, \"soa_speedup\": %.4f}%s\n",
+                     r.label.c_str(), unit, r.median(0), unit, r.min(0), unit, r.max(0), unit,
+                     r.median(1), unit, r.min(1), unit, r.max(1), r.soa_speedup(),
+                     i + 1 < rows.size() ? "," : "");
       }
-      std::fprintf(f, "  ]%s\n", last ? "" : ",");
+      std::fprintf(f, "  ],\n");
     };
-    dump("airfoil_res_calc", af_rows, false);
-    dump("tet3d_flux_calc", tet_rows, false);
-    std::fprintf(f, "  \"headline_speedup\": %.4f,\n  \"headline_backend\": \"%s\"\n}\n",
-                 headline, headline_backend);
+    dump("airfoil_step", af_step, "ms");
+    dump("airfoil_res_calc", af_loop, "s");
+    dump("tet3d_step", tet_step, "ms");
+    dump("tet3d_flux_calc", tet_loop, "s");
+    std::fprintf(f,
+                 "  \"headline\": \"step SoA vs AoS, lowest over the vector backends\",\n"
+                 "  \"headline_speedup\": %.4f,\n  \"headline_backend\": \"%s\"\n}\n",
+                 headline, headline_at.c_str());
     std::fclose(f);
     std::printf("\nwrote %s\n", json.c_str());
   }

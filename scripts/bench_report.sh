@@ -12,12 +12,14 @@
 #                        seconds per format (MSH v2.2, MSH v4.1, OPVM/OPVT
 #                        binary), gated by the ingest equivalence checks
 #                        (ablation_ingest)
-#   BENCH_layout.json    memory-layout record: AoS vs SoA seconds
-#                        for Airfoil res_calc and Tet3D t3d_flux_calc per
-#                        backend (median and min-max of 5 alternating
-#                        samples per cell; soa_speedup and the headline
-#                        from the medians), gated by the layout
-#                        equivalence checks (ablation_layout)
+#   BENCH_layout.json    memory-layout record: AoS vs SoA per backend,
+#                        as ms per Airfoil and Tet3D step (every loop
+#                        summed) and seconds for res_calc and
+#                        t3d_flux_calc (median and min-max of 5
+#                        alternating samples per cell; soa_speedup from
+#                        the medians; the headline is the lowest step
+#                        ratio on the vector backends), gated by the
+#                        layout equivalence checks (ablation_layout)
 #   BENCH_resilience.json  fault-tolerance record: checkpoint overhead %,
 #                        OPVK write/read seconds, restore counts — gated by
 #                        the bitwise recovery/resume checks

@@ -149,8 +149,8 @@ else
 fi
 
 echo "== memory-layout smoke =="
-# Small meshes, few iterations: exercises the per-dat layout policy (AoS /
-# SoA, core/layout.hpp) end to end and exits non-zero if Seq is not
+# Small meshes, few iterations: exercises the context's memory layout (AoS
+# / SoA, core/layout.hpp) end to end and exits non-zero if Seq is not
 # bitwise-identical across layouts or any vector backend diverges beyond
 # 1e-12 of the field norm. Speedups at this size are noise;
 # scripts/bench_report.sh does the measurement run.

@@ -44,13 +44,16 @@ constexpr const char* coloring_name(ColoringStrategy c) {
   return "?";
 }
 
-/// Layout heuristic per backend (the context-level default a driver opts
-/// into with set_default_layout(default_layout(backend))): the scalar
-/// backends keep AoS (one element's components share a cache line — the
-/// best case for scalar sweeps), the explicit-vector backends want SoA
-/// (component gathers become dense per-plane, direct accesses become
-/// unit-stride plane loads), and the Simt model mirrors the GPU guidance
-/// of Sulyok et al. (arXiv:1802.03749): SoA for coalesced-style access.
+/// Layout heuristic per backend (the context's layout a driver opts into
+/// with set_default_layout(default_layout(backend))). The scalar backends
+/// keep AoS: one element's components share a cache line, and
+/// BENCH_layout.json reads their Airfoil and Tet3D steps at 0.53-0.71x
+/// under SoA. The vector backends take SoA (component gathers become dense
+/// per-plane, direct accesses unit-stride plane loads; for Simt, the GPU
+/// guidance of Sulyok et al., arXiv:1802.03749): the record reads their
+/// steps at 0.94-1.10x of AoS, each inside the other layout's min-max over
+/// five samples, so SoA costs them no measurable step time but is not a
+/// measured per-step win either.
 constexpr Layout default_layout(Backend b) {
   switch (b) {
     case Backend::Seq:

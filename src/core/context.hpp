@@ -43,11 +43,11 @@ class CtxLoop : public Loop<Kernel, Args...> {
 };
 
 /// Lifecycle (shared with dist::DistCtx): declarations — decl_*,
-/// set_partition_coords, set_layout, set_default_layout, set_renumber — are
-/// legal until finalize(); finalize() applies the opt-in renumbering pass
-/// and then the layout policy, once. The first make_loop() or one-shot
-/// loop() finalizes implicitly, so a loop never sees a numbering or layout
-/// that could still change underneath its pinned plan.
+/// set_partition_coords, set_default_layout, set_renumber — are legal until
+/// finalize(); finalize() computes the opt-in renumbering and builds every
+/// dat once in its final numbering and layout. The first make_loop(), loop(),
+/// fetch() or permutation query finalizes implicitly, so a loop never sees a
+/// numbering or layout that could still change underneath its pinned plan.
 class LocalCtx {
  public:
   using SetHandle = Set*;
@@ -72,14 +72,6 @@ class LocalCtx {
   void set_partition_coords(SetHandle s, const double*, int = 2) {
     require_open("set_partition_coords");
     primary_ = s;
-  }
-
-  /// Request a memory layout for one dataset — the context-concept spelling
-  /// shared with DistCtx::set_layout, so drivers templated over the context
-  /// pick layouts the same way on both. Applied at finalize().
-  void set_layout(DatBase* d, Layout l) {
-    require_open("set_layout");
-    d->set_layout(l);
   }
 
   MapHandle decl_map(const std::string& name, SetHandle from, SetHandle to, int dim,
@@ -112,20 +104,20 @@ class LocalCtx {
     renumber_on_finalize_ = on;
   }
 
-  /// Context-level layout default (core/layout.hpp): applied at finalize()
-  /// to every multi-component dat that did not get an explicit set_layout.
-  /// Pair with default_layout(backend) to follow the per-backend heuristic:
+  /// Context-level layout (core/layout.hpp): every multi-component dat is
+  /// built in it at finalize() (dim-1 dats stay AoS). Pair with
+  /// default_layout(backend) to follow the per-backend heuristic:
   /// `ctx.set_default_layout(default_layout(be))`.
   void set_default_layout(Layout l) {
     require_open("set_default_layout");
-    default_layout_ = l;
-    have_default_layout_ = true;
+    layout_ = l;
   }
 
-  /// Close the declarations, apply the opt-in renumbering pass, then
-  /// materialize the per-dat layout policy (renumbering permutes AoS rows,
-  /// so it runs first); the distributed context additionally partitions.
-  /// Idempotent; called implicitly by the first make_loop() or loop().
+  /// Close the declarations, compute the opt-in renumbering (maps are
+  /// relabeled in place), then build every dat's final storage from its
+  /// declared rows in one pass; the distributed context additionally
+  /// partitions. Idempotent; called implicitly by the first make_loop(),
+  /// loop(), fetch() or permutation query.
   void finalize() {
     if (finalized_) return;
     OPV_REQUIRE(!renumber_on_finalize_ || primary_ != nullptr,
@@ -133,23 +125,22 @@ class LocalCtx {
                 "(call set_partition_coords)");
     finalized_ = true;
     if (renumber_on_finalize_) renumber();
-    for (const auto& d : dats_) {
-      if (have_default_layout_ && !d->layout_explicit() && d->dim() > 1)
-        d->set_layout(default_layout_);
-      d->apply_layout();
-    }
+    for (const auto& d : dats_)
+      d->materialize(perm_of(&d->set()), d->dim() > 1 ? layout_ : Layout::AoS);
   }
 
   /// The permutation (old declaration id -> new id) the renumbering pass
-  /// applied to a set, or nullptr if the set kept its numbering.
-  [[nodiscard]] const aligned_vector<idx_t>* permutation(const Set* s) const {
-    const auto it = perms_.find(s);
-    return it == perms_.end() ? nullptr : &it->second;
+  /// applied to a set, or nullptr if the set kept its numbering. Finalizes.
+  [[nodiscard]] const aligned_vector<idx_t>* permutation(const Set* s) {
+    finalize();
+    return perm_of(s);
   }
 
   /// Every non-identity permutation applied, keyed by set name (test and
   /// tooling introspection — e.g. replaying the pass as a manual relayout).
-  [[nodiscard]] std::map<std::string, aligned_vector<idx_t>> applied_permutations() const {
+  /// Finalizes.
+  [[nodiscard]] std::map<std::string, aligned_vector<idx_t>> applied_permutations() {
+    finalize();
     std::map<std::string, aligned_vector<idx_t>> out;
     for (const auto& [set, perm] : perms_) out.emplace(set->name(), perm);
     return out;
@@ -189,30 +180,22 @@ class LocalCtx {
   }
 
   /// Copy a dataset's owned values into an array in the ORIGINAL declaration
-  /// order and AoS component order (renumbering AND relayout, when applied,
-  /// are inverted here — the caller never observes the internal numbering or
-  /// the physical layout).
+  /// order and AoS component order (renumbering and layout are inverted
+  /// here — the caller never observes the internal numbering or the physical
+  /// layout). Finalizes, as DistCtx::fetch does.
   template <class T, int N>
-  void fetch(FixedDatHandle<T, N> d, aligned_vector<T>& out) const {
-    const aligned_vector<idx_t>* perm = permutation(&d->set());
-    if (perm == nullptr && d->layout() == Layout::AoS) {
-      out.assign(d->data(), d->data() + static_cast<std::size_t>(d->set().size()) * N);
-      return;
-    }
+  void fetch(FixedDatHandle<T, N> d, aligned_vector<T>& out) {
+    finalize();
     out.resize(static_cast<std::size_t>(d->set().size()) * N);
-    for (idx_t e = 0; e < d->set().size(); ++e) {
-      const idx_t src = perm ? (*perm)[static_cast<std::size_t>(e)] : e;
-      for (int c = 0; c < N; ++c) out[static_cast<std::size_t>(e) * N + c] = d->at(src, c);
-    }
+    d->export_rows(perm_of(&d->set()), out.data());
   }
 
   /// Append one "dat/NNN/<name>" section per declared dat to `out`, each
   /// holding the dat's values in the ORIGINAL declaration order and AoS
-  /// component order (the canonical form fetch() returns: renumbering and
-  /// physical layout are inverted through the same permutation/offset
-  /// machinery). Snapshots are therefore portable across contexts that made
-  /// different renumber/layout choices for the same declarations, and
-  /// restore() is exact — byte-identical values round-trip bitwise.
+  /// component order (the canonical form fetch() returns, through the same
+  /// DatBase::export_rows). Snapshots are therefore portable across contexts
+  /// that made different renumber/layout choices for the same declarations,
+  /// and restore() is exact — byte-identical values round-trip bitwise.
   void snapshot(Checkpoint& out) const {
     int i = 0;
     for (const auto& d : dats_) {
@@ -223,17 +206,8 @@ class LocalCtx {
       w.put<std::int64_t>(rows);
       w.put<std::int32_t>(dim);
       w.put<std::uint32_t>(static_cast<std::uint32_t>(vb));
-      const auto* perm = permutation(&d->set());
-      const auto* base = static_cast<const unsigned char*>(d->raw());
-      if (perm == nullptr && d->layout() == Layout::AoS) {
-        w.put_bytes(base, static_cast<std::size_t>(rows) * d->elem_bytes());
-      } else {
-        for (idx_t e = 0; e < rows; ++e) {
-          const idx_t src = perm ? (*perm)[static_cast<std::size_t>(e)] : e;
-          for (int c = 0; c < dim; ++c)
-            w.put_bytes(base + layout_offset(d->layout(), src, c, dim, d->plane()) * vb, vb);
-        }
-      }
+      d->export_rows(perm_of(&d->set()),
+                     w.extend(static_cast<std::size_t>(rows) * d->elem_bytes()));
       out.add(dat_section_name(i++, d->name()), w.take());
     }
   }
@@ -264,17 +238,8 @@ class LocalCtx {
                   "LocalCtx::restore: section '"
                       << name << "' shape mismatch (checkpoint " << srows << "x" << sdim << "x"
                       << svb << " vs declared " << rows << "x" << dim << "x" << vb << ")");
-      const auto* perm = permutation(&d->set());
-      auto* base = static_cast<unsigned char*>(d->raw());
-      if (perm == nullptr && d->layout() == Layout::AoS) {
-        r.get_bytes(base, static_cast<std::size_t>(rows) * d->elem_bytes());
-      } else {
-        for (idx_t e = 0; e < rows; ++e) {
-          const idx_t dst = perm ? (*perm)[static_cast<std::size_t>(e)] : e;
-          for (int c = 0; c < dim; ++c)
-            r.get_bytes(base + layout_offset(d->layout(), dst, c, dim, d->plane()) * vb, vb);
-        }
-      }
+      d->import_rows(perm_of(&d->set()),
+                     r.view(static_cast<std::size_t>(rows) * d->elem_bytes()));
       ++i;
     }
   }
@@ -291,12 +256,18 @@ class LocalCtx {
     OPV_REQUIRE(!finalized_, "LocalCtx::" << what << ": context already finalized");
   }
 
+  /// The permutation applied to a set (nullptr: numbering kept).
+  [[nodiscard]] const aligned_vector<idx_t>* perm_of(const Set* s) const {
+    const auto it = perms_.find(s);
+    return it == perms_.end() ? nullptr : &it->second;
+  }
+
   /// The context-level renumbering pass around the primary set (paper
   /// sections 6.2/6.4; core/reorder.hpp), finalize()'s first step: every
-  /// declared Map is row-permuted and target-relabeled, every Dat
-  /// row-permuted, in place. No loop has run yet — a loop handle pins its
-  /// coloring plan against the map contents it first ran with — and fetch()
-  /// keeps returning values in the original declaration order.
+  /// declared Map is row-permuted and target-relabeled in place, and the
+  /// per-set permutations are kept for materializing the dats and for
+  /// fetch(). No loop has run yet — a loop handle pins its coloring plan
+  /// against the map contents it first ran with.
   void renumber() {
     std::map<const Set*, int> index;
     std::vector<idx_t> sizes;
@@ -311,10 +282,6 @@ class LocalCtx {
 
     const reorder::Permutations p = reorder::compute(sizes, views, index.at(primary_));
     reorder::apply_to_maps(p, views, sizes);
-    for (const auto& d : dats_) {
-      const int s = index.at(&d->set());
-      if (!p.identity(s)) reorder::permute_rows_bytes(p.of(s), d->raw(), d->elem_bytes());
-    }
     for (const auto& s : sets_) {
       const int i = index.at(s.get());
       if (!p.identity(i)) perms_.emplace(s.get(), p.of(i));
@@ -328,8 +295,7 @@ class LocalCtx {
   SetHandle primary_ = nullptr;
   bool renumber_on_finalize_ = false;
   bool finalized_ = false;
-  Layout default_layout_ = Layout::AoS;
-  bool have_default_layout_ = false;
+  Layout layout_ = Layout::AoS;  ///< layout of every multi-component dat
   std::map<const Set*, aligned_vector<idx_t>> perms_;  ///< old -> new, per set
 };
 

@@ -1,14 +1,15 @@
 // op_dat: data attached to every element of a set, with fixed arity (dim).
 //
-// Dat<T> is the storage: a runtime dim, a layout policy and the typed
-// values. FixedDat<T, N> is what an application declares and a loop binds:
-// its arity is part of the TYPE, so every descriptor built from it carries
-// a compile-time Dim (core/arg.hpp). Plain Dat<T> storage backs contexts
-// internally (e.g. the dist rank replicas) and the type-erased machinery.
+// Dat<T> is the storage: a runtime dim, the physical layout and the typed
+// values, built once in their final numbering and layout (materialize(), or
+// the layout constructor for storage that starts final). FixedDat<T, N> is
+// what an application declares and a loop binds: its arity is part of the
+// TYPE, so every descriptor built from it carries a compile-time Dim
+// (core/arg.hpp). Plain Dat<T> storage backs contexts internally (e.g. the
+// dist rank replicas) and the type-erased machinery.
 #pragma once
 
 #include <cstring>
-#include <span>
 #include <string>
 #include <typeinfo>
 #include <utility>
@@ -16,7 +17,6 @@
 #include "common/aligned.hpp"
 #include "common/error.hpp"
 #include "core/layout.hpp"
-#include "core/reorder.hpp"
 #include "core/set.hpp"
 
 namespace opv {
@@ -27,12 +27,19 @@ namespace opv {
 inline constexpr int kMaxDim = 8;
 
 /// Type-erased base so plan/halo machinery can handle datasets generically.
+/// A dat is declared as AoS rows in declaration order until materialize()
+/// builds its final storage; one constructed in its layout (the dist rank
+/// replicas) starts final.
 class DatBase {
  public:
   DatBase(std::string name, const Set& set, int dim)
       : name_(std::move(name)), set_(&set), dim_(dim) {
     OPV_REQUIRE(dim_ >= 1 && dim_ <= kMaxDim,
                 "dat '" << name_ << "': dim must be in [1," << kMaxDim << "]");
+  }
+  DatBase(std::string name, const Set& set, int dim, Layout l)
+      : DatBase(std::move(name), set, dim) {
+    adopt(l);
   }
   virtual ~DatBase() = default;
   DatBase(const DatBase&) = delete;
@@ -42,85 +49,78 @@ class DatBase {
   [[nodiscard]] const Set& set() const { return *set_; }
   [[nodiscard]] int dim() const { return dim_; }
   [[nodiscard]] virtual std::size_t elem_bytes() const = 0;
-  [[nodiscard]] virtual void* raw() = 0;
-  [[nodiscard]] virtual const void* raw() const = 0;
 
-  // ---- layout policy (core/layout.hpp) ------------------------------------
-  // set_layout() records the REQUESTED layout; the physical relayout happens
-  // at context finalize (apply_layout), after renumbering — exactly like the
-  // renumbering pass itself, declarations first, transform once. After the
-  // layout is applied any further set_layout throws: the engine's bound
-  // access paths and pinned plans read the physical layout, so changing it
-  // underneath a running loop would corrupt every subsequent gather.
-
-  /// The physical layout of the storage (AoS until apply_layout runs).
+  /// The physical layout of the storage (AoS until materialized otherwise).
   [[nodiscard]] Layout layout() const { return layout_; }
-  /// Padded row count backing SoA addressing (0 while AoS).
+  /// Padded row count backing SoA addressing (0 under AoS).
   [[nodiscard]] idx_t plane() const { return plane_; }
-  /// The layout apply_layout() will install at finalize.
-  [[nodiscard]] Layout requested_layout() const { return requested_; }
-  /// True once the layout was explicitly chosen (a context default never
-  /// overrides an explicit per-dat request).
-  [[nodiscard]] bool layout_explicit() const { return layout_explicit_; }
 
-  /// Request a layout for this dat. Legal until apply_layout() (the owning
-  /// context's finalize).
-  void set_layout(Layout l) {
-    OPV_REQUIRE(!layout_frozen_, "dat '" << name_
-                                         << "': layout is frozen (set_layout must happen "
-                                            "before the context is finalized)");
-    requested_ = l;
-    layout_explicit_ = true;
+  /// Build the final storage from the declared rows in one pass: declared
+  /// row e becomes row perm[e] (perm may be null: numbering kept) under
+  /// layout l. Contexts call it at finalize, after renumbering; loops bind
+  /// the result, so a second call throws.
+  void materialize(const aligned_vector<idx_t>* perm, Layout l) {
+    OPV_REQUIRE(!final_, "dat '" << name_ << "': storage is already materialized");
+    OPV_REQUIRE(perm == nullptr || perm->size() == static_cast<std::size_t>(set_->total_size()),
+                "dat '" << name_ << "': permutation size does not match the set");
+    adopt(l);
+    if (perm != nullptr || l != Layout::AoS) rebuild(perm);
   }
 
-  /// Physically convert the storage to the requested layout and freeze it.
-  /// Contexts call this at finalize, AFTER renumbering (the renumber pass
-  /// permutes AoS rows).
-  void apply_layout() {
-    OPV_REQUIRE(!layout_frozen_, "dat '" << name_ << "': layout already applied");
-    layout_frozen_ = true;
-    if (requested_ == Layout::AoS) return;
-    relayout_storage(requested_);
-    layout_ = requested_;
-    plane_ = padded_rows(set_->total_size());
-  }
+  /// Copy the owned rows out in declaration order as AoS values
+  /// (set().size() * elem_bytes() bytes), whatever the numbering and
+  /// layout: row e is stored at row perm[e] (perm may be null). The
+  /// canonical form of fetch() and of checkpoints.
+  virtual void export_rows(const aligned_vector<idx_t>* perm, void* out) const = 0;
+  /// The inverse of export_rows.
+  virtual void import_rows(const aligned_vector<idx_t>* perm, const void* in) = 0;
 
  protected:
-  /// Typed storage conversion AoS -> l, implemented by Dat<T>.
-  virtual void relayout_storage(Layout l) = 0;
+  /// Move the declared AoS rows to their rows under layout()/plane().
+  virtual void rebuild(const aligned_vector<idx_t>* perm) = 0;
 
  private:
+  void adopt(Layout l) {
+    final_ = true;
+    layout_ = l;
+    plane_ = l == Layout::SoA ? padded_rows(set_->total_size()) : 0;
+  }
+
   std::string name_;
   const Set* set_ = nullptr;
   int dim_ = 0;
-  Layout layout_ = Layout::AoS;     ///< physical layout of the storage
-  Layout requested_ = Layout::AoS;  ///< layout apply_layout() installs
-  idx_t plane_ = 0;                 ///< padded rows (non-AoS only)
-  bool layout_explicit_ = false;
-  bool layout_frozen_ = false;
+  Layout layout_ = Layout::AoS;  ///< physical layout of the storage
+  idx_t plane_ = 0;              ///< padded rows (SoA only)
+  bool final_ = false;           ///< materialized, or built in its layout
 };
 
-/// Typed dataset: total_size()*dim values of T in 64-byte-aligned storage.
+/// Typed dataset: total_size()*dim values of T in 64-byte-aligned storage
+/// (padded_rows(total_size())*dim under SoA; the padding rows stay zero, so
+/// vector code may harmlessly load them).
 template <class T>
 class Dat : public DatBase {
  public:
   using value_type = T;
 
+  /// Declared storage, zero-initialized.
   Dat(std::string name, const Set& set, int dim)
       : DatBase(std::move(name), set, dim),
         data_(static_cast<std::size_t>(set.total_size()) * dim, T{}) {}
 
+  /// Declared storage holding `init` (AoS rows in declaration order).
   Dat(std::string name, const Set& set, int dim, aligned_vector<T> init)
       : DatBase(std::move(name), set, dim), data_(std::move(init)) {
     OPV_REQUIRE(data_.size() == static_cast<std::size_t>(set.total_size()) * dim,
                 "dat '" << this->name() << "': init size mismatch");
   }
 
+  /// Final storage, zero-initialized directly in layout l.
+  Dat(std::string name, const Set& set, int dim, Layout l)
+      : DatBase(std::move(name), set, dim, l), data_(storage_size(), T{}) {}
+
   [[nodiscard]] T* data() { return data_.data(); }
   [[nodiscard]] const T* data() const { return data_.data(); }
   [[nodiscard]] std::size_t size() const { return data_.size(); }
-  [[nodiscard]] std::span<T> span() { return {data_.data(), data_.size()}; }
-  [[nodiscard]] std::span<const T> span() const { return {data_.data(), data_.size()}; }
 
   /// Value c of element e (layout-aware: correct under any physical layout).
   [[nodiscard]] T& at(idx_t e, int c = 0) {
@@ -131,25 +131,56 @@ class Dat : public DatBase {
   }
 
   [[nodiscard]] std::size_t elem_bytes() const override { return sizeof(T) * dim(); }
-  [[nodiscard]] void* raw() override { return data_.data(); }
-  [[nodiscard]] const void* raw() const override { return data_.data(); }
 
   void fill(T v) { std::fill(data_.begin(), data_.end(), v); }
 
+  void export_rows(const aligned_vector<idx_t>* perm, void* out) const override {
+    auto* o = static_cast<unsigned char*>(out);
+    if (perm == nullptr && layout() == Layout::AoS) return copy(o, data_.data());
+    each_value(perm, set().size(), [&](std::size_t i, std::size_t at) {
+      std::memcpy(o + i * sizeof(T), &data_[at], sizeof(T));
+    });
+  }
+
+  void import_rows(const aligned_vector<idx_t>* perm, const void* in) override {
+    const auto* p = static_cast<const unsigned char*>(in);
+    if (perm == nullptr && layout() == Layout::AoS) return copy(data_.data(), p);
+    each_value(perm, set().size(), [&](std::size_t i, std::size_t at) {
+      std::memcpy(&data_[at], p + i * sizeof(T), sizeof(T));
+    });
+  }
+
  protected:
-  /// AoS -> l conversion into padded storage via the type-erased reorder
-  /// machinery (padding rows stay zero, so vector code may harmlessly load
-  /// them).
-  void relayout_storage(Layout l) override {
-    const idx_t n = set().total_size();
-    const idx_t pl = padded_rows(n);
-    aligned_vector<T> out(static_cast<std::size_t>(pl) * dim(), T{});
-    reorder::convert_layout_bytes(data_.data(), Layout::AoS, out.data(), l, n, pl, dim(),
-                                  sizeof(T));
+  void rebuild(const aligned_vector<idx_t>* perm) override {
+    aligned_vector<T> out(storage_size(), T{});
+    each_value(perm, set().total_size(),
+               [&](std::size_t i, std::size_t at) { out[at] = data_[i]; });
     data_ = std::move(out);
   }
 
  private:
+  [[nodiscard]] std::size_t storage_size() const {
+    const idx_t rows = layout() == Layout::SoA ? plane() : set().total_size();
+    return static_cast<std::size_t>(rows) * dim();
+  }
+
+  /// f(i, at) for each value of the first n rows: i its index in
+  /// declaration-order AoS, at its storage offset.
+  template <class F>
+  void each_value(const aligned_vector<idx_t>* perm, idx_t n, F&& f) const {
+    for (idx_t e = 0; e < n; ++e) {
+      const idx_t row = perm ? (*perm)[static_cast<std::size_t>(e)] : e;
+      for (int c = 0; c < dim(); ++c)
+        f(static_cast<std::size_t>(e) * dim() + c, layout_offset(layout(), row, c, dim(), plane()));
+    }
+  }
+
+  /// The owned rows in one memcpy (unpermuted AoS).
+  void copy(void* dst, const void* src) const {
+    const std::size_t bytes = static_cast<std::size_t>(set().size()) * elem_bytes();
+    if (bytes > 0) std::memcpy(dst, src, bytes);
+  }
+
   aligned_vector<T> data_;
 };
 

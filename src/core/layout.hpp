@@ -1,13 +1,15 @@
-// Per-dat memory layout policy (the AoS / SoA axis).
+// Memory layout of a dat's storage (the AoS / SoA axis).
 //
 // The paper's vectorized paths (sections 6.1-6.4) pay a strided-access tax
 // on every multi-component dat because storage is locked to AoS: a W-wide
 // gather of component c touches W cache lines dim elements apart. Sulyok et
 // al. (arXiv:1802.03749) show AoS<->SoA selection is a first-order win for
 // exactly these loops. This header is the single source of truth for the
-// two addressing schemes; the physical relayout happens at context finalize
-// (reorder::convert_layout_bytes), mirroring how renumbering is applied, and
-// fetch() stays declaration-order AoS-transparent.
+// two addressing schemes. A context picks one layout for all its
+// multi-component dats (set_default_layout); each dat is declared as AoS
+// rows and built once, at context finalize, in its final numbering and
+// layout (DatBase::materialize), and fetch() stays declaration-order
+// AoS-transparent.
 //
 //   AoS    value(e, c) = data[e*dim + c]           (the historical layout)
 //   SoA    value(e, c) = data[c*plane + e]          plane = padded_rows(n)

@@ -1,7 +1,6 @@
 #include "core/reorder.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <queue>
 #include <utility>
 
@@ -243,27 +242,6 @@ void apply_to_maps(const Permutations& p, std::vector<MapView>& maps,
     }
     if (!p.identity(m.from)) permute_rows(p.of(m.from), m.data, m.dim);
   }
-}
-
-void permute_rows_bytes(const aligned_vector<idx_t>& perm, void* data, std::size_t elem_bytes) {
-  const std::size_t n = perm.size();
-  if (n == 0 || elem_bytes == 0) return;
-  auto* bytes = static_cast<unsigned char*>(data);
-  std::vector<unsigned char> tmp(n * elem_bytes);
-  for (std::size_t e = 0; e < n; ++e)
-    std::memcpy(tmp.data() + static_cast<std::size_t>(perm[e]) * elem_bytes,
-                bytes + e * elem_bytes, elem_bytes);
-  std::memcpy(bytes, tmp.data(), n * elem_bytes);
-}
-
-void convert_layout_bytes(const void* src, Layout src_layout, void* dst, Layout dst_layout,
-                          idx_t n, idx_t plane, int dim, std::size_t value_bytes) {
-  const auto* sb = static_cast<const unsigned char*>(src);
-  auto* db = static_cast<unsigned char*>(dst);
-  for (idx_t e = 0; e < n; ++e)
-    for (int c = 0; c < dim; ++c)
-      std::memcpy(db + layout_offset(dst_layout, e, c, dim, plane) * value_bytes,
-                  sb + layout_offset(src_layout, e, c, dim, plane) * value_bytes, value_bytes);
 }
 
 }  // namespace opv::reorder

@@ -17,21 +17,23 @@
 //     cells they touch), in rounds until no set changes;
 //   * remaining sets (targets only, e.g. nodes) keep their numbering.
 //
-// Contexts apply the result in place — every Map row-permuted and
-// target-relabeled, every Dat row-permuted — and keep the permutations so
-// fetch() can hand values back in the original declaration order. The
-// contract is relayout transparency: a context with renumbering enabled is
-// bitwise-identical to the caller permuting its arrays by hand before
-// declaration and un-permuting fetched results (tests/test_reorder.cpp).
+// Contexts apply the result to the maps in place (every Map row-permuted
+// and target-relabeled) and keep the permutations: each Dat is built in its
+// renumbered order from its declared rows (DatBase::materialize, or the dist
+// rank replicas through the inverses), and fetch() hands values back in the
+// original declaration order. The contract is relayout transparency: a
+// context with renumbering enabled is bitwise-identical to the caller
+// permuting its arrays by hand before declaration and un-permuting fetched
+// results (tests/test_reorder.cpp).
 // Note that a renumbered run is NOT bitwise-identical to an un-renumbered
 // one: reordering an indirect-increment loop reassociates the per-target
 // floating-point sums (docs/API.md, "Context-level renumbering").
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "common/aligned.hpp"
-#include "core/layout.hpp"
 #include "core/set.hpp"
 
 namespace opv::reorder {
@@ -96,22 +98,14 @@ void seed_adjacency(const std::vector<idx_t>& set_sizes, const std::vector<MapVi
 void apply_to_maps(const Permutations& p, std::vector<MapView>& maps,
                    const std::vector<idx_t>& set_sizes);
 
-/// Row-permute element-major data in place: new[perm[e]] = old[e] for rows
-/// of elem_bytes bytes (the type-erased form used for Dat storage).
-void permute_rows_bytes(const aligned_vector<idx_t>& perm, void* data, std::size_t elem_bytes);
-
-/// Typed in-place row permutation: new[perm[e]*arity + c] = old[e*arity + c].
+/// Row-permute element-major data in place:
+/// new[perm[e]*arity + c] = old[e*arity + c].
 template <class T>
 void permute_rows(const aligned_vector<idx_t>& perm, T* data, int arity) {
-  permute_rows_bytes(perm, data, sizeof(T) * static_cast<std::size_t>(arity));
+  const auto a = static_cast<std::size_t>(arity);
+  const std::vector<T> old(data, data + perm.size() * a);
+  for (std::size_t e = 0; e < perm.size(); ++e)
+    std::copy_n(old.data() + e * a, a, data + static_cast<std::size_t>(perm[e]) * a);
 }
-
-/// Type-erased layout conversion (the relayout counterpart of
-/// permute_rows_bytes): copy n element rows of dim components, value_bytes
-/// each, from `src` under src_layout into `dst` under dst_layout. `plane` is
-/// the padded row count of the non-AoS side (core/layout.hpp); src and dst
-/// must not alias. Contexts call this at finalize, after renumbering.
-void convert_layout_bytes(const void* src, Layout src_layout, void* dst, Layout dst_layout,
-                          idx_t n, idx_t plane, int dim, std::size_t value_bytes);
 
 }  // namespace opv::reorder

@@ -36,18 +36,15 @@ class ByteWriter {
   template <class T>
   void put(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>, "ByteWriter::put: need a trivially copyable type");
-    const auto n = buf_.size();
-    buf_.resize(n + sizeof(T));
-    std::memcpy(buf_.data() + n, &v, sizeof(T));
+    std::memcpy(extend(sizeof(T)), &v, sizeof(T));
   }
-  void put_bytes(const void* p, std::size_t n) {
+  /// Append n zero bytes and return where they start, for a producer that
+  /// writes them in place (valid until the next append).
+  unsigned char* extend(std::size_t n) {
     const auto at = buf_.size();
     buf_.resize(at + n);
-    if (n > 0) std::memcpy(buf_.data() + at, p, n);
+    return buf_.data() + at;
   }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
-  /// Raw access for in-place writes after reservation (put_bytes(nullptr-free)).
-  [[nodiscard]] unsigned char* data() { return buf_.data(); }
   std::vector<unsigned char> take() { return std::move(buf_); }
 
  private:
@@ -71,11 +68,6 @@ class ByteReader {
     at_ += sizeof(T);
     return v;
   }
-  void get_bytes(void* dst, std::size_t n) {
-    require(n);
-    if (n > 0) std::memcpy(dst, p_ + at_, n);
-    at_ += n;
-  }
   /// Borrow `n` bytes without copying (valid while the section lives).
   const unsigned char* view(std::size_t n) {
     require(n);
@@ -83,8 +75,6 @@ class ByteReader {
     at_ += n;
     return v;
   }
-  [[nodiscard]] std::size_t offset() const { return at_; }
-  [[nodiscard]] std::size_t remaining() const { return n_ - at_; }
 
  private:
   void require(std::size_t n) const {

@@ -146,24 +146,13 @@ class DistCtx {
     return {static_cast<int>(dats_.size()) - 1};
   }
 
-  /// Request a memory layout for one dataset (core/layout.hpp): every rank
-  /// replica is materialized in that physical layout at finalize(). Legal
-  /// until finalize, like every other declaration.
-  template <class H>
-  void set_layout(H d, Layout l) {
-    require_open("set_layout");
-    dats_[d.id]->requested_layout = l;
-    dats_[d.id]->layout_explicit = true;
-  }
-
-  /// Context-level layout default, applied at finalize() to every
-  /// multi-component dat without an explicit set_layout — the same policy
-  /// LocalCtx::set_default_layout implements locally. Pair with
-  /// default_layout(backend) for the per-backend heuristic.
+  /// Context-level layout (core/layout.hpp): every rank replica of a
+  /// multi-component dat is built in it at finalize() (dim-1 dats stay AoS)
+  /// — the same policy LocalCtx::set_default_layout implements locally. Pair
+  /// with default_layout(backend) for the per-backend heuristic.
   void set_default_layout(Layout l) {
     require_open("set_default_layout");
-    default_layout_ = l;
-    have_default_layout_ = true;
+    layout_ = l;
   }
 
   /// Opt into the global renumbering pass (core/reorder.hpp): finalize()
@@ -183,18 +172,19 @@ class DistCtx {
     OPV_REQUIRE(primary_ >= 0,
                 "DistCtx::finalize: no partition coordinates declared "
                 "(call set_partition_coords on the primary set)");
+    inv_.resize(spec_.sets.size());
     if (renumber_on_finalize_) apply_renumber();
     const auto primary_owner =
         partition_rcb(coords_.data(), spec_.sets[primary_].size, nranks_, ndims_);
     auto owner = derive_ownership(spec_, primary_, primary_owner, nranks_);
     part_ = std::make_unique<Partitioned>(spec_, owner, nranks_);
-    // Resolve the context-level layout default, then materialize every rank
-    // replica in its dat's layout (the view the exchangers use is stamped
-    // with the layout and the per-rank plane strides there).
-    for (auto& d : dats_)
-      if (have_default_layout_ && !d->layout_explicit && d->dim > 1)
-        d->requested_layout = default_layout_;
-    for (int i = 0; i < static_cast<int>(dats_.size()); ++i) dats_[i]->materialize(i, *part_);
+    // Build every rank replica in its final layout, filled from the
+    // declaration-order values (the view the exchangers use is stamped with
+    // the layout and the per-rank plane strides there).
+    for (int i = 0; i < static_cast<int>(dats_.size()); ++i) {
+      DatEntryBase& d = *dats_[i];
+      d.materialize(i, *part_, d.dim > 1 ? layout_ : Layout::AoS, inv_[d.set]);
+    }
     finalized_ = true;
   }
 
@@ -294,16 +284,14 @@ class DistCtx {
   void fetch(FixedDatHandle<T, N> d, aligned_vector<T>& out) {
     finalize();
     auto& e = entry<T>(d.id);
-    const aligned_vector<idx_t>* inv =
-        static_cast<std::size_t>(e.set) < inv_.size() && !inv_[e.set].empty() ? &inv_[e.set]
-                                                                              : nullptr;
+    const aligned_vector<idx_t>& inv = inv_[e.set];
     out.assign(static_cast<std::size_t>(spec_.sets[e.set].size) * N, T{});
     for (int r = 0; r < nranks_; ++r) {
       const LocalLayout& L = part_->layout(r, e.set);
       const Dat<T>& dat = e.rank[r];
       for (idx_t l = 0; l < L.nowned; ++l) {
         const idx_t g = L.local_to_global[l];
-        const idx_t orig = inv ? (*inv)[static_cast<std::size_t>(g)] : g;
+        const idx_t orig = inv.empty() ? g : inv[static_cast<std::size_t>(g)];
         for (int c = 0; c < N; ++c) out[static_cast<std::size_t>(orig) * N + c] = dat.at(l, c);
       }
     }
@@ -319,46 +307,41 @@ class DistCtx {
     std::string name;
     int set = -1;
     int dim = 0;
-    Layout requested_layout = Layout::AoS;  ///< layout every rank replica gets
-    bool layout_explicit = false;  ///< set_layout was called (default skips it)
     bool dirty = false;  ///< halo copies stale relative to owner data
     DatHaloView view;    ///< type-erased transport view, pinned at materialize
     virtual ~DatEntryBase() = default;
-    virtual void materialize(int id, const Partitioned& part) = 0;
-    /// Row-permute the global initial values (renumbering pass; no-op for
-    /// zero-initialized dats).
-    virtual void permute_init(const aligned_vector<idx_t>& perm) = 0;
+    /// Build every rank replica in layout l. `inv` maps a (renumbered)
+    /// global id to its declaration id; empty when the set kept its
+    /// numbering.
+    virtual void materialize(int id, const Partitioned& part, Layout l,
+                             const aligned_vector<idx_t>& inv) = 0;
   };
 
   template <class T>
   struct DatEntry final : DatEntryBase {
-    aligned_vector<T> init;   ///< global initial values (empty = zeros)
+    aligned_vector<T> init;   ///< declaration-order initial values (empty = zeros)
     std::deque<Dat<T>> rank;  ///< per-rank replica, local layout order
 
-    void permute_init(const aligned_vector<idx_t>& perm) override {
-      if (!init.empty()) reorder::permute_rows(perm, init.data(), dim);
-    }
-
-    void materialize(int id, const Partitioned& part) override {
+    void materialize(int id, const Partitioned& part, Layout l,
+                     const aligned_vector<idx_t>& inv) override {
       for (int r = 0; r < part.nranks(); ++r) {
-        rank.emplace_back(name, part.set(r, set), dim);
-        Dat<T>& d = rank.back();
-        // Rank replicas inherit the dat's layout policy: convert (and
-        // freeze) BEFORE filling, so the layout-aware at() addresses the
-        // final physical form directly.
-        d.set_layout(requested_layout);
-        d.apply_layout();
+        // Allocated directly in the final layout, so the layout-aware at()
+        // fills the final physical form in one pass.
+        Dat<T>& d = rank.emplace_back(name, part.set(r, set), dim, l);
         if (init.empty()) continue;
         const LocalLayout& L = part.layout(r, set);
-        for (idx_t l = 0; l < L.ntotal; ++l)
+        for (idx_t i = 0; i < L.ntotal; ++i) {
+          const idx_t g = L.local_to_global[i];
+          const idx_t row = inv.empty() ? g : inv[static_cast<std::size_t>(g)];
           for (int c = 0; c < dim; ++c)
-            d.at(l, c) = init[static_cast<std::size_t>(L.local_to_global[l]) * dim + c];
+            d.at(i, c) = init[static_cast<std::size_t>(row) * dim + c];
+        }
       }
       view.dat = id;
       view.set = set;
       view.dim = dim;
       view.value_bytes = sizeof(T);
-      view.layout = requested_layout;
+      view.layout = l;
       view.rank_base.clear();
       view.rank_plane.clear();
       for (int r = 0; r < part.nranks(); ++r) {
@@ -453,8 +436,9 @@ class DistCtx {
 
   /// The global renumbering pass (core/reorder.hpp), run at finalize()
   /// before partitioning: RCM on the primary set, from-sets sorted by their
-  /// renumbered targets; spec maps relabeled/permuted, partition coordinates
-  /// and dat initial values row-permuted, inverses kept for fetch().
+  /// renumbered targets; spec maps relabeled/permuted and partition
+  /// coordinates row-permuted. Dat initial values stay in declaration order:
+  /// the inverses kept here fill the rank replicas and serve fetch().
   void apply_renumber() {
     std::vector<idx_t> sizes;
     sizes.reserve(spec_.sets.size());
@@ -467,9 +451,6 @@ class DistCtx {
     reorder::apply_to_maps(perms_, views, sizes);
     if (!perms_.identity(primary_))
       reorder::permute_rows(perms_.of(primary_), coords_.data(), ndims_);
-    for (auto& d : dats_)
-      if (!perms_.identity(d->set)) d->permute_init(perms_.of(d->set));
-    inv_.resize(spec_.sets.size());
     for (int s = 0; s < static_cast<int>(spec_.sets.size()); ++s)
       if (!perms_.identity(s)) inv_[static_cast<std::size_t>(s)] = reorder::invert(perms_.of(s));
   }
@@ -481,15 +462,14 @@ class DistCtx {
   int primary_ = -1;
   int ndims_ = 2;  ///< partition-coordinate dimensionality (2 or 3)
   aligned_vector<double> coords_;
-  Layout default_layout_ = Layout::AoS;
-  bool have_default_layout_ = false;
+  Layout layout_ = Layout::AoS;  ///< layout of every multi-component dat
   std::vector<std::unique_ptr<DatEntryBase>> dats_;
   std::unique_ptr<Partitioned> part_;
   std::unique_ptr<Exchanger> exchanger_ = std::make_unique<MemcpyExchanger>();
   ExchangeMode exchange_mode_ = ExchangeMode::Overlap;
   bool renumber_on_finalize_ = false;
   reorder::Permutations perms_;          ///< old -> new per set (renumbering)
-  std::vector<aligned_vector<idx_t>> inv_;  ///< new -> old per set, for fetch
+  std::vector<aligned_vector<idx_t>> inv_;  ///< new -> old per set (empty: kept)
   bool finalized_ = false;
 };
 

@@ -2,11 +2,12 @@
 // application drivers are written against (declaration ordering, zero-init
 // dats, fetch semantics, handle stability, config plumbing) and the one
 // lifecycle both contexts share: declarations until finalize(), which the
-// first loop performs implicitly.
+// first loop, fetch or permutation query performs implicitly.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <numeric>
+#include <string>
 #include <type_traits>
 
 #include "apps/airfoil/airfoil.hpp"
@@ -183,20 +184,42 @@ TYPED_TEST(ContextLifecycle, FirstLoopFinalizesAndRenumbers) {
 }
 
 TYPED_TEST(ContextLifecycle, DeclarationsCloseAtTheFirstLoop) {
-  for (const bool one_shot : {false, true}) {
-    SCOPED_TRACE(one_shot ? "one-shot loop" : "make_loop");
+  for (const char* close : {"finalize", "make_loop", "one-shot loop"}) {
+    SCOPED_TRACE(close);
     this->declare();
     auto& ctx = *this->ctx;
-    if (one_shot) ctx.loop(Double{}, "lc_once", this->cells, ctx.template arg<opv::RW>(this->id));
-    else (void)ctx.make_loop(Double{}, "lc_handle", this->cells,
-                             ctx.template arg<opv::RW>(this->id));
+    const std::string how = close;
+    if (how == "finalize") ctx.finalize();
+    else if (how == "make_loop")
+      (void)ctx.make_loop(Double{}, "lc_handle", this->cells, ctx.template arg<opv::RW>(this->id));
+    else ctx.loop(Double{}, "lc_once", this->cells, ctx.template arg<opv::RW>(this->id));
     EXPECT_THROW(ctx.decl_set("late", 4), Error);
     EXPECT_THROW(ctx.decl_map("late", this->edges, this->cells, 2, this->m.edge_cells), Error);
     EXPECT_THROW((ctx.template decl_dat<double, 1>("late", this->cells)), Error);
     EXPECT_THROW(ctx.set_partition_coords(this->cells, this->centroids.data()), Error);
-    EXPECT_THROW(ctx.set_layout(this->id, Layout::SoA), Error);
     EXPECT_THROW(ctx.set_default_layout(Layout::SoA), Error);
     EXPECT_THROW(ctx.set_renumber(false), Error);
+  }
+}
+
+// Reading a result or a permutation before any loop finalizes too, so
+// context-generic code sees one contract: renumbered, declarations closed.
+TYPED_TEST(ContextLifecycle, FetchFinalizes) {
+  for (const char* first : {"fetch", "permutation", "applied_permutations"}) {
+    SCOPED_TRACE(first);
+    this->declare();
+    auto& ctx = *this->ctx;
+    const std::string how = first;
+    aligned_vector<double> id;
+    if (how == "fetch") ctx.fetch(this->id, id);
+    else if (how == "permutation") (void)ctx.permutation(this->cells);
+    else (void)ctx.applied_permutations();
+    EXPECT_THROW(ctx.decl_set("late", 4), Error);
+    EXPECT_NE(ctx.permutation(this->cells), nullptr);
+    ctx.fetch(this->id, id);
+    ASSERT_EQ(id.size(), static_cast<std::size_t>(this->m.ncells));
+    for (idx_t c = 0; c < this->m.ncells; ++c)
+      ASSERT_EQ(id[static_cast<std::size_t>(c)], static_cast<double>(c));
   }
 }
 

@@ -1,29 +1,36 @@
-// Per-dat memory layout policy tests (core/layout.hpp).
+// Memory layout tests (core/layout.hpp, core/dat.hpp).
 //
-// The policy's contract, pinned here:
+// The contract, pinned here:
 //  1. addressing — layout_offset is a bijection into the padded storage for
 //     both layouts, and the per-backend default heuristic is stable;
-//  2. value transparency — a Seq run is BITWISE identical across AoS and
+//  2. materialization — a dat's declared AoS rows are built once into their
+//     final numbering and layout (row e lands at perm[e], SoA planes are
+//     padded with zero rows), export_rows/import_rows round-trip the
+//     declaration-order AoS bytes bitwise, and storage built in its layout
+//     starts final;
+//  3. value transparency — a Seq run is BITWISE identical across AoS and
 //     SoA for all three applications (the W = 1 argument state stages an
 //     SoA element row through comp(c)[lidx(e)], pre-loaded for every access
 //     mode, so the kernel sees identical values in identical order), and
-//     fetch() keeps returning declaration-order AoS values after renumber +
-//     relayout;
-//  3. distributed transport — rank replicas inherit the layout policy and
-//     the halo exchange honors SoA strides: a DistCtx run under SoA is
-//     bitwise identical to the AoS run across every exchange mode and both
-//     exchanger implementations;
-//  4. lifecycle — layout requests after finalize (explicit, or implicit in
-//     the first loop) throw instead of silently never applying;
+//     fetch() keeps returning declaration-order AoS values after renumbering
+//     into SoA storage; a context's layout skips dim-1 dats;
+//  4. distributed transport — rank replicas are built in the context's
+//     layout from the declaration-order values and the halo exchange honors
+//     SoA strides: a renumbered DistCtx run under SoA is bitwise identical
+//     to the AoS run across every exchange mode and both exchanger
+//     implementations;
 //  5. 3D partitioning — partition_rcb with ndims == 3 bisects the true 3D
 //     bounding box (a z-elongated mesh splits into z bands, which an xy
 //     projection could never produce).
+// When the layout can still be chosen (until finalize) is the context
+// lifecycle, pinned in tests/test_context.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -110,6 +117,83 @@ TEST(LayoutDefault, PerBackendHeuristic) {
   EXPECT_EQ(default_layout(Backend::Simt), Layout::SoA);
 }
 
+// ===== materialization: one pass to the final numbering and layout ==========
+
+/// A reversing permutation (old -> new) of n rows.
+aligned_vector<idx_t> reversed(idx_t n) {
+  aligned_vector<idx_t> p(static_cast<std::size_t>(n));
+  for (idx_t e = 0; e < n; ++e) p[static_cast<std::size_t>(e)] = n - 1 - e;
+  return p;
+}
+
+/// Declaration-order AoS values 1, 2, 3, ... for n rows of 3 components.
+aligned_vector<double> counting(idx_t n) {
+  aligned_vector<double> v(static_cast<std::size_t>(n) * 3);
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = 1.0 + static_cast<double>(i);
+  return v;
+}
+
+TEST(Materialize, PermutesIntoPaddedSoA) {
+  const idx_t n = 37;  // not a multiple of kPlaneAlign: the plane has padding rows
+  const Set s("s", n);
+  const auto init = counting(n);
+  const auto perm = reversed(n);
+  FixedDat<double, 3> d("d", s, init);
+  d.materialize(&perm, Layout::SoA);
+
+  EXPECT_EQ(d.layout(), Layout::SoA);
+  EXPECT_EQ(d.plane(), padded_rows(n));
+  ASSERT_EQ(d.size(), static_cast<std::size_t>(padded_rows(n)) * 3);
+  for (idx_t e = 0; e < n; ++e)
+    for (int c = 0; c < 3; ++c)
+      EXPECT_EQ(d.at(perm[static_cast<std::size_t>(e)], c),
+                init[static_cast<std::size_t>(e) * 3 + c]);
+  for (int c = 0; c < 3; ++c)
+    for (idx_t row = n; row < d.plane(); ++row)
+      EXPECT_EQ(d.data()[layout_offset(Layout::SoA, row, c, 3, d.plane())], 0.0)
+          << "padding row " << row << " of plane " << c;
+}
+
+TEST(Materialize, RowsRoundTripBitwiseThroughAPermutation) {
+  const idx_t n = 37;
+  const Set s("s", n);
+  const auto init = counting(n);
+  const auto perm = reversed(n);
+  const aligned_vector<idx_t>* perms[] = {nullptr, &perm};
+  for (Layout l : kAll)
+    for (const auto* p : perms) {
+      SCOPED_TRACE(std::string(layout_name(l)) + (p ? " permuted" : " unpermuted"));
+      FixedDat<double, 3> d("d", s, init);
+      d.materialize(p, l);
+      aligned_vector<double> out(init.size());
+      d.export_rows(p, out.data());
+      expect_bitwise(init, out, "export_rows");
+
+      aligned_vector<double> other(init.size());
+      for (std::size_t i = 0; i < other.size(); ++i) other[i] = -init[i];
+      d.import_rows(p, other.data());
+      d.export_rows(p, out.data());
+      expect_bitwise(other, out, "import_rows then export_rows");
+    }
+}
+
+TEST(Materialize, OncePerDat) {
+  const Set s("s", 8);
+  FixedDat<double, 3> d("d", s);
+  d.materialize(nullptr, Layout::AoS);
+  EXPECT_THROW(d.materialize(nullptr, Layout::AoS), Error);
+  EXPECT_THROW(d.materialize(nullptr, Layout::SoA), Error);
+}
+
+TEST(Materialize, LayoutConstructorStartsFinal) {
+  const Set s("s", 20);
+  Dat<double> d("d", s, 3, Layout::SoA);
+  EXPECT_EQ(d.layout(), Layout::SoA);
+  EXPECT_EQ(d.plane(), padded_rows(20));
+  EXPECT_EQ(d.size(), static_cast<std::size_t>(padded_rows(20)) * 3);
+  EXPECT_THROW(d.materialize(nullptr, Layout::SoA), Error);
+}
+
 // ===== value transparency: Seq bitwise across layouts =======================
 
 class SeqBitwiseP : public ::testing::TestWithParam<Layout> {};
@@ -165,7 +249,7 @@ INSTANTIATE_TEST_SUITE_P(Layouts, SeqBitwiseP,
                          ::testing::Values(Layout::SoA),
                          [](const auto& info) { return layout_name(info.param); });
 
-// ===== fetch round-trip under renumber + relayout ===========================
+// ===== fetch round-trip under renumbering into SoA ===========================
 
 TEST(LocalLayout, FetchRoundTripsDeclarationOrder) {
   auto m = mesh::make_quad_box(8, 6);
@@ -179,12 +263,11 @@ TEST(LocalLayout, FetchRoundTripsDeclarationOrder) {
   for (std::size_t i = 0; i < ev.size(); ++i) ev[i] = 0.25f + static_cast<float>(i);
   auto cdat = ctx.decl_dat<double, 3>("cdat", cells, cv);
   auto edat = ctx.decl_dat<float, 2>("edat", edges, ev);
-  ctx.set_layout(cdat, Layout::SoA);
-  ctx.set_layout(edat, Layout::SoA);
+  ctx.set_default_layout(Layout::SoA);
 
   ctx.set_partition_coords(cells, nullptr);
   ctx.set_renumber(true);
-  ctx.finalize();  // permutes AoS rows first, then materializes the relayout
+  ctx.finalize();  // renumbered AoS rows -> SoA storage, in one pass
 
   EXPECT_EQ(cdat->layout(), Layout::SoA);
   EXPECT_EQ(edat->layout(), Layout::SoA);
@@ -207,61 +290,15 @@ TEST(LocalLayout, FetchRoundTripsDeclarationOrder) {
                 cv[static_cast<std::size_t>(e) * 3 + c]);
 }
 
-TEST(LocalLayout, DefaultSkipsScalarAndExplicitDats) {
+TEST(LocalLayout, DefaultSkipsScalarDats) {
   LocalCtx ctx;
   auto cells = ctx.decl_set("cells", 24);
   auto scalar = ctx.decl_dat<double, 1>("scalar", cells);
   auto vec = ctx.decl_dat<double, 4>("vec", cells);
-  auto pinned = ctx.decl_dat<double, 4>("pinned", cells);
-  ctx.set_layout(pinned, Layout::AoS);
   ctx.set_default_layout(Layout::SoA);
   ctx.finalize();
   EXPECT_EQ(scalar->layout(), Layout::AoS) << "dim-1 dats gain nothing from SoA";
   EXPECT_EQ(vec->layout(), Layout::SoA);
-  EXPECT_EQ(pinned->layout(), Layout::AoS) << "explicit request beats the default";
-}
-
-// ===== lifecycle: layout requests close at finalize / the first loop ========
-
-struct SetOneKernel {
-  template <class T>
-  void operator()(T* x) const {
-    x[0] = T(1);
-  }
-};
-
-TEST(LocalLayout, RequestsThrowAfterFinalize) {
-  LocalCtx ctx;
-  auto cells = ctx.decl_set("cells", 8);
-  auto d = ctx.decl_dat<double, 2>("d", cells);
-  ctx.finalize();
-  EXPECT_THROW(ctx.set_layout(d, Layout::SoA), Error);
-  EXPECT_THROW(ctx.set_default_layout(Layout::SoA), Error);
-}
-
-TEST(LocalLayout, RequestsThrowAfterFirstLoopRan) {
-  // A loop handle's bound access paths read the physical layout; changing it
-  // underneath a pinned plan would corrupt every subsequent gather.
-  LocalCtx ctx;
-  auto cells = ctx.decl_set("cells", 8);
-  auto d = ctx.decl_dat<double, 2>("d", cells);
-  ctx.loop(SetOneKernel{}, "set_one", cells, ctx.arg<opv::WRITE>(d));
-  EXPECT_THROW(ctx.set_layout(d, Layout::SoA), Error);
-  EXPECT_THROW(ctx.set_default_layout(Layout::SoA), Error);
-}
-
-TEST(DistLayout, RequestsThrowAfterFinalize) {
-  auto m = mesh::make_quad_box(6, 5);
-  const auto centroids = airfoil::cell_centroids(m);
-  dist::DistCtx ctx(2, ExecConfig{});
-  auto cells = ctx.decl_set("cells", m.ncells);
-  auto edges = ctx.decl_set("edges", m.nedges);
-  ctx.set_partition_coords(cells, centroids.data());
-  ctx.decl_map("pecell", edges, cells, 2, m.edge_cells);
-  auto d = ctx.decl_dat<double, 2>("d", cells);
-  ctx.finalize();
-  EXPECT_THROW(ctx.set_layout(d, Layout::SoA), Error);
-  EXPECT_THROW(ctx.set_default_layout(Layout::SoA), Error);
 }
 
 // ===== distributed transport: non-AoS halos across modes and exchangers ====
@@ -300,6 +337,7 @@ TEST_P(DistLayoutP, Tet3DMatchesAoSBitwise) {
 
   const auto run = [&](Layout l) {
     dist::DistCtx ctx(3, cfg);
+    ctx.set_renumber(true);
     ctx.set_exchange_mode(mode);
     if (staged) ctx.set_exchanger(std::make_unique<dist::StagedExchanger>());
     ctx.set_default_layout(l);

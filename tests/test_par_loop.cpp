@@ -105,8 +105,8 @@ struct Fixture {
   FixedDat<double, 1> w, direct_c, adt;
   FixedDat<std::int32_t, 1> flag;
 
-  /// Every dat is relaid to `layout` before the first loop (dim-1 dats
-  /// too, so the vector paths' unit-stride branch runs under SoA).
+  /// Every dat is materialized in `layout` before the first loop (dim-1
+  /// dats too, so the vector paths' unit-stride branch runs under SoA).
   explicit Fixture(idx_t ni = 19, idx_t nj = 13, Layout layout = Layout::AoS)
       : m(mesh::make_quad_box(ni, nj)),
         nodes("nodes", m.nnodes),
@@ -138,10 +138,8 @@ struct Fixture {
       flag.at(c) = rng.next_below(2) ? 2 : 1;
     }
     for (DatBase* d : std::initializer_list<DatBase*>{&x, &acc, &direct_a, &direct_b, &twice, &rw,
-                                                      &w, &direct_c, &adt, &flag}) {
-      d->set_layout(layout);
-      d->apply_layout();
-    }
+                                                      &w, &direct_c, &adt, &flag})
+      d->materialize(nullptr, layout);
   }
 };
 
